@@ -6,12 +6,10 @@ from .eig import (
     DEFAULT_TOL,
     Spectrum,
     SymmetricMatrix,
-    TriDiagonalForm,
     eigendecompose,
     eigenvalue_k,
     eigenvalues_selected,
     spectral_norm,
-    tridiagonalize,
 )
 from .ensembles import (
     EnsembleParams,

@@ -20,14 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .eig import (
-    SymmetricMatrix,
-    _eig_k_tridiag,
-    _abs_tol,
-    eigenvalues_selected,
-    spectral_norm,
-    tridiagonalize,
-)
+from .eig import SymmetricMatrix, eigenvalue_k, eigenvalues_selected, spectral_norm
 from .ensembles import EnsembleProfile, GraphSample, SyncInstance
 from .errors import (
     MissingLabels,
@@ -122,7 +115,7 @@ def dual_diagonal(y: SymmetricMatrix, x) -> np.ndarray:
 
 
 def _selected_three(m: np.ndarray) -> tuple[float, float, float]:
-    """(lambda_1, lambda_2, lambda_n) via one tridiagonal reduction."""
+    """(lambda_1, lambda_2, lambda_n) from one decomposition."""
     sm = SymmetricMatrix(m)
     n = sm.n
     if n == 1:
@@ -257,10 +250,7 @@ def connectivity_spectral(g: GraphSample, tau: float = TAU_POS) -> bool:
     """Graph connectivity via lambda_2 of the graph Laplacian."""
     if g.n == 1:
         return True
-    l = graph_laplacian(g)
-    tri = tridiagonalize(l)
-    lam2 = _eig_k_tridiag(tri, 2, _abs_tol(l))
-    return lam2 > tau * g.n
+    return eigenvalue_k(graph_laplacian(g), 2) > tau * g.n
 
 
 def connectivity_unionfind(g: GraphSample) -> bool:

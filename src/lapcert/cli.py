@@ -27,7 +27,7 @@ from .certificates import (
 )
 from .eig import SymmetricMatrix, eigendecompose
 from .ensembles import derive_stream, sample_er, sample_sbm, sample_z2sync_er, sample_z2sync_gaussian
-from .errors import ConfigError, IoError, NonConvergence
+from .errors import ConfigError, IoError, LapcertError, NonConvergence
 from .sweeps import EXPERIMENTS, SweepConfig, run_sweep
 from .tails import (
     ThresholdQuery,
@@ -135,7 +135,9 @@ def _build_parser() -> _Parser:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """File values under CLI ones; keys are kebab-case long flag names."""
+    """File values under CLI ones; keys are kebab-case long flag names.
+
+    A null file value counts as absent, like a flag not given."""
     merged = {}
     path = getattr(args, "config", None)
     if path:
@@ -151,7 +153,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             continue
         if value is not None:
             merged[key.replace("_", "-")] = value
-    return merged
+    return {key: value for key, value in merged.items() if value is not None}
 
 
 def _sweep_config(opts: dict, experiment: Optional[str] = None) -> SweepConfig:
@@ -177,14 +179,14 @@ def _sweep_config(opts: dict, experiment: Optional[str] = None) -> SweepConfig:
         experiment=exp,
         n=n_grid,
         grids=grids,
-        trials=int(opts.get("trials") or 1),
+        trials=int(opts.get("trials", 1)),
         master_seed=int(opts.get("seed") or 0),
         out_path=opts.get("out"),
         ensemble=opts.get("ensemble"),
         rank_k=opts.get("rank-k"),
         tau=opts.get("tau"),
         cross_check=bool(opts.get("cross-check")),
-        workers=int(opts.get("workers") or 1),
+        workers=int(opts.get("workers", 1)),
     )
 
 
@@ -343,6 +345,12 @@ def cli_main(argv) -> int:
     except NonConvergence as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except LapcertError as exc:
+        # Model parameters rejected by a sampler or a threshold formula.
+        if not isinstance(exc, ValueError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def main() -> None:  # pragma: no cover - thin shim

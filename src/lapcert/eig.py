@@ -1,14 +1,12 @@
-"""Dense symmetric eigensolver.
+"""Dense symmetric eigenvalues on LAPACK.
 
-Householder reduction to tridiagonal form, implicit QL iteration with
-Wilkinson shifts for full spectra, and Sturm-sequence bisection for single
-eigenvalues (the fast path used by the certificate sweeps, which only need
-the second-smallest or largest eigenvalue of moderately large matrices).
+``SymmetricMatrix`` is the validated input type; the spectra come from
+numpy's LAPACK drivers (``syevd``). The certificate sweeps only need the
+second-smallest or largest eigenvalue, which is read off the full spectrum.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -16,14 +14,8 @@ import numpy as np
 
 from .errors import IndexOutOfRange, NonConvergence
 
-_EPS = float(np.finfo(np.float64).eps)
-_SAFE_MIN = float(np.finfo(np.float64).tiny)
-
 #: Default relative tolerance for spectra and certificate residuals.
 DEFAULT_TOL = 1e-10
-
-#: Maximum QL sweeps allowed per eigenvalue before giving up.
-MAX_QL_SWEEPS = 30
 
 
 class SymmetricMatrix:
@@ -82,15 +74,6 @@ class SymmetricMatrix:
 
 
 @dataclass(frozen=True)
-class TriDiagonalForm:
-    """Tridiagonal similarity reduction T = Q^T M Q."""
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-    q_accum: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Full eigendecomposition, eigenvalues ascending.
 
@@ -104,232 +87,41 @@ class Spectrum:
     residual: Optional[float] = None
 
 
-_PANEL = 32
+def _lapack(routine, m: SymmetricMatrix):
+    """Run a ``numpy.linalg`` eigen routine on ``m``; LinAlgError becomes
+    NonConvergence (exit code 3 on the command line)."""
+    try:
+        return routine(m.array)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(
+            f"LAPACK {routine.__name__} failed at n={m.n}: {exc}"
+        ) from exc
 
 
-def tridiagonalize(m: SymmetricMatrix, want_q: bool = False) -> TriDiagonalForm:
-    """Householder reduction to symmetric tridiagonal form.
-
-    The spectrum is preserved exactly (similarity transform); with
-    ``want_q`` the accumulated orthogonal factor Q satisfies Q T Q^T = M.
-
-    Rank-2 updates are deferred within panels of columns and applied as two
-    matrix products, which keeps the reduction compute-bound at the n of a
-    few thousand the sweeps use.
-    """
-    a = m.array.copy()
-    n = a.shape[0]
-    e = np.zeros(n - 1) if n > 1 else np.empty(0)
-    reflectors = [] if want_q else None
-    for k0 in range(0, max(n - 2, 0), _PANEL):
-        b = min(_PANEL, n - 2 - k0)
-        mt = n - k0 - 1  # trailing block size; panel vectors live in it
-        cap_u = np.zeros((mt, b))
-        cap_w = np.zeros((mt, b))
-        sub0 = a[k0 + 1 :, k0 + 1 :]
-        for j in range(b):
-            k = k0 + j
-            x = a[k + 1 :, k].copy()
-            if j > 0:
-                # Deferred rank-2 updates of earlier panel columns,
-                # restricted to this column (offset j - 1 in panel frame).
-                x -= cap_u[j:, :j] @ cap_w[j - 1, :j]
-                x -= cap_w[j:, :j] @ cap_u[j - 1, :j]
-            xnorm = math.sqrt(float(x @ x))
-            if xnorm == 0.0:
-                continue  # column already reduced; e[k] stays 0
-            alpha = -math.copysign(xnorm, x[0])
-            x[0] -= alpha
-            beta = 2.0 / float(x @ x)
-            ufull = np.zeros(mt)
-            ufull[j:] = x
-            vfull = sub0 @ ufull
-            if j > 0:
-                vfull -= cap_u[:, :j] @ (cap_w[:, :j].T @ ufull)
-                vfull -= cap_w[:, :j] @ (cap_u[:, :j].T @ ufull)
-            vfull *= beta
-            kappa = 0.5 * beta * float(ufull @ vfull)
-            cap_u[:, j] = ufull
-            cap_w[j:, j] = vfull[j:] - kappa * x
-            e[k] = alpha
-            if reflectors is not None:
-                reflectors.append((k, beta, x))
-        sub0 -= cap_u @ cap_w.T
-        sub0 -= cap_w @ cap_u.T
-    d = np.diag(a).copy()
-    if n > 1:
-        e[n - 2] = a[n - 1, n - 2]
-    q = None
-    if want_q:
-        q = np.eye(n)
-        for k, beta, u in reflectors:
-            q[:, k + 1 :] -= np.outer(q[:, k + 1 :] @ (beta * u), u)
-    return TriDiagonalForm(d, e, q)
-
-
-def _ql_implicit(d: list, e: list, z: Optional[np.ndarray], max_sweeps: int) -> None:
-    """Implicit QL with Wilkinson shifts on a tridiagonal (in place).
-
-    ``d`` has length n, ``e`` length n with e[n-1] = 0 as sentinel. Columns
-    of ``z`` are rotated along, so passing the Householder Q yields
-    eigenvectors of the original matrix.
-    """
-    n = len(d)
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise NonConvergence(
-                    f"eigenvalue {l} not isolated after {max_sweeps} QL sweeps"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if z is not None:
-                    fcol = z[:, i + 1].copy()
-                    z[:, i + 1] = s * z[:, i] + c * fcol
-                    z[:, i] = c * z[:, i] - s * fcol
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-
-
-def eigendecompose(
-    m: SymmetricMatrix,
-    want_vectors: bool = False,
-    max_sweeps: int = MAX_QL_SWEEPS,
-) -> Spectrum:
+def eigendecompose(m: SymmetricMatrix, want_vectors: bool = False) -> Spectrum:
     """Full spectrum of a symmetric matrix, ascending.
 
-    Deterministic for identical input; ties are kept in deflation order via
-    a stable sort. Raises NonConvergence if any eigenvalue needs more than
-    ``max_sweeps`` implicit-QL sweeps.
+    Raises NonConvergence if LAPACK fails to converge.
     """
-    tri = tridiagonalize(m, want_q=want_vectors)
-    n = m.n
-    d = list(tri.diag)
-    e = list(tri.offdiag) + [0.0]
-    z = tri.q_accum.copy() if want_vectors else None
-    _ql_implicit(d, e, z, max_sweeps)
-    vals = np.asarray(d)
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
     if not want_vectors:
-        return Spectrum(vals)
-    vecs = z[:, order]
+        return Spectrum(_lapack(np.linalg.eigvalsh, m))
+    vals, vecs = _lapack(np.linalg.eigh, m)
     res = m.array @ vecs - vecs * vals[np.newaxis, :]
-    residual = float(np.max(np.sqrt(np.sum(res * res, axis=0)))) if n else 0.0
+    residual = float(np.max(np.sqrt(np.sum(res * res, axis=0))))
     return Spectrum(vals, vecs, residual)
 
 
-def _count_below(d: list, e2: list, x: float, pivmin: float) -> int:
-    """Number of eigenvalues of the tridiagonal below x (Sturm count)."""
-    count = 0
-    t = float(d[0]) - x
-    if abs(t) <= pivmin:
-        t = -pivmin
-    if t < 0.0:
-        count += 1
-    for i in range(1, len(d)):
-        t = float(d[i]) - x - e2[i - 1] / t
-        if abs(t) <= pivmin:
-            t = -pivmin
-        if t < 0.0:
-            count += 1
-    return count
-
-
-def _bisection_bounds(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
-    n = len(d)
-    r = np.zeros(n)
-    if n > 1:
-        ea = np.abs(e)
-        r[:-1] += ea
-        r[1:] += ea
-    return float(np.min(d - r)), float(np.max(d + r))
-
-
-def _eig_k_tridiag(tri: TriDiagonalForm, k: int, tol: float) -> float:
-    d = tri.diag
-    e = tri.offdiag
-    n = len(d)
-    if n == 1:
-        return float(d[0])
-    e2 = np.asarray(e, dtype=np.float64) ** 2
-    pivmin = _SAFE_MIN * max(1.0, float(np.max(e2)))
-    lo, hi = _bisection_bounds(d, e)
-    lo -= tol
-    hi += tol
-    el = list(e2)
-    dl = list(d)
-    # Invariant: count(lo) < k <= count(hi).
-    for _ in range(210):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if _count_below(dl, el, mid, pivmin) >= k:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _abs_tol(m: SymmetricMatrix) -> float:
-    return 1e-12 * (1.0 + m.n * m.max_abs())
-
-
 def eigenvalue_k(m: SymmetricMatrix, k: int) -> float:
-    """k-th smallest eigenvalue (1-indexed, with multiplicity).
-
-    Sturm-sequence bisection on the tridiagonal form; no full
-    decomposition. Agrees with ``eigendecompose`` entry k within
-    1e-10 * (1 + ||m||).
-    """
-    if not 1 <= k <= m.n:
-        raise IndexOutOfRange(f"k={k} outside 1..{m.n}")
-    tri = tridiagonalize(m)
-    return _eig_k_tridiag(tri, k, _abs_tol(m))
+    """k-th smallest eigenvalue (1-indexed, with multiplicity)."""
+    return float(eigenvalues_selected(m, (k,))[0])
 
 
 def eigenvalues_selected(m: SymmetricMatrix, ks: Sequence[int]) -> np.ndarray:
-    """Selected eigenvalues by index, sharing one tridiagonal reduction."""
+    """Selected eigenvalues by 1-based index, from one decomposition."""
     for k in ks:
         if not 1 <= k <= m.n:
             raise IndexOutOfRange(f"k={k} outside 1..{m.n}")
-    tri = tridiagonalize(m)
-    tol = _abs_tol(m)
-    return np.array([_eig_k_tridiag(tri, k, tol) for k in ks])
+    return _lapack(np.linalg.eigvalsh, m)[np.asarray(ks, dtype=np.intp) - 1]
 
 
 def spectral_norm(m: SymmetricMatrix) -> float:

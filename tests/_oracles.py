@@ -1,8 +1,8 @@
 """Independent reference computations used to freeze expected test values.
 
-These deliberately avoid the package's own eigensolver: the characteristic
-polynomial oracle only uses LU determinants, and the LAPACK reference comes
-from numpy.linalg. Both stay independent of the code paths under test.
+These deliberately avoid LAPACK's symmetric eigensolver, which the package
+itself calls: the characteristic polynomial oracle only uses LU
+determinants, and the spectral norm comes from power iteration.
 """
 
 import numpy as np
@@ -65,7 +65,3 @@ def power_iteration_norm(a, iters=2000, seed=1234):
         v = w / norm
         lam = norm
     return float(np.sqrt(lam))
-
-
-def lapack_eigs(a):
-    return np.linalg.eigvalsh(np.asarray(a, dtype=np.float64))

@@ -7,12 +7,10 @@ from lapcert import (
     eigenvalue_k,
     eigenvalues_selected,
     spectral_norm,
-    tridiagonalize,
 )
-from lapcert.eig import _ql_implicit
 from lapcert.errors import IndexOutOfRange, NonConvergence
 
-from _oracles import charpoly_bisect_eigs, lapack_eigs, power_iteration_norm
+from _oracles import charpoly_bisect_eigs, power_iteration_norm
 
 PATH3 = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
 
@@ -61,52 +59,6 @@ class TestSymmetricMatrix:
         assert m.array[1, 1] == 3.0
 
 
-class TestTridiagonalize:
-    def test_one_by_one(self):
-        tri = tridiagonalize(sym([[5.0]]))
-        assert tri.diag.tolist() == [5.0]
-        assert tri.offdiag.size == 0
-
-    def test_diagonal_matrix_fixed_point(self):
-        tri = tridiagonalize(sym(np.diag([1.0, 2.0, 3.0])))
-        assert tri.diag.tolist() == [1.0, 2.0, 3.0]
-        assert tri.offdiag.tolist() == [0.0, 0.0]
-
-    def test_random_6x6_matches_charpoly_oracle(self):
-        rng = np.random.default_rng(7)
-        m = random_sym(rng, 6)
-        tri = tridiagonalize(m)
-        t = np.diag(tri.diag) + np.diag(tri.offdiag, 1) + np.diag(tri.offdiag, -1)
-        got = np.sort(charpoly_bisect_eigs(t))
-        want = charpoly_bisect_eigs(m.array)
-        scale = 1.0 + np.max(np.abs(want))
-        assert np.max(np.abs(got - want)) <= 1e-10 * scale
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 16, 33, 50, 90])
-    def test_reconstruction_with_q(self, n):
-        rng = np.random.default_rng(n)
-        m = random_sym(rng, n)
-        tri = tridiagonalize(m, want_q=True)
-        t = np.diag(tri.diag)
-        if n > 1:
-            t += np.diag(tri.offdiag, 1) + np.diag(tri.offdiag, -1)
-        rec = tri.q_accum @ t @ tri.q_accum.T
-        tol = 1e-10 * n * (1.0 + np.max(np.abs(m.array)))
-        assert np.max(np.abs(rec - m.array)) <= tol
-        ortho = tri.q_accum @ tri.q_accum.T - np.eye(n)
-        assert np.max(np.abs(ortho)) <= 1e-12 * n
-
-    def test_spectrum_preserved_across_block_boundaries(self):
-        # sizes straddling the panel width
-        rng = np.random.default_rng(3)
-        for n in (31, 32, 33, 65, 130):
-            m = random_sym(rng, n)
-            tri = tridiagonalize(m)
-            t = np.diag(tri.diag) + np.diag(tri.offdiag, 1) + np.diag(tri.offdiag, -1)
-            err = np.max(np.abs(lapack_eigs(t) - lapack_eigs(m.array)))
-            assert err <= 1e-10 * (1.0 + spectral_norm(m))
-
-
 class TestEigendecompose:
     def test_identity(self):
         spec = eigendecompose(sym(np.eye(4)))
@@ -131,11 +83,25 @@ class TestEigendecompose:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
-    def test_nonconvergence_raises(self):
-        d = [0.0, 1.0, 2.0]
-        e = [0.5, 0.5, 0.0]
+    def test_random_6x6_matches_charpoly_oracle(self):
+        rng = np.random.default_rng(7)
+        m = random_sym(rng, 6)
+        got = eigendecompose(m).eigenvalues
+        want = charpoly_bisect_eigs(m.array)
+        scale = 1.0 + np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+    def test_nonconvergence_raises(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        m = sym(PATH3)
         with pytest.raises(NonConvergence):
-            _ql_implicit(d, e, None, max_sweeps=0)
+            eigenvalues_selected(m, (2,))
+        with pytest.raises(NonConvergence):
+            eigendecompose(m, want_vectors=True)
 
     def test_spectrum_invariants_random(self):
         rng = np.random.default_rng(42)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from lapcert import SweepConfig, run_ratio_experiment, run_sweep, write_csv
+from lapcert import sweeps
 from lapcert.cli import cli_main, _parse_grid
-from lapcert.errors import ConfigError
-from lapcert.sweeps import SweepResult
+from lapcert.errors import ConfigError, IoError
+from lapcert.sweeps import SweepResult, _openblas_entries
 
 
 def sbm_config(**over):
@@ -166,6 +167,40 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(sbm_config(n=[]))
 
+    def test_model_parameters_checked_before_trials(self, monkeypatch):
+        def no_trials(args):
+            raise AssertionError("a trial ran before the cell was checked")
+
+        monkeypatch.setattr(sweeps, "_eval_trial", no_trials)
+        bad = [
+            sbm_config(n=[41]),
+            SweepConfig(experiment="z2er", n=[40], grids={"p": [0.5], "eps": [0.7]},
+                        trials=1, master_seed=1),
+            SweepConfig(experiment="ratio", n=[31], ensemble="centered-sbm",
+                        grids={"alpha": [9.0], "beta": [1.0]}, trials=1,
+                        master_seed=1),
+        ]
+        for cfg in bad:
+            with pytest.raises(ConfigError):
+                run_sweep(cfg)
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        getters = list(_openblas_entries("get"))
+        if not getters:
+            pytest.skip("no OpenBLAS get_num_threads symbol in this process")
+        before = [get() for get in getters]
+
+        # Runs inside the forked workers in place of the union-find oracle:
+        # a trial counts as "connected" when its worker has one BLAS thread.
+        def one_thread(g):
+            return all(get() == 1 for get in _openblas_entries("get"))
+
+        monkeypatch.setattr(sweeps, "connectivity_unionfind", one_thread)
+        cfg = SweepConfig(experiment="er", n=[8], grids={"p": [0.5]}, trials=8,
+                          master_seed=1, workers=2)
+        assert run_sweep(cfg).cells[0].freq_connected == 1.0
+        assert [get() for get in getters] == before
+
 
 class TestWriteCsv:
     def test_header_only_for_empty(self, tmp_path):
@@ -204,6 +239,30 @@ class TestWriteCsv:
         assert meta["experiment"] == "sbm"
         assert meta["grids"]["alpha"] == [3.0, 9.0]
         assert "workers" not in meta
+
+    def test_failed_meta_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "sbm.csv"
+        meta = tmp_path / "sbm.meta.json"
+        meta.write_text("previous\n")
+        res = run_sweep(sbm_config(trials=2))
+        real_open = open
+
+        def half_then_fail(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            if "meta.json" in str(file) and "w" in mode:
+                def write(text):
+                    type(f).write(f, text[: len(text) // 2])
+                    raise OSError("no space left on device")
+                f.write = write
+            return f
+
+        monkeypatch.setattr("builtins.open", half_then_fail)
+        with pytest.raises(IoError):
+            write_csv(res, path)
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sbm.csv", "sbm.meta.json"]
+        assert meta.read_text() == "previous\n"
+        assert path.read_text().count("\n") == 3
 
     def test_schema_is_function_of_experiment(self, tmp_path):
         # same experiment, different options -> identical column set
@@ -298,21 +357,48 @@ class TestCli:
         assert cli_main(["eig", str(f)]) == 1
 
     def test_nonconvergence_maps_to_three(self, tmp_path, monkeypatch, capsys):
-        from lapcert import cli
-        from lapcert.errors import NonConvergence
+        def boom(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        def boom(*a, **kw):
-            raise NonConvergence("stuck")
-
-        monkeypatch.setattr(cli, "eigendecompose", boom)
+        monkeypatch.setattr(np.linalg, "eigvalsh", boom)
         f = tmp_path / "m.txt"
         f.write_text("1\n5\n")
         assert cli_main(["eig", str(f)]) == 3
+        assert "did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--trials", "--workers"])
+    def test_zero_count_exits_one(self, tmp_path, flag, capsys):
+        out = tmp_path / "er.csv"
+        code = cli_main(["sweep", "--experiment", "er", "--n", "4", "--p", "1",
+                         flag, "0", "--out", str(out)])
+        assert code == 1
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_odd_sbm_n_exits_one(self, capsys):
+        code = cli_main(["sweep", "--experiment", "sbm", "--n", "301",
+                         "--alpha", "9", "--beta", "1"])
+        assert code == 1
+        assert "even n" in capsys.readouterr().err
+
+    def test_z2er_eps_out_of_range_exits_one(self, capsys):
+        code = cli_main(["sweep", "--experiment", "z2er", "--n", "40",
+                         "--p", "0.5", "--eps", "0.7"])
+        assert code == 1
+        assert "eps=0.7" in capsys.readouterr().err
+
+    def test_model_value_error_exits_one(self, capsys):
+        code = cli_main(["certify", "--model", "sbm", "--n", "31", "--p", "0.5",
+                         "--q", "0.1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "even node count" in err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "experiment": "er", "n": "4", "p": "0", "trials": 1, "seed": 5,
+            "workers": None,
         }))
         out = tmp_path / "out.csv"
         code = cli_main(
