@@ -73,7 +73,6 @@ from .sweeps import (
     PhaseCell,
     SweepConfig,
     SweepResult,
-    run_ratio_experiment,
     run_sweep,
     write_csv,
 )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,14 +76,8 @@ class CertificateReport:
 
 @dataclass(frozen=True)
 class RecoveryVerdict:
-    """Certificate and oracle measurements for one instance.
+    """Single-node oracle measurement for one instance."""
 
-    ``certified`` is None when only the single-node oracle ran. The two
-    flags are independent measurements; neither implies the other on a
-    per-instance basis.
-    """
-
-    certified: Optional[bool]
     oracle_block: bool
     min_stat: float
     threshold_side: str
@@ -265,8 +259,9 @@ def connectivity_unionfind(g: GraphSample) -> bool:
         return i
 
     components = n
-    rows, cols = np.nonzero(np.triu(g.adjacency, k=1))
-    for a, b in zip(rows.tolist(), cols.tolist()):
+    rows, cols = np.divmod(np.flatnonzero(np.asarray(g.adjacency) != 0), n)
+    upper = rows < cols
+    for a, b in zip(rows[upper].tolist(), cols[upper].tolist()):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[rb] = ra
@@ -284,7 +279,6 @@ def _oracle_verdict(min_stat: int) -> RecoveryVerdict:
     else:
         side = SIDE_BOUNDARY
     return RecoveryVerdict(
-        certified=None,
         oracle_block=min_stat < 0,
         min_stat=float(min_stat),
         threshold_side=side,

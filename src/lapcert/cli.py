@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -49,18 +50,43 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_grid(text) -> list:
+def _number(value, name: str) -> float:
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _integer(value, name: str) -> int:
+    """A whole number; 20 and 20.0 pass, 20.5, "abc" and true do not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _parse_grid(text, name: str = "grid") -> list:
     """Grid syntax: single value, comma list, or inclusive start:stop:step."""
-    if isinstance(text, (int, float)):
-        return [float(text)]
     if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    text = str(text).strip()
+        return [_number(v, name) for v in text]
+    if not isinstance(text, str):
+        return [_number(text, name)]
+    text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"grid {text!r} must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_number(p, name) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ConfigError(f"grid {text!r} must have finite bounds and step")
         if step <= 0:
             raise ConfigError("grid step must be positive")
         values = []
@@ -71,8 +97,8 @@ def _parse_grid(text) -> list:
             v = start + len(values) * step
         return values
     if "," in text:
-        return [float(p) for p in text.split(",") if p.strip()]
-    return [float(text)]
+        return [_number(p, name) for p in text.split(",") if p.strip()]
+    return [_number(text, name)]
 
 
 def _build_parser() -> _Parser:
@@ -162,7 +188,7 @@ def _sweep_config(opts: dict, experiment: Optional[str] = None) -> SweepConfig:
         raise ConfigError("--experiment is required")
     if "n" not in opts:
         raise ConfigError("--n is required")
-    n_grid = [int(round(v)) for v in _parse_grid(opts["n"])]
+    n_grid = [_integer(v, "n") for v in _parse_grid(opts["n"], "n")]
     grids = {}
     axis_order = {
         "er": ("rho", "p"),
@@ -174,19 +200,19 @@ def _sweep_config(opts: dict, experiment: Optional[str] = None) -> SweepConfig:
     }.get(exp, ())
     for axis in axis_order:
         if opts.get(axis) is not None:
-            grids[axis.replace("-", "_")] = _parse_grid(opts[axis])
+            grids[axis.replace("-", "_")] = _parse_grid(opts[axis], axis)
     return SweepConfig(
         experiment=exp,
         n=n_grid,
         grids=grids,
-        trials=int(opts.get("trials", 1)),
-        master_seed=int(opts.get("seed") or 0),
+        trials=_integer(opts.get("trials", 1), "trials"),
+        master_seed=_integer(opts.get("seed", 0), "seed"),
         out_path=opts.get("out"),
         ensemble=opts.get("ensemble"),
-        rank_k=opts.get("rank-k"),
-        tau=opts.get("tau"),
+        rank_k=_integer(opts["rank-k"], "rank-k") if "rank-k" in opts else None,
+        tau=_number(opts["tau"], "tau") if "tau" in opts else None,
         cross_check=bool(opts.get("cross-check")),
-        workers=int(opts.get("workers", 1)),
+        workers=_integer(opts.get("workers", 1), "workers"),
     )
 
 
@@ -253,6 +279,8 @@ def _read_matrix(path: str) -> SymmetricMatrix:
     if n < 1 or len(values) != n * n:
         raise ConfigError(f"{path}: expected {n}x{n} entries after the header")
     a = np.array(values).reshape(n, n)
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{path}: matrix entries must be finite")
     asym = float(np.max(np.abs(a - a.T))) if n > 1 else 0.0
     if asym > 1e-9:
         print(f"warning: asymmetry {asym:.3g} exceeds 1e-9; averaging with "

@@ -185,11 +185,24 @@ def _check_sign_vector(z, n: int) -> np.ndarray:
     return z
 
 
-def _adjacency_from_mask(n: int, mask: np.ndarray) -> np.ndarray:
-    iu, ju = _triu_pairs(n)
+def _edge_pairs(n: int, mask: np.ndarray):
+    """Row-major (i, j), i < j, of the set entries of a mask over the
+    upper triangle, laid out as ``np.triu_indices(n, 1)`` lays it out.
+
+    Row i starts at flat index i(2n - i - 1)/2, so each set index is
+    placed by a search over the n row starts, never over all n^2 pairs.
+    """
+    k = np.flatnonzero(mask)
+    rows = np.arange(n, dtype=np.int64)
+    start = rows * (2 * n - rows - 1) // 2
+    i = np.searchsorted(start, k, side="right") - 1
+    return i, k - start[i] + i + 1
+
+
+def _adjacency_from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     a = np.zeros((n, n), dtype=np.uint8)
-    a[iu, ju] = mask
-    a[ju, iu] = mask
+    a[i, j] = 1
+    a[j, i] = 1
     a.setflags(write=False)
     return a
 
@@ -208,7 +221,7 @@ def sample_er(n: int, p: float, rng: RngStream) -> GraphSample:
     """Erdos-Renyi graph: each of the (n choose 2) edges present w.p. p."""
     p = _check_prob(p, "p")
     mask = rng.bernoulli(p, n * (n - 1) // 2)
-    adj = _adjacency_from_mask(n, mask)
+    adj = _adjacency_from_pairs(n, *_edge_pairs(n, mask))
     return GraphSample(n, adj, labels=None, params=EnsembleParams("er", p=p))
 
 
@@ -230,7 +243,7 @@ def sample_sbm(n: int, p: float, q: float, rng: RngStream) -> GraphSample:
     same = labels[iu] == labels[ju]
     thresholds = np.where(same, p, q)
     mask = rng.uniform(len(thresholds)) < thresholds
-    adj = _adjacency_from_mask(n, mask)
+    adj = _adjacency_from_pairs(n, *_edge_pairs(n, mask))
     return GraphSample(n, adj, labels=labels, params=EnsembleParams("sbm", p=p, q=q))
 
 
@@ -249,15 +262,14 @@ def sample_z2sync_er(
     z = _check_sign_vector(z, n)
     npairs = n * (n - 1) // 2
     g_mask = rng.bernoulli(p, npairs)
-    h_mask = g_mask & rng.bernoulli(eps, npairs)
-    g_adj = _adjacency_from_mask(n, g_mask)
-    h_adj = _adjacency_from_mask(n, h_mask)
-    iu, ju = _triu_pairs(n)
-    signs = z[iu] * z[ju] * (1.0 - 2.0 * h_mask)
-    vals = np.where(g_mask, signs, 0.0)
+    flipped = rng.bernoulli(eps, npairs)[g_mask]
+    i, j = _edge_pairs(n, g_mask)
+    g_adj = _adjacency_from_pairs(n, i, j)
+    h_adj = _adjacency_from_pairs(n, i[flipped], j[flipped])
+    signs = z[i] * z[j] * (1.0 - 2.0 * flipped)
     y = np.zeros((n, n))
-    y[iu, ju] = vals
-    y[ju, iu] = vals
+    y[i, j] = signs
+    y[j, i] = signs
     return SyncInstance(
         n=n,
         y=SymmetricMatrix(y),

@@ -166,14 +166,9 @@ def _resolve_cell(cfg: SweepConfig, cell: dict) -> dict:
     logn = math.log(n) if n > 1 else float("nan")
     out = dict(cell)
     if exp == "er":
-        if "rho" in cell:
-            out["p"] = cell["rho"] * logn / n
-        elif "p" in cell:
+        _resolve_p(out, logn, "er experiment")
+        if "rho" not in cell:
             out["rho"] = cell["p"] * n / logn
-        else:
-            raise ConfigError("er experiment needs a p or rho grid")
-        if not 0.0 <= out["p"] <= 1.0:
-            raise ConfigError(f"resolved p={out['p']:.6g} outside [0, 1]")
         out["margin"] = threshold_margin(
             ThresholdQuery("er_connectivity", {"rho": out["rho"]})
         )
@@ -187,9 +182,7 @@ def _resolve_cell(cfg: SweepConfig, cell: dict) -> dict:
             out["beta"] = cell["q"] * n / logn
         else:
             raise ConfigError("sbm experiment needs (alpha, beta) or (p, q) grids")
-        for key in ("p", "q"):
-            if not 0.0 <= out[key] <= 1.0:
-                raise ConfigError(f"resolved {key}={out[key]:.6g} outside [0, 1]")
+        _check_resolved_probs(out, ("p", "q"))
         out["margin"] = threshold_margin(
             ThresholdQuery("sbm", {"alpha": out["alpha"], "beta": out["beta"]})
         )
@@ -206,28 +199,31 @@ def _resolve_cell(cfg: SweepConfig, cell: dict) -> dict:
             ThresholdQuery("z2_gaussian", {"n": n, "sigma": out["sigma"]})
         )
     elif exp == "z2er":
-        if "rho" in cell:
-            out["p"] = cell["rho"] * logn / n
-        elif "p" not in cell:
-            raise ConfigError("z2er experiment needs a p or rho grid")
+        _resolve_p(out, logn, "z2er experiment")
         if "eps" not in cell:
             raise ConfigError("z2er experiment needs an eps grid")
         if not 0.0 <= cell["eps"] < 0.5:
             raise ConfigError(f"eps={cell['eps']:.6g} outside [0, 1/2)")
-        if not 0.0 <= out["p"] <= 1.0:
-            raise ConfigError(f"resolved p={out['p']:.6g} outside [0, 1]")
         out["margin"] = threshold_margin(
             ThresholdQuery("z2_er", {"n": n, "p": out["p"], "eps": out["eps"]})
         )
     elif exp == "ratio":
         if cfg.ensemble not in RATIO_ENSEMBLES:
             raise ConfigError(f"ratio ensemble must be one of {RATIO_ENSEMBLES}")
-        if cfg.ensemble == "centered-sbm":
+        if cfg.ensemble == "centered-er":
+            _resolve_p(out, logn, "centered-er ensemble")
+        elif cfg.ensemble == "centered-sbm":
             _check_even(n, "centered-sbm")
+            if "alpha" not in cell or "beta" not in cell:
+                raise ConfigError("centered-sbm ensemble needs alpha and beta grids")
+            out["p"] = cell["alpha"] * logn / n
+            out["q"] = cell["beta"] * logn / n
+            _check_resolved_probs(out, ("p", "q"))
         out["ensemble"] = cfg.ensemble
     elif exp == "normbound":
         if "p" not in cell:
             raise ConfigError("normbound experiment needs a p grid")
+        _check_resolved_probs(out, ("p",))
         t_factor = float(cell.get("t_factor", 3.0))
         prof = ensemble_profile("centered-er", n, p=out["p"])
         out["t_factor"] = t_factor
@@ -237,6 +233,21 @@ def _resolve_cell(cfg: SweepConfig, cell: dict) -> dict:
     else:
         raise ConfigError(f"unknown experiment {exp!r}")
     return out
+
+
+def _resolve_p(cell: dict, logn: float, what: str) -> None:
+    """Set p = rho log(n) / n from a rho axis, or keep the p axis."""
+    if "rho" in cell:
+        cell["p"] = cell["rho"] * logn / cell["n"]
+    elif "p" not in cell:
+        raise ConfigError(f"{what} needs a p or rho grid")
+    _check_resolved_probs(cell, ("p",))
+
+
+def _check_resolved_probs(cell: dict, keys) -> None:
+    for key in keys:
+        if not 0.0 <= cell[key] <= 1.0:
+            raise ConfigError(f"resolved {key}={cell[key]:.6g} outside [0, 1]")
 
 
 def _check_even(n: int, what: str) -> None:
@@ -269,10 +280,9 @@ def _eval_trial(args) -> tuple:
     tau_kw = {} if cfg.tau is None else {"tau": cfg.tau}
     if exp == "er":
         g = sample_er(n, cell["p"], rng)
-        deg = g.adjacency.sum(axis=1, dtype=np.int64)
         rec = {
             "connected": connectivity_unionfind(g),
-            "isolated": bool(deg.min() == 0) if n > 0 else False,
+            "isolated": not g.adjacency.any(axis=1).all(),
         }
     elif exp == "sbm":
         g = sample_sbm(n, cell["p"], cell["q"], rng)
@@ -337,12 +347,10 @@ def _ratio_laplacian(ensemble: str, cell: dict, rng) -> SymmetricMatrix:
         w = sample_wigner(n, rng)
         return laplacian_of(SymmetricMatrix(-w.array))
     if ensemble == "centered-er":
-        p = cell["rho"] * math.log(n) / n if "rho" in cell else cell["p"]
-        g = sample_er(n, p, rng)
-        return centered_laplacian(g, p)
+        g = sample_er(n, cell["p"], rng)
+        return centered_laplacian(g, cell["p"])
     if ensemble == "centered-sbm":
-        p = cell["alpha"] * math.log(n) / n
-        q = cell["beta"] * math.log(n) / n
+        p, q = cell["p"], cell["q"]
         g = sample_sbm(n, p, q, rng)
         gamma = partition_gap_matrix(g).array
         same = np.equal.outer(g.labels, g.labels)
@@ -479,13 +487,6 @@ def _aggregate(cfg: SweepConfig, cell: dict, records: list) -> PhaseCell:
     elif exp == "normbound":
         kwargs["freq_bound_holds"] = _freq(records, "holds")
     return PhaseCell(**kwargs)
-
-
-def run_ratio_experiment(cfg: SweepConfig) -> SweepResult:
-    """Largest-eigenvalue-to-peak-diagonal ratio sweep over n."""
-    if cfg.experiment != "ratio":
-        raise ConfigError("run_ratio_experiment requires experiment='ratio'")
-    return run_sweep(cfg)
 
 
 def _format_value(value) -> str:

@@ -29,7 +29,6 @@ from lapcert import (
     ensemble_profile,
     greedy_half_cut,
     norm_bound_check,
-    run_ratio_experiment,
     run_sweep,
     sample_er,
     sample_sbm,
@@ -159,7 +158,7 @@ def test_05_ratio_experiment():
         master_seed=SEED,
         ensemble="wigner-neg-laplacian",
     )
-    res = run_ratio_experiment(cfg)
+    res = run_sweep(cfg)
     elapsed = time.monotonic() - start
     medians = [c.median_ratio for c in res.cells]
     mins = [c.min_ratio for c in res.cells]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from lapcert import (
     sample_z2sync_gaussian,
     spectral_norm,
 )
+from lapcert.ensembles import _edge_pairs
 from lapcert.errors import (
     InvalidProbability,
     NonSignVector,
@@ -111,6 +113,75 @@ class TestEr:
     def test_invalid_probability(self):
         with pytest.raises(InvalidProbability):
             sample_er(5, 1.5, derive_stream(0, 0))
+
+
+class TestEdgePairs:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 257])
+    @pytest.mark.parametrize("kind", ["none", "all", "random"])
+    def test_matches_triu_indices(self, n, kind):
+        npairs = n * (n - 1) // 2
+        if kind == "none":
+            mask = np.zeros(npairs, dtype=bool)
+        elif kind == "all":
+            mask = np.ones(npairs, dtype=bool)
+        else:
+            mask = np.random.default_rng(n).random(npairs) < 0.3
+        iu, ju = np.triu_indices(n, 1)
+        i, j = _edge_pairs(n, mask)
+        assert i.dtype == j.dtype == np.int64
+        np.testing.assert_array_equal(i, iu[mask])
+        np.testing.assert_array_equal(j, ju[mask])
+
+
+def _sha256(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestSampleDigests:
+    """Sampler outputs pinned bit for bit, so a change in how the matrices
+    are assembled cannot change what a seed draws."""
+
+    @pytest.mark.parametrize("n, p, seed, digest", [
+        (1, 0.5, 0, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"),
+        (2, 1.0, 1, "d5e2d2ac07b741be58f6b9e50ede5fdcf16f3e8053ecef9350e7744b0d8bd90c"),
+        (7, 0.5, 3, "53143dfd51f708649261d031e26f1bb579da384c1f1b6ef1e174db060bee713b"),
+        (64, 0.1, 5, "8c063471efc9ae9490ffc1a4b092b27c149c538110823217522a9426716fbcb4"),
+        (257, 0.05, 11, "8e24443f039fad8eef3ad3484b726dc43680204378ed7426743d171bb2e400db"),
+    ])
+    def test_er(self, n, p, seed, digest):
+        g = sample_er(n, p, derive_stream(seed, 9))
+        assert g.adjacency.dtype == np.uint8
+        assert _sha256(g.adjacency) == digest
+
+    @pytest.mark.parametrize("n, p, q, seed, digest", [
+        (2, 1.0, 0.0, 2, "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"),
+        (30, 0.6, 0.1, 4, "64d16639c3d1c2ba8d3dc0e6b48402716c2aec39ca897951292545124d64e376"),
+        (100, 0.2, 0.05, 8, "f9bb8eec2a6add1116ed523a9e35d0e1c5e183f96a322c0949c2ee6b903e8df3"),
+    ])
+    def test_sbm(self, n, p, q, seed, digest):
+        g = sample_sbm(n, p, q, derive_stream(seed, 9))
+        assert _sha256(g.adjacency) == digest
+
+    @pytest.mark.parametrize("n, p, eps, seed, y, g_edges, h_edges", [
+        (1, 0.5, 0.1, 0,
+         "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+         "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+         "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"),
+        (9, 0.7, 0.3, 6,
+         "7d4ceac9ec5fe7d0900dee4db47215651f5345c362ca48e482a6930c74f9d7dd",
+         "0efd52d29164aa5e5970a52022244dd1873cd4b293fb25c652f8f583a3f27c11",
+         "1633bbb660a9fcece3cc68d74f369a3b45c8bde9b9a1a5337a75df52b6aa93d8"),
+        (120, 0.4, 0.1, 42,
+         "ac344f77e93861a1c88ea4215591faef42316315387bb033d352c7c9b6311904",
+         "de4f78d40521b263f955d52b5a91804de65a0cd3181f3483a90f2ab237613bcf",
+         "38df80878e1c33f7a504a6d5fa1014ece3cc6e301939e90f5e92c77f6d0df6b5"),
+    ])
+    def test_z2sync_er(self, n, p, eps, seed, y, g_edges, h_edges):
+        z = np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
+        inst = sample_z2sync_er(n, p, eps, z, derive_stream(seed, 9))
+        assert _sha256(inst.y.array) == y
+        assert _sha256(inst.g_edges) == g_edges
+        assert _sha256(inst.h_edges) == h_edges
 
 
 class TestSbm:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lapcert import SweepConfig, run_ratio_experiment, run_sweep, write_csv
+from lapcert import SweepConfig, run_sweep, write_csv
 from lapcert import sweeps
 from lapcert.cli import cli_main, _parse_grid
 from lapcert.errors import ConfigError, IoError
@@ -133,7 +133,7 @@ class TestRunSweep:
             master_seed=11,
             ensemble="wigner-neg-laplacian",
         )
-        res = run_ratio_experiment(cfg)
+        res = run_sweep(cfg)
         for c in res.cells:
             assert c.n_degenerate == 0
             assert c.mean_ratio >= 1.0
@@ -183,6 +183,34 @@ class TestRunSweep:
         for cfg in bad:
             with pytest.raises(ConfigError):
                 run_sweep(cfg)
+
+    @pytest.mark.parametrize("ensemble, grids, message", [
+        ("centered-er", {}, "p or rho"),
+        ("centered-er", {"p": [1.5]}, "p=1.5 outside"),
+        ("centered-er", {"rho": [100.0]}, "p=11.3373 outside"),
+        ("centered-sbm", {"alpha": [9.0]}, "alpha and beta"),
+        ("centered-sbm", {"beta": [1.0]}, "alpha and beta"),
+    ])
+    def test_ratio_axes_checked_before_trials(self, monkeypatch, ensemble, grids,
+                                              message):
+        def no_trials(args):
+            raise AssertionError("a trial ran before the cell was checked")
+
+        monkeypatch.setattr(sweeps, "_eval_trial", no_trials)
+        cfg = SweepConfig(experiment="ratio", n=[30], ensemble=ensemble,
+                          grids=grids, trials=1, master_seed=1)
+        with pytest.raises(ConfigError, match=message):
+            run_sweep(cfg)
+
+    def test_ratio_centered_er_rho_and_p_agree(self):
+        n = 60
+        p = 2.0 * math.log(n) / n
+        cells = [
+            run_sweep(SweepConfig(experiment="ratio", n=[n], ensemble="centered-er",
+                                  grids=grids, trials=3, master_seed=4)).cells[0]
+            for grids in ({"rho": [2.0]}, {"p": [p]})
+        ]
+        assert cells[0].mean_ratio == cells[1].mean_ratio
 
     def test_pool_workers_run_one_blas_thread(self, monkeypatch):
         getters = list(_openblas_entries("get"))
@@ -289,6 +317,19 @@ class TestGridParsing:
         with pytest.raises(ConfigError):
             _parse_grid("1:2:0")
 
+    @pytest.mark.parametrize("text", ["abc", "0.1,x", "0:1:y", ["0.1", "z"], True,
+                                      {"p": 1}])
+    def test_non_numbers_rejected(self, text):
+        with pytest.raises(ConfigError, match="must be a number"):
+            _parse_grid(text, "p")
+
+    # An infinite stop is rejected by the same check; it is not run here
+    # because without the check the range loop would never end.
+    @pytest.mark.parametrize("text", ["nan:1:1", "0:nan:1", "0:1:nan"])
+    def test_range_bounds_must_be_finite(self, text):
+        with pytest.raises(ConfigError, match="finite"):
+            _parse_grid(text)
+
 
 class TestCli:
     def test_tail_sbm_margin(self, capsys):
@@ -356,6 +397,15 @@ class TestCli:
         f.write_text("3\n1 2\n")
         assert cli_main(["eig", str(f)]) == 1
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_eig_non_finite_entry_exits_one(self, tmp_path, capsys, entry):
+        f = tmp_path / "m.txt"
+        f.write_text(f"2\n1 {entry}\n{entry} 1\n")
+        assert cli_main(["eig", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == f"error: {f}: matrix entries must be finite"
+        assert "Traceback" not in err
+
     def test_nonconvergence_maps_to_three(self, tmp_path, monkeypatch, capsys):
         def boom(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -393,6 +443,41 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "even node count" in err
+
+    def test_ratio_centered_er_without_p_exits_one(self, capsys):
+        code = cli_main(["ratio", "--ensemble", "centered-er", "--n", "30"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "needs a p or rho grid" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("trials", "abc"), ("trials", 2.5), ("trials", True), ("workers", "x"),
+        ("seed", "abc"), ("seed", [1]), ("n", "abc"), ("n", 20.5), ("p", "abc"),
+        ("rank-k", "two"), ("tau", "small"),
+    ])
+    def test_bad_config_value_exits_one(self, tmp_path, capsys, key, value):
+        opts = {"experiment": "er", "n": 4, "p": 1, "trials": 1}
+        opts[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(opts))
+        out = tmp_path / "out.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_n_flag_exits_one(self, capsys):
+        code = cli_main(["sweep", "--experiment", "er", "--n", "20.5", "--p", "1"])
+        assert code == 1
+        assert "n must be an integer, got 20.5" in capsys.readouterr().err
+
+    def test_whole_number_values_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "er", "n": [4.0, "6"], "p": 1,
+                                   "trials": 2.0, "seed": "5", "workers": 1}))
+        out = tmp_path / "out.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == [
+            "4", "6"]
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
