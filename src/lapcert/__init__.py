@@ -28,6 +28,7 @@ from .ensembles import (
 from .laplacians import (
     DegreeSplit,
     centered_laplacian,
+    centered_partition_gap,
     degree_split,
     graph_laplacian,
     laplacian_of,

@@ -31,6 +31,7 @@ from .errors import (
     RequiresDiscreteInstance,
 )
 from .laplacians import (
+    centered_partition_gap,
     degree_split,
     graph_laplacian,
     laplacian_of,
@@ -108,21 +109,13 @@ def dual_diagonal(y: SymmetricMatrix, x) -> np.ndarray:
     return x * (y.array @ x)
 
 
-def _selected_three(m: np.ndarray) -> tuple[float, float, float]:
-    """(lambda_1, lambda_2, lambda_n) from one decomposition."""
-    sm = SymmetricMatrix(m)
-    n = sm.n
-    if n == 1:
-        v = float(m[0, 0])
-        return v, v, v
-    lam = eigenvalues_selected(sm, (1, 2, n))
-    return float(lam[0]), float(lam[1]), float(lam[2])
-
-
 def _report_from_matrix(
     cert: np.ndarray, d: np.ndarray, x: np.ndarray, tau: float
 ) -> CertificateReport:
-    lam1, lam2, lamn = _selected_three(cert)
+    sm = SymmetricMatrix(cert)
+    # (lambda_1, lambda_2, lambda_n) from one decomposition
+    lam = [cert[0, 0]] * 3 if sm.n == 1 else eigenvalues_selected(sm, (1, 2, sm.n))
+    lam1, lam2, lamn = (float(v) for v in lam)
     norm = max(abs(lam1), abs(lamn))
     band = tau * (1.0 + norm)
     residual = float(np.linalg.norm(cert @ x))
@@ -224,14 +217,7 @@ def sbm_sufficient_condition(g: GraphSample) -> SufficiencyReport:
     if g.params is None or g.params.p is None or g.params.q is None:
         raise MissingParams("sample carries no (p, q) ensemble parameters")
     n, p, q = g.n, g.params.p, g.params.q
-    gamma = partition_gap_matrix(g).array
-    same = np.equal.outer(g.labels, g.labels)
-    e_adj = np.where(same, p, q)
-    np.fill_diagonal(e_adj, 0.0)
-    e_gamma = -e_adj
-    np.fill_diagonal(e_gamma, (n / 2 - 1) * p - (n / 2) * q)
-    dev = SymmetricMatrix(e_gamma - gamma)
-    lhs = float(eigenvalues_selected(dev, (dev.n,))[0])
+    lhs = float(eigenvalues_selected(centered_partition_gap(g, p, q), (n,))[0])
     rhs = (n / 2) * (p - q)
     # Strict inequality with a dead band: exact ties (an empty graph hits
     # lhs == rhs analytically) only bound lambda_2 >= 0 and must not be

@@ -29,7 +29,7 @@ from .certificates import (
 from .eig import SymmetricMatrix, eigendecompose
 from .ensembles import derive_stream, sample_er, sample_sbm, sample_z2sync_er, sample_z2sync_gaussian
 from .errors import ConfigError, IoError, LapcertError, NonConvergence
-from .sweeps import EXPERIMENTS, SweepConfig, run_sweep
+from .sweeps import EXPERIMENTS, SweepConfig, experiment_axes, run_sweep
 from .tails import (
     ThresholdQuery,
     bernoulli_diff_tail,
@@ -41,6 +41,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+
+#: Most values a start:stop:step grid may expand to.
+MAX_GRID_VALUES = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,6 +96,8 @@ def _parse_grid(text, name: str = "grid") -> list:
         v = start
         snap = 1e-9 * max(1.0, abs(stop))
         while v <= stop + snap:
+            if len(values) == MAX_GRID_VALUES:
+                raise ConfigError(f"grid {text!r} has more than {MAX_GRID_VALUES} values")
             values.append(v)
             v = start + len(values) * step
         return values
@@ -163,22 +168,26 @@ def _build_parser() -> _Parser:
 def _merge_config(args: argparse.Namespace) -> dict:
     """File values under CLI ones; keys are kebab-case long flag names.
 
-    A null file value counts as absent, like a flag not given."""
+    A null file value counts as absent, like a flag not given; a key that
+    names no flag of the subcommand is an error."""
+    flags = {key.replace("_", "-"): value for key, value in vars(args).items()
+             if key != "command"}
     merged = {}
-    path = getattr(args, "config", None)
+    path = args.config
     if path:
         try:
             with open(path, "r", encoding="utf-8") as f:
-                merged.update(json.load(f))
+                merged = json.load(f)
         except OSError as exc:
             raise IoError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad JSON in {path}: {exc}") from exc
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            merged[key.replace("_", "-")] = value
+        if not isinstance(merged, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
+        unknown = sorted(set(merged) - set(flags))
+        if unknown:
+            raise ConfigError(f"{path}: unknown key {unknown[0]!r}, not a flag of {args.command}")
+    merged.update((key, value) for key, value in flags.items() if value is not None)
     return {key: value for key, value in merged.items() if value is not None}
 
 
@@ -188,19 +197,15 @@ def _sweep_config(opts: dict, experiment: Optional[str] = None) -> SweepConfig:
         raise ConfigError("--experiment is required")
     if "n" not in opts:
         raise ConfigError("--n is required")
+    axes = experiment_axes(exp)
+    unread = [a for e in EXPERIMENTS for a in experiment_axes(e) if a in opts and a not in axes]
+    if unread:
+        raise ConfigError(f"--{unread[0]} is not an axis of {exp} (axes: {', '.join(axes)})")
     n_grid = [_integer(v, "n") for v in _parse_grid(opts["n"], "n")]
-    grids = {}
-    axis_order = {
-        "er": ("rho", "p"),
-        "sbm": ("alpha", "beta", "p", "q"),
-        "z2gauss": ("sigma", "sigma-factor"),
-        "z2er": ("p", "rho", "eps"),
-        "ratio": ("rho", "p", "alpha", "beta"),
-        "normbound": ("p", "t-factor"),
-    }.get(exp, ())
-    for axis in axis_order:
-        if opts.get(axis) is not None:
-            grids[axis.replace("-", "_")] = _parse_grid(opts[axis], axis)
+    grids = {
+        axis.replace("-", "_"): _parse_grid(opts[axis], axis)
+        for axis in axes if axis in opts
+    }
     return SweepConfig(
         experiment=exp,
         n=n_grid,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -164,11 +163,6 @@ class EnsembleProfile:
     n: int
 
 
-@lru_cache(maxsize=8)
-def _triu_pairs(n: int):
-    return np.triu_indices(n, k=1)
-
-
 def _check_prob(value: float, name: str) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0 or math.isnan(value):
@@ -239,9 +233,12 @@ def sample_sbm(n: int, p: float, q: float, rng: RngStream) -> GraphSample:
         [np.ones(n // 2, dtype=np.int8), -np.ones(n // 2, dtype=np.int8)]
     )
     labels.setflags(write=False)
-    iu, ju = _triu_pairs(n)
-    same = labels[iu] == labels[ju]
-    thresholds = np.where(same, p, q)
+    # In row-major upper-triangle order, row i < h holds h - 1 - i pairs
+    # inside the first community, then h pairs across; the rows of the
+    # second community hold its h (h - 1) / 2 inner pairs.
+    h = n // 2
+    runs = np.append(np.column_stack((h - 1 - np.arange(h), np.full(h, h))), h * (h - 1) // 2)
+    thresholds = np.repeat(np.append(np.tile([p, q], h), p), runs)
     mask = rng.uniform(len(thresholds)) < thresholds
     adj = _adjacency_from_pairs(n, *_edge_pairs(n, mask))
     return GraphSample(n, adj, labels=labels, params=EnsembleParams("sbm", p=p, q=q))

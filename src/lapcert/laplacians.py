@@ -81,6 +81,16 @@ def partition_gap_matrix(g: GraphSample) -> SymmetricMatrix:
     return SymmetricMatrix(m)
 
 
+def centered_partition_gap(g: GraphSample, p: float, q: float) -> SymmetricMatrix:
+    """Deviation E[Gamma] - Gamma of the partition gap matrix
+    Gamma = diag(deg_in - deg_out) - A of an SBM(n, p, q) sample."""
+    n = g.n
+    gamma = partition_gap_matrix(g).array
+    e_gamma = -np.where(np.equal.outer(g.labels, g.labels), p, q)
+    np.fill_diagonal(e_gamma, (n / 2 - 1) * p - (n / 2) * q)
+    return SymmetricMatrix(e_gamma - gamma)
+
+
 def signed_adjacency(g: GraphSample) -> SymmetricMatrix:
     """B = 2A - (11^T - I): +1 for edges, -1 for non-edges, zero diagonal."""
     b = 2.0 * g.adjacency - 1.0

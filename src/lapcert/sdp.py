@@ -15,10 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import TAU_POS, dual_diagonal, _selected_three
+from .certificates import TAU_POS, certify_rank_one
 from .eig import SymmetricMatrix, eigendecompose, spectral_norm
 from .ensembles import RngStream
-from .errors import NonSignVector
 
 ARMIJO_C = 1e-4
 
@@ -179,15 +178,9 @@ def verify_optimal(y: SymmetricMatrix, x, tau: float = TAU_POS) -> DualCheck:
     vanishes identically, so lambda_1(D - Y) >= -tol makes x x^T optimal;
     lambda_2 > 0 additionally certifies uniqueness.
     """
+    rep = certify_rank_one(y, x, tau)
+    feasible = rep.lambda1 >= -rep.band
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (y.n,) or not np.all(np.abs(x) == 1.0):
-        raise NonSignVector("x must be a length-n vector of +-1")
-    d = dual_diagonal(y, x)
-    cert = -y.array.copy()
-    idx = np.arange(y.n)
-    cert[idx, idx] += d
-    lam1, lam2, lamn = _selected_three(cert)
-    band = tau * (1.0 + max(abs(lam1), abs(lamn)))
-    feasible = lam1 >= -band
-    gap = float(np.sum(d) - x @ (y.array @ x)) if feasible else None
-    return DualCheck(feasible=feasible, gap=gap, lambda1=lam1, lambda2=lam2)
+    gap = float(np.sum(rep.d_diag) - x @ (y.array @ x)) if feasible else None
+    return DualCheck(feasible=feasible, gap=gap, lambda1=rep.lambda1,
+                     lambda2=rep.lambda2)

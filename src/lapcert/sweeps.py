@@ -3,23 +3,29 @@
 Each trial is addressed by stream_id = cell_index * 2^32 + trial_index, so
 results are byte-identical regardless of how trials are scheduled across
 workers. Aggregation fills per-trial slots by index and reduces in order.
+
+Each experiment is one entry of ``_EXPERIMENTS``: the grid axes it reads,
+its CSV columns, and its three steps, which resolve a cell's parameters,
+evaluate one trial and aggregate a cell's trials.
 """
 
 from __future__ import annotations
 
 import ctypes
+import itertools
 import json
 import math
 import os
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .certificates import (
+    TAU_POS,
     certify_sbm,
     certify_z2sync,
     connectivity_unionfind,
@@ -40,11 +46,10 @@ from .ensembles import (
     sample_z2sync_gaussian,
 )
 from .errors import ConfigError, IoError, NonPositiveDiagonalMax
-from .laplacians import centered_laplacian, laplacian_of, partition_gap_matrix, signed_adjacency
+from .laplacians import centered_laplacian, centered_partition_gap, laplacian_of, signed_adjacency
 from .sdp import bm_solve, default_rank
 from .tails import ThresholdQuery, threshold_margin
 
-EXPERIMENTS = ("er", "z2gauss", "z2er", "sbm", "ratio", "normbound")
 RATIO_ENSEMBLES = ("wigner-neg-laplacian", "centered-er", "centered-sbm")
 
 _TRIAL_STRIDE = 1 << 32
@@ -106,133 +111,37 @@ class SweepResult:
     wall_time: float = 0.0
 
 
-_SCHEMAS = {
-    "er": [
-        "n", "rho", "p", "trials", "predicted_margin",
-        "freq_connected", "freq_isolated",
-    ],
-    "z2gauss": [
-        "n", "sigma", "sigma_star", "trials", "predicted_margin",
-        "freq_certified", "freq_boundary", "bm_disagreements",
-    ],
-    "z2er": [
-        "n", "p", "eps", "trials", "predicted_margin",
-        "freq_certified", "freq_boundary", "freq_oracle_block",
-        "bm_disagreements",
-    ],
-    "sbm": [
-        "n", "alpha", "beta", "p", "q", "trials", "predicted_margin",
-        "freq_certified", "freq_boundary", "freq_oracle_block",
-        "freq_sufficient", "sufficiency_violations", "bm_disagreements",
-    ],
-    "ratio": [
-        "n", "ensemble", "trials", "n_degenerate",
-        "mean_ratio", "median_ratio", "q95_ratio", "min_ratio", "c1_surrogate",
-    ],
-    "normbound": [
-        "n", "p", "t_factor", "t_value", "sigma", "sigma_inf", "trials",
-        "freq_bound_holds",
-    ],
-}
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment: the grid flags it reads, in cell order; its CSV
+    columns; ``resolve(cfg, cell, logn)``, which completes and checks a cell
+    in place; ``evaluate(cfg, cell, rng, sid)``, one trial's record; and
+    ``aggregate(cfg, cell, records)``, the cell's ``PhaseCell`` fields. The
+    steps call samplers and certifiers through this module's globals, so
+    patching a name here reaches every trial."""
 
-
-def _sigma_star(n: int) -> float:
-    return math.sqrt(n / (2.0 * math.log(n)))
+    axes: tuple
+    columns: tuple
+    resolve: Callable
+    evaluate: Callable
+    aggregate: Callable
 
 
 def _expand_cells(cfg: SweepConfig) -> list:
-    """Resolve the grid product into per-cell parameter dicts."""
-    cells = []
-    axes = list(cfg.grids.items())
-
-    def rec(i: int, acc: dict):
-        if i == len(axes):
-            cells.append(dict(acc))
-            return
-        name, values = axes[i]
-        for v in values:
-            acc[name] = v
-            rec(i + 1, acc)
-            del acc[name]
-
-    for n in cfg.n:
-        rec(0, {"n": int(n)})
-    return [_resolve_cell(cfg, c) for c in cells]
+    """Resolve the grid product into per-cell parameter dicts, the last
+    axis varying fastest."""
+    return [
+        _resolve_cell(cfg, {"n": int(n), **dict(zip(cfg.grids, values))})
+        for n in cfg.n
+        for values in itertools.product(*cfg.grids.values())
+    ]
 
 
 def _resolve_cell(cfg: SweepConfig, cell: dict) -> dict:
+    """Complete and check a cell's parameters in place, before any trial."""
     n = cell["n"]
-    exp = cfg.experiment
-    logn = math.log(n) if n > 1 else float("nan")
-    out = dict(cell)
-    if exp == "er":
-        _resolve_p(out, logn, "er experiment")
-        if "rho" not in cell:
-            out["rho"] = cell["p"] * n / logn
-        out["margin"] = threshold_margin(
-            ThresholdQuery("er_connectivity", {"rho": out["rho"]})
-        )
-    elif exp == "sbm":
-        _check_even(n, "sbm")
-        if "alpha" in cell and "beta" in cell:
-            out["p"] = cell["alpha"] * logn / n
-            out["q"] = cell["beta"] * logn / n
-        elif "p" in cell and "q" in cell:
-            out["alpha"] = cell["p"] * n / logn
-            out["beta"] = cell["q"] * n / logn
-        else:
-            raise ConfigError("sbm experiment needs (alpha, beta) or (p, q) grids")
-        _check_resolved_probs(out, ("p", "q"))
-        out["margin"] = threshold_margin(
-            ThresholdQuery("sbm", {"alpha": out["alpha"], "beta": out["beta"]})
-        )
-    elif exp == "z2gauss":
-        star = _sigma_star(n)
-        if "sigma" in cell:
-            out["sigma"] = float(cell["sigma"])
-        elif "sigma_factor" in cell:
-            out["sigma"] = float(cell["sigma_factor"]) * star
-        else:
-            raise ConfigError("z2gauss experiment needs a sigma or sigma_factor grid")
-        out["sigma_star"] = star
-        out["margin"] = threshold_margin(
-            ThresholdQuery("z2_gaussian", {"n": n, "sigma": out["sigma"]})
-        )
-    elif exp == "z2er":
-        _resolve_p(out, logn, "z2er experiment")
-        if "eps" not in cell:
-            raise ConfigError("z2er experiment needs an eps grid")
-        if not 0.0 <= cell["eps"] < 0.5:
-            raise ConfigError(f"eps={cell['eps']:.6g} outside [0, 1/2)")
-        out["margin"] = threshold_margin(
-            ThresholdQuery("z2_er", {"n": n, "p": out["p"], "eps": out["eps"]})
-        )
-    elif exp == "ratio":
-        if cfg.ensemble not in RATIO_ENSEMBLES:
-            raise ConfigError(f"ratio ensemble must be one of {RATIO_ENSEMBLES}")
-        if cfg.ensemble == "centered-er":
-            _resolve_p(out, logn, "centered-er ensemble")
-        elif cfg.ensemble == "centered-sbm":
-            _check_even(n, "centered-sbm")
-            if "alpha" not in cell or "beta" not in cell:
-                raise ConfigError("centered-sbm ensemble needs alpha and beta grids")
-            out["p"] = cell["alpha"] * logn / n
-            out["q"] = cell["beta"] * logn / n
-            _check_resolved_probs(out, ("p", "q"))
-        out["ensemble"] = cfg.ensemble
-    elif exp == "normbound":
-        if "p" not in cell:
-            raise ConfigError("normbound experiment needs a p grid")
-        _check_resolved_probs(out, ("p",))
-        t_factor = float(cell.get("t_factor", 3.0))
-        prof = ensemble_profile("centered-er", n, p=out["p"])
-        out["t_factor"] = t_factor
-        out["t_value"] = t_factor * prof.sigma_inf * math.sqrt(logn)
-        out["sigma"] = prof.sigma
-        out["sigma_inf"] = prof.sigma_inf
-    else:
-        raise ConfigError(f"unknown experiment {exp!r}")
-    return out
+    _EXPERIMENTS[cfg.experiment].resolve(cfg, cell, math.log(n) if n > 1 else float("nan"))
+    return cell
 
 
 def _resolve_p(cell: dict, logn: float, what: str) -> None:
@@ -255,118 +164,262 @@ def _check_even(n: int, what: str) -> None:
         raise ConfigError(f"{what} needs an even n >= 2, got n={n}")
 
 
-def _bm_recovers(y: SymmetricMatrix, truth: np.ndarray, seed: int, sid: int,
-                 rank_k: Optional[int]) -> bool:
-    """Solve + round + dual-verify; one restart with a fresh stream allowed."""
-    k = rank_k if rank_k is not None else default_rank(y.n)
-    for lane in (_BM_LANE, _BM_RESTART_LANE):
-        _, report = bm_solve(y, derive_stream(seed, lane | sid), k=k)
-        agrees = bool(
-            np.array_equal(report.rounded_x, truth)
-            or np.array_equal(report.rounded_x, -truth)
-        )
-        if agrees and report.dual.feasible:
-            return True
-    return False
-
-
 def _eval_trial(args) -> tuple:
     """Run one (cell, trial) and return its record; pure in (cfg, indices)."""
     cfg, cell_idx, cell, trial = args
     sid = cell_idx * _TRIAL_STRIDE + trial
     rng = derive_stream(cfg.master_seed, sid)
-    exp = cfg.experiment
+    return cell_idx, trial, _EXPERIMENTS[cfg.experiment].evaluate(cfg, cell, rng, sid)
+
+
+def _aggregate(cfg: SweepConfig, cell: dict, records: list) -> PhaseCell:
+    """Reduce a cell's trial records, in trial order."""
+    fields = _EXPERIMENTS[cfg.experiment].aggregate(cfg, cell, records)
+    return PhaseCell(params=cell, trials=len(records),
+                     predicted_margin=cell.get("margin"), **fields)
+
+
+def _freq(records, key) -> float:
+    return sum(1 for r in records if r.get(key)) / len(records)
+
+
+def _bm_recovers(cfg: SweepConfig, sid: int, y: SymmetricMatrix,
+                 truth: np.ndarray) -> bool:
+    """Solve + round + dual-verify; one restart with a fresh stream allowed."""
+    k = cfg.rank_k if cfg.rank_k is not None else default_rank(y.n)
+    for lane in (_BM_LANE, _BM_RESTART_LANE):
+        _, report = bm_solve(y, derive_stream(cfg.master_seed, lane | sid), k=k)
+        x = report.rounded_x
+        if report.dual.feasible and (np.array_equal(x, truth) or np.array_equal(x, -truth)):
+            return True
+    return False
+
+
+def _certified(cfg: SweepConfig, sid: int, certify, sample, bm_input) -> dict:
+    """Tight and boundary flags of ``certify(sample)``. Under --cross-check
+    a tight trial is solved again by the factorized solver on the
+    (Y, planted signs) that ``bm_input()`` returns."""
+    rep = certify(sample, TAU_POS if cfg.tau is None else cfg.tau)
+    rec = {"tight": rep.tight, "boundary": rep.side == "boundary"}
+    if cfg.cross_check and rep.tight:
+        rec["bm_fail"] = not _bm_recovers(cfg, sid, *bm_input())
+    return rec
+
+
+def _aggregate_certified(cfg: SweepConfig, cell: dict, records: list) -> dict:
+    """Fields of the certificate experiments; the flip oracle's only where
+    the trials ran it."""
+    out = {"freq_certified": _freq(records, "tight"),
+           "freq_boundary": _freq(records, "boundary")}
+    if "block" in records[0]:
+        out["freq_oracle_block"] = _freq(records, "block")
+    if cfg.cross_check:
+        out["bm_disagreements"] = sum(1 for r in records if r.get("bm_fail"))
+    return out
+
+
+def _margin(model: str, **params) -> float:
+    return threshold_margin(ThresholdQuery(model, params))
+
+
+def _resolve_er(cfg: SweepConfig, cell: dict, logn: float) -> None:
+    _resolve_p(cell, logn, "er experiment")
+    if "rho" not in cell:
+        cell["rho"] = cell["p"] * cell["n"] / logn
+    cell["margin"] = _margin("er_connectivity", rho=cell["rho"])
+
+
+def _eval_er(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
+    g = sample_er(cell["n"], cell["p"], rng)
+    return {
+        "connected": connectivity_unionfind(g),
+        "isolated": not g.adjacency.any(axis=1).all(),
+    }
+
+
+def _aggregate_er(cfg: SweepConfig, cell: dict, records: list) -> dict:
+    return {"freq_connected": _freq(records, "connected"),
+            "freq_isolated": _freq(records, "isolated")}
+
+
+def _resolve_z2gauss(cfg: SweepConfig, cell: dict, logn: float) -> None:
     n = cell["n"]
-    tau_kw = {} if cfg.tau is None else {"tau": cfg.tau}
-    if exp == "er":
-        g = sample_er(n, cell["p"], rng)
-        rec = {
-            "connected": connectivity_unionfind(g),
-            "isolated": not g.adjacency.any(axis=1).all(),
-        }
-    elif exp == "sbm":
+    star = math.sqrt(n / (2.0 * math.log(n)))
+    if "sigma" in cell:
+        cell["sigma"] = float(cell["sigma"])
+    elif "sigma_factor" in cell:
+        cell["sigma"] = float(cell["sigma_factor"]) * star
+    else:
+        raise ConfigError("z2gauss experiment needs a sigma or sigma_factor grid")
+    cell["sigma_star"] = star
+    cell["margin"] = _margin("z2_gaussian", n=n, sigma=cell["sigma"])
+
+
+def _eval_z2gauss(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
+    n = cell["n"]
+    inst = sample_z2sync_gaussian(n, cell["sigma"], np.ones(n), rng)
+    return _certified(cfg, sid, certify_z2sync, inst, lambda: (inst.y, inst.z))
+
+
+def _resolve_z2er(cfg: SweepConfig, cell: dict, logn: float) -> None:
+    _resolve_p(cell, logn, "z2er experiment")
+    if "eps" not in cell:
+        raise ConfigError("z2er experiment needs an eps grid")
+    if not 0.0 <= cell["eps"] < 0.5:
+        raise ConfigError(f"eps={cell['eps']:.6g} outside [0, 1/2)")
+    cell["margin"] = _margin("z2_er", n=cell["n"], p=cell["p"], eps=cell["eps"])
+
+
+def _eval_z2er(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
+    n = cell["n"]
+    inst = sample_z2sync_er(n, cell["p"], cell["eps"], np.ones(n), rng)
+    rec = _certified(cfg, sid, certify_z2sync, inst, lambda: (inst.y, inst.z))
+    return {**rec, "block": flip_oracle_z2(inst).oracle_block}
+
+
+def _resolve_sbm(cfg: SweepConfig, cell: dict, logn: float) -> None:
+    n = cell["n"]
+    _check_even(n, "sbm")
+    if "alpha" in cell and "beta" in cell:
+        cell["p"] = cell["alpha"] * logn / n
+        cell["q"] = cell["beta"] * logn / n
+    elif "p" in cell and "q" in cell:
+        cell["alpha"] = cell["p"] * n / logn
+        cell["beta"] = cell["q"] * n / logn
+    else:
+        raise ConfigError("sbm experiment needs (alpha, beta) or (p, q) grids")
+    _check_resolved_probs(cell, ("p", "q"))
+    cell["margin"] = _margin("sbm", alpha=cell["alpha"], beta=cell["beta"])
+
+
+def _eval_sbm(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
+    g = sample_sbm(cell["n"], cell["p"], cell["q"], rng)
+    truth = g.labels.astype(np.float64)
+    rec = _certified(cfg, sid, certify_sbm, g, lambda: (signed_adjacency(g), truth))
+    suff = sbm_sufficient_condition(g).holds
+    return {**rec, "block": flip_oracle_sbm(g).oracle_block, "suff": suff,
+            "viol": suff and not rec["tight"]}
+
+
+def _aggregate_sbm(cfg: SweepConfig, cell: dict, records: list) -> dict:
+    return {**_aggregate_certified(cfg, cell, records),
+            "freq_sufficient": _freq(records, "suff"),
+            "sufficiency_violations": sum(1 for r in records if r.get("viol"))}
+
+
+def _resolve_ratio(cfg: SweepConfig, cell: dict, logn: float) -> None:
+    if cfg.ensemble not in RATIO_ENSEMBLES:
+        raise ConfigError(f"ratio ensemble must be one of {RATIO_ENSEMBLES}")
+    if cfg.ensemble == "centered-er":
+        _resolve_p(cell, logn, "centered-er ensemble")
+    elif cfg.ensemble == "centered-sbm":
+        n = cell["n"]
+        _check_even(n, "centered-sbm")
+        if "alpha" not in cell or "beta" not in cell:
+            raise ConfigError("centered-sbm ensemble needs alpha and beta grids")
+        cell["p"] = cell["alpha"] * logn / n
+        cell["q"] = cell["beta"] * logn / n
+        _check_resolved_probs(cell, ("p", "q"))
+    cell["ensemble"] = cfg.ensemble
+
+
+def _eval_ratio(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
+    n = cell["n"]
+    if cfg.ensemble == "wigner-neg-laplacian":
+        l = laplacian_of(SymmetricMatrix(-sample_wigner(n, rng).array))
+    elif cfg.ensemble == "centered-er":
+        l = centered_laplacian(sample_er(n, cell["p"], rng), cell["p"])
+    else:  # centered-sbm: E[Gamma] - Gamma conjugated by the labels
         g = sample_sbm(n, cell["p"], cell["q"], rng)
-        rep = certify_sbm(g, **tau_kw)
-        verdict = flip_oracle_sbm(g)
-        suff = sbm_sufficient_condition(g)
-        rec = {
-            "tight": rep.tight,
-            "boundary": rep.side == "boundary",
-            "block": verdict.oracle_block,
-            "suff": suff.holds,
-            "viol": suff.holds and not rep.tight,
-        }
-        if cfg.cross_check and rep.tight:
-            y = signed_adjacency(g)
-            truth = g.labels.astype(np.float64)
-            rec["bm_fail"] = not _bm_recovers(y, truth, cfg.master_seed, sid, cfg.rank_k)
-    elif exp == "z2er":
-        z = np.ones(n)
-        inst = sample_z2sync_er(n, cell["p"], cell["eps"], z, rng)
-        rep = certify_z2sync(inst, **tau_kw)
-        verdict = flip_oracle_z2(inst)
-        rec = {
-            "tight": rep.tight,
-            "boundary": rep.side == "boundary",
-            "block": verdict.oracle_block,
-        }
-        if cfg.cross_check and rep.tight:
-            rec["bm_fail"] = not _bm_recovers(
-                inst.y, inst.z, cfg.master_seed, sid, cfg.rank_k
-            )
-    elif exp == "z2gauss":
-        z = np.ones(n)
-        inst = sample_z2sync_gaussian(n, cell["sigma"], z, rng)
-        rep = certify_z2sync(inst, **tau_kw)
-        rec = {"tight": rep.tight, "boundary": rep.side == "boundary"}
-        if cfg.cross_check and rep.tight:
-            rec["bm_fail"] = not _bm_recovers(
-                inst.y, inst.z, cfg.master_seed, sid, cfg.rank_k
-            )
-    elif exp == "ratio":
-        l = _ratio_laplacian(cfg.ensemble, cell, rng)
-        try:
-            rec = {"ratio": spectral_diag_ratio(l).ratio}
-        except NonPositiveDiagonalMax:
-            rec = {"ratio": None}
-    elif exp == "normbound":
-        g = sample_er(n, cell["p"], rng)
-        x = np.full((n, n), -float(cell["p"]))
-        np.fill_diagonal(x, 0.0)
-        x += g.adjacency
-        prof = ensemble_profile("centered-er", n, p=cell["p"])
-        rec = {"holds": norm_bound_check(SymmetricMatrix(x), prof, cell["t_value"])}
-    else:  # pragma: no cover - guarded at config time
-        raise ConfigError(f"unknown experiment {exp!r}")
-    return cell_idx, trial, rec
-
-
-def _ratio_laplacian(ensemble: str, cell: dict, rng) -> SymmetricMatrix:
-    n = cell["n"]
-    if ensemble == "wigner-neg-laplacian":
-        w = sample_wigner(n, rng)
-        return laplacian_of(SymmetricMatrix(-w.array))
-    if ensemble == "centered-er":
-        g = sample_er(n, cell["p"], rng)
-        return centered_laplacian(g, cell["p"])
-    if ensemble == "centered-sbm":
-        p, q = cell["p"], cell["q"]
-        g = sample_sbm(n, p, q, rng)
-        gamma = partition_gap_matrix(g).array
-        same = np.equal.outer(g.labels, g.labels)
-        e_adj = np.where(same, p, q)
-        np.fill_diagonal(e_adj, 0.0)
-        e_gamma = -e_adj
-        np.fill_diagonal(e_gamma, (n / 2 - 1) * p - (n / 2) * q)
-        dev = e_gamma - gamma
+        dev = centered_partition_gap(g, cell["p"], cell["q"]).array
         lab = g.labels.astype(np.float64)
-        return SymmetricMatrix(lab[:, None] * dev * lab[None, :])
-    raise ConfigError(f"unknown ratio ensemble {ensemble!r}")
+        l = SymmetricMatrix(lab[:, None] * dev * lab[None, :])
+    try:
+        return {"ratio": spectral_diag_ratio(l).ratio}
+    except NonPositiveDiagonalMax:
+        return {"ratio": None}
+
+
+def _aggregate_ratio(cfg: SweepConfig, cell: dict, records: list) -> dict:
+    ratios = np.array([r["ratio"] for r in records if r["ratio"] is not None])
+    out = {"n_degenerate": len(records) - len(ratios)}
+    if len(ratios):
+        sqrt_logn = math.sqrt(math.log(cell["n"]))
+        out["mean_ratio"] = float(np.mean(ratios))
+        out["median_ratio"] = float(np.median(ratios))
+        out["q95_ratio"] = float(np.quantile(ratios, 0.95))
+        out["min_ratio"] = float(np.min(ratios))
+        out["c1_surrogate"] = float(np.median((ratios - 1.0) * sqrt_logn))
+    return out
+
+
+def _resolve_normbound(cfg: SweepConfig, cell: dict, logn: float) -> None:
+    if "p" not in cell:
+        raise ConfigError("normbound experiment needs a p grid")
+    _check_resolved_probs(cell, ("p",))
+    t_factor = float(cell.get("t_factor", 3.0))
+    prof = ensemble_profile("centered-er", cell["n"], p=cell["p"])
+    cell["t_factor"] = t_factor
+    cell["t_value"] = t_factor * prof.sigma_inf * math.sqrt(logn)
+    cell["sigma"] = prof.sigma
+    cell["sigma_inf"] = prof.sigma_inf
+
+
+def _eval_normbound(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
+    n, p = cell["n"], cell["p"]
+    g = sample_er(n, p, rng)
+    x = g.adjacency - p * (1.0 - np.eye(n))
+    prof = ensemble_profile("centered-er", n, p=p)
+    return {"holds": norm_bound_check(SymmetricMatrix(x), prof, cell["t_value"])}
+
+
+def _aggregate_normbound(cfg: SweepConfig, cell: dict, records: list) -> dict:
+    return {"freq_bound_holds": _freq(records, "holds")}
+
+
+_EXPERIMENTS = {
+    "er": _Experiment(
+        ("rho", "p"),
+        ("n", "rho", "p", "trials", "predicted_margin", "freq_connected", "freq_isolated"),
+        _resolve_er, _eval_er, _aggregate_er),
+    "z2gauss": _Experiment(
+        ("sigma", "sigma-factor"),
+        ("n", "sigma", "sigma_star", "trials", "predicted_margin", "freq_certified",
+         "freq_boundary", "bm_disagreements"),
+        _resolve_z2gauss, _eval_z2gauss, _aggregate_certified),
+    "z2er": _Experiment(
+        ("p", "rho", "eps"),
+        ("n", "p", "eps", "trials", "predicted_margin", "freq_certified", "freq_boundary",
+         "freq_oracle_block", "bm_disagreements"),
+        _resolve_z2er, _eval_z2er, _aggregate_certified),
+    "sbm": _Experiment(
+        ("alpha", "beta", "p", "q"),
+        ("n", "alpha", "beta", "p", "q", "trials", "predicted_margin", "freq_certified",
+         "freq_boundary", "freq_oracle_block", "freq_sufficient", "sufficiency_violations",
+         "bm_disagreements"),
+        _resolve_sbm, _eval_sbm, _aggregate_sbm),
+    "ratio": _Experiment(
+        ("rho", "p", "alpha", "beta"),
+        ("n", "ensemble", "trials", "n_degenerate", "mean_ratio", "median_ratio",
+         "q95_ratio", "min_ratio", "c1_surrogate"),
+        _resolve_ratio, _eval_ratio, _aggregate_ratio),
+    "normbound": _Experiment(
+        ("p", "t-factor"),
+        ("n", "p", "t_factor", "t_value", "sigma", "sigma_inf", "trials", "freq_bound_holds"),
+        _resolve_normbound, _eval_normbound, _aggregate_normbound),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+def experiment_axes(experiment: str) -> tuple:
+    """Grid flags the experiment reads, in the order its cells nest."""
+    if experiment not in _EXPERIMENTS:
+        raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
+    return _EXPERIMENTS[experiment].axes
 
 
 def _validate(cfg: SweepConfig) -> None:
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
+    experiment_axes(cfg.experiment)  # rejects an unknown experiment
     if cfg.trials < 1:
         raise ConfigError("trials must be >= 1")
     if not cfg.n:
@@ -450,50 +503,9 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     return result
 
 
-def _freq(records, key) -> float:
-    return sum(1 for r in records if r.get(key)) / len(records)
-
-
-def _aggregate(cfg: SweepConfig, cell: dict, records: list) -> PhaseCell:
-    exp = cfg.experiment
-    trials = len(records)
-    kwargs = {"params": cell, "trials": trials,
-              "predicted_margin": cell.get("margin")}
-    if exp == "er":
-        kwargs["freq_connected"] = _freq(records, "connected")
-        kwargs["freq_isolated"] = _freq(records, "isolated")
-    elif exp in ("sbm", "z2er", "z2gauss"):
-        kwargs["freq_certified"] = _freq(records, "tight")
-        kwargs["freq_boundary"] = _freq(records, "boundary")
-        if exp in ("sbm", "z2er"):
-            kwargs["freq_oracle_block"] = _freq(records, "block")
-        if exp == "sbm":
-            kwargs["freq_sufficient"] = _freq(records, "suff")
-            kwargs["sufficiency_violations"] = sum(
-                1 for r in records if r.get("viol")
-            )
-        if cfg.cross_check:
-            kwargs["bm_disagreements"] = sum(1 for r in records if r.get("bm_fail"))
-    elif exp == "ratio":
-        ratios = np.array([r["ratio"] for r in records if r["ratio"] is not None])
-        kwargs["n_degenerate"] = trials - len(ratios)
-        if len(ratios):
-            sqrt_logn = math.sqrt(math.log(cell["n"]))
-            kwargs["mean_ratio"] = float(np.mean(ratios))
-            kwargs["median_ratio"] = float(np.median(ratios))
-            kwargs["q95_ratio"] = float(np.quantile(ratios, 0.95))
-            kwargs["min_ratio"] = float(np.min(ratios))
-            kwargs["c1_surrogate"] = float(np.median((ratios - 1.0) * sqrt_logn))
-    elif exp == "normbound":
-        kwargs["freq_bound_holds"] = _freq(records, "holds")
-    return PhaseCell(**kwargs)
-
-
 def _format_value(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, float):
@@ -501,18 +513,11 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _cell_row(exp: str, cell: PhaseCell) -> list:
-    values = []
-    for col in _SCHEMAS[exp]:
-        if col in cell.params:
-            values.append(cell.params[col])
-        elif col == "trials":
-            values.append(cell.trials)
-        elif col == "predicted_margin":
-            values.append(cell.predicted_margin)
-        else:
-            values.append(getattr(cell, col))
-    return [_format_value(v) for v in values]
+def _cell_row(columns: tuple, cell: PhaseCell) -> list:
+    return [
+        _format_value(cell.params[col] if col in cell.params else getattr(cell, col))
+        for col in columns
+    ]
 
 
 def write_csv(result: SweepResult, path) -> None:
@@ -521,11 +526,10 @@ def write_csv(result: SweepResult, path) -> None:
     The sibling .meta.json echoes the semantic configuration and seed;
     worker count and wall time are excluded so reruns are byte-identical.
     """
-    exp = result.config.experiment
-    cols = _SCHEMAS[exp]
+    cols = _EXPERIMENTS[result.config.experiment].columns
     lines = [",".join(cols)]
     for cell in result.cells:
-        lines.append(",".join(_cell_row(exp, cell)))
+        lines.append(",".join(_cell_row(cols, cell)))
     text = "\n".join(lines) + "\n"
     path = str(path)
     meta_path = path[: -len(".csv")] + ".meta.json" if path.endswith(".csv") else path + ".meta.json"

@@ -4,6 +4,7 @@ import pytest
 from lapcert import (
     SymmetricMatrix,
     centered_laplacian,
+    centered_partition_gap,
     degree_split,
     derive_stream,
     eigendecompose,
@@ -209,6 +210,21 @@ class TestPartitionGap:
         g = graph_from_edges(4, [(0, 1)])
         with pytest.raises(MissingLabels):
             partition_gap_matrix(g)
+
+
+class TestCenteredPartitionGap:
+    def test_deterministic_blocks_have_no_deviation(self):
+        g = sample_sbm(6, 1.0, 0.0, derive_stream(0, 0))
+        assert np.all(centered_partition_gap(g, 1.0, 0.0).array == 0.0)
+
+    def test_conjugated_deviation_is_laplacian(self):
+        # E[Gamma] - Gamma conjugated by the labels has vanishing row sums.
+        for seed in range(20):
+            g = sample_sbm(30, 0.5, 0.2, derive_stream(seed, 1))
+            dev = centered_partition_gap(g, 0.5, 0.2).array
+            lab = g.labels.astype(float)
+            conj = lab[:, None] * dev * lab[None, :]
+            assert np.max(np.abs(conj @ np.ones(30))) < 1e-9
 
 
 class TestSignedAdjacency:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from lapcert import SweepConfig, run_sweep, write_csv
 from lapcert import sweeps
-from lapcert.cli import cli_main, _parse_grid
+from lapcert.cli import MAX_GRID_VALUES, cli_main, _parse_grid
 from lapcert.errors import ConfigError, IoError
 from lapcert.sweeps import SweepResult, _openblas_entries
 
@@ -302,6 +303,55 @@ class TestWriteCsv:
         assert a.read_text().splitlines()[0] == b.read_text().splitlines()[0]
 
 
+class TestSweepDigests:
+    """CSV and .meta.json of every experiment pinned byte for byte at small
+    n, so a change in how a sweep is organised cannot change what it writes."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["sweep", "--experiment", "er", "--n", "16,24", "--rho", "0.5,1.5",
+          "--trials", "6"],
+         "4e700712c84a9ba783c4b2ccc9f9c44fe7ad2af840bdadd1b59748405a79336a"),
+        (["sweep", "--experiment", "sbm", "--n", "20", "--alpha", "2,6",
+          "--beta", "0.5", "--trials", "5"],
+         "24b4e2f7da328da635911b265ecdc7ade6d0370b9fdef5721e37dbd2c57b9a3c"),
+        (["sweep", "--experiment", "sbm", "--n", "20", "--alpha", "2,6",
+          "--beta", "0.5", "--trials", "5", "--cross-check"],
+         "f57f739820251b552e5c9f733cd10e0266df2853bb32cc817cc6467aa7eb3097"),
+        (["sweep", "--experiment", "z2er", "--n", "20", "--p", "0.6",
+          "--eps", "0.05,0.3", "--trials", "5"],
+         "bc7a15f853d45eec621687842a350f18f49292bc551e8394118661e24c03a3f5"),
+        (["sweep", "--experiment", "z2er", "--n", "20", "--p", "0.6",
+          "--eps", "0.05,0.3", "--trials", "5", "--cross-check"],
+         "b5702382df006fe301097930a25ed022ffde83b0b0f3d92d5bd39555d990a4d4"),
+        (["sweep", "--experiment", "z2gauss", "--n", "20",
+          "--sigma-factor", "0.5,1.5", "--trials", "5"],
+         "e207c66371b696bfcc53fd89e54c2cf554e477e0c74e38c058dbecf35962b968"),
+        (["sweep", "--experiment", "z2gauss", "--n", "20",
+          "--sigma-factor", "0.5,1.5", "--trials", "5", "--cross-check"],
+         "0b6f04d69aa0b24c862f8f3c8b2fe415688d10e55ad50c9fe85c818b288299c4"),
+        (["sweep", "--experiment", "normbound", "--n", "20", "--p", "0.3",
+          "--t-factor", "1,3", "--trials", "5"],
+         "ee8dc49d84bf989ce5042ae08c848996279842009861fa033483c587bdec0bd9"),
+        (["ratio", "--ensemble", "wigner-neg-laplacian", "--n", "10,20",
+          "--trials", "5"],
+         "b30711ea45037d3e025f3bae7ce5d4800aa4595d79a2b57577efe20b06defbe4"),
+        (["ratio", "--ensemble", "centered-er", "--n", "20", "--rho", "2",
+          "--trials", "5"],
+         "78cc2701d067ffc2c442d7da7c883acadb6830b804c67b9feb290675a6e94559"),
+        (["ratio", "--ensemble", "centered-sbm", "--n", "40", "--alpha", "9",
+          "--beta", "1", "--trials", "5"],
+         "38aa96727900aaa4836ec25aedefe270de9b3cd47fbddee625c6be79ec2ba9b9"),
+    ], ids=["er", "sbm", "sbm-xcheck", "z2er", "z2er-xcheck", "z2gauss",
+            "z2gauss-xcheck", "normbound", "ratio-wigner", "ratio-centered-er",
+            "ratio-centered-sbm"])
+    def test_csv_and_meta(self, tmp_path, monkeypatch, argv, digest):
+        # A relative --out keeps the path echoed in the meta file fixed.
+        monkeypatch.chdir(tmp_path)
+        assert cli_main([*argv, "--seed", "7", "--out", "out.csv"]) == 0
+        data = (tmp_path / "out.csv").read_bytes() + (tmp_path / "out.meta.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
 class TestGridParsing:
     def test_single_value(self):
         assert _parse_grid("0.5") == [0.5]
@@ -330,6 +380,11 @@ class TestGridParsing:
         with pytest.raises(ConfigError, match="finite"):
             _parse_grid(text)
 
+
+    def test_range_expansion_capped(self):
+        assert len(_parse_grid(f"1:{MAX_GRID_VALUES}:1")) == MAX_GRID_VALUES
+        with pytest.raises(ConfigError, match="more than"):
+            _parse_grid("0:1:1e-6")
 
 class TestCli:
     def test_tail_sbm_margin(self, capsys):
@@ -463,6 +518,34 @@ class TestCli:
         out = tmp_path / "out.csv"
         assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("opts, message", [
+        ({"experiment": "er", "n": 4, "p": 1, "trails": 0}, "unknown key 'trails'"),
+        ([{"experiment": "er", "n": 4, "p": 1}], "must be a JSON object"),
+    ])
+    def test_unknown_config_key_exits_one(self, tmp_path, capsys, opts, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(opts))
+        out = tmp_path / "out.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, axis", [
+        (["sweep", "--experiment", "er", "--n", "4", "--p", "1", "--sigma", "3"],
+         "sigma"),
+        (["sweep", "--experiment", "z2gauss", "--n", "20", "--sigma", "1",
+          "--t-factor", "2"], "t-factor"),
+    ])
+    def test_axis_the_experiment_does_not_read_exits_one(self, tmp_path, capsys,
+                                                          argv, axis):
+        out = tmp_path / "out.csv"
+        assert cli_main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and axis in err
         assert not out.exists()
 
     def test_non_integer_n_flag_exits_one(self, capsys):
