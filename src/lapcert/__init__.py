@@ -9,6 +9,7 @@ from .eig import (
     eigendecompose,
     eigenvalue_k,
     eigenvalues_selected,
+    is_positive_definite,
     spectral_norm,
 )
 from .ensembles import (

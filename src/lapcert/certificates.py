@@ -15,12 +15,19 @@ eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .eig import SymmetricMatrix, eigenvalue_k, eigenvalues_selected, spectral_norm
+from .eig import (
+    SymmetricMatrix,
+    eigenvalue_k,
+    eigenvalues_selected,
+    is_positive_definite,
+    spectral_norm,
+)
 from .ensembles import EnsembleProfile, GraphSample, SyncInstance
 from .errors import (
     MissingLabels,
@@ -90,10 +97,23 @@ class RatioReport(NamedTuple):
     lam_max: float
 
 
-class SufficiencyReport(NamedTuple):
-    lhs: float
+@dataclass(frozen=True)
+class SufficiencyReport:
+    """Mean-deviation sufficient condition for one labeled SBM sample.
+
+    ``holds`` is decided without a spectrum; ``lhs`` = lambda_max(E[Gamma] -
+    Gamma) is computed from ``sample`` on first read, and only then.
+    """
+
     rhs: float
     holds: bool
+    sample: GraphSample = field(repr=False, compare=False)
+
+    @cached_property
+    def lhs(self) -> float:
+        params = self.sample.params
+        dev = centered_partition_gap(self.sample, params.p, params.q)
+        return float(eigenvalues_selected(dev, (dev.n,))[0])
 
 
 def _as_sign_vector(x, n: int) -> np.ndarray:
@@ -209,21 +229,30 @@ def certify_sbm(g: GraphSample, tau: float = TAU_POS) -> CertificateReport:
 def sbm_sufficient_condition(g: GraphSample) -> SufficiencyReport:
     """Mean-deviation sufficient condition for SBM tightness.
 
-    Computes lhs = lambda_max(E[Gamma] - Gamma) and rhs = (n/2)(p - q) where
-    Gamma = D_+ - D_- - A; lhs < rhs implies the certificate holds.
+    With lhs = lambda_max(E[Gamma] - Gamma), where Gamma = D_+ - D_- - A,
+    and rhs = (n/2)(p - q), lhs < rhs implies the certificate holds. The
+    verdict takes one Cholesky factorization; lhs is computed only when
+    the report's ``lhs`` is read.
     """
     if g.labels is None:
         raise MissingLabels("sample has no planted labels")
     if g.params is None or g.params.p is None or g.params.q is None:
         raise MissingParams("sample carries no (p, q) ensemble parameters")
     n, p, q = g.n, g.params.p, g.params.q
-    lhs = float(eigenvalues_selected(centered_partition_gap(g, p, q), (n,))[0])
     rhs = (n / 2) * (p - q)
     # Strict inequality with a dead band: exact ties (an empty graph hits
     # lhs == rhs analytically) only bound lambda_2 >= 0 and must not be
-    # claimed as sufficient.
-    guard = TAU_POS * (1.0 + abs(lhs) + abs(rhs))
-    return SufficiencyReport(lhs=lhs, rhs=rhs, holds=lhs < rhs - guard)
+    # claimed as sufficient. The rule lhs < rhs - tau (1 + |lhs| + |rhs|)
+    # reads f(lhs) < t with f(x) = x + tau |x|, strictly increasing, and
+    # t = rhs - tau (1 + |rhs|). So it holds exactly when lhs < s = f^-1(t),
+    # that is when s I - (E[Gamma] - Gamma) is positive definite.
+    t = rhs - TAU_POS * (1.0 + abs(rhs))
+    s = t / (1.0 + TAU_POS) if t >= 0.0 else t / (1.0 - TAU_POS)
+    shifted = -centered_partition_gap(g, p, q).array
+    idx = np.arange(n)
+    shifted[idx, idx] += s
+    holds = is_positive_definite(SymmetricMatrix(shifted))
+    return SufficiencyReport(rhs=rhs, holds=holds, sample=g)
 
 
 def connectivity_spectral(g: GraphSample, tau: float = TAU_POS) -> bool:

@@ -3,6 +3,8 @@
 ``SymmetricMatrix`` is the validated input type; the spectra come from
 numpy's LAPACK drivers (``syevd``). The certificate sweeps only need the
 second-smallest or largest eigenvalue, which is read off the full spectrum.
+A positive-definiteness test needs no spectrum: it is one Cholesky
+factorization (``potrf``).
 """
 
 from __future__ import annotations
@@ -122,6 +124,19 @@ def eigenvalues_selected(m: SymmetricMatrix, ks: Sequence[int]) -> np.ndarray:
         if not 1 <= k <= m.n:
             raise IndexOutOfRange(f"k={k} outside 1..{m.n}")
     return _lapack(np.linalg.eigvalsh, m)[np.asarray(ks, dtype=np.intp) - 1]
+
+
+def is_positive_definite(m: SymmetricMatrix) -> bool:
+    """Whether m is positive definite, from one Cholesky factorization.
+
+    LAPACK ``potrf`` stops at the first pivot that is not positive, so a
+    ``LinAlgError`` here is the answer "no", not a convergence failure.
+    """
+    try:
+        np.linalg.cholesky(m.array)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def spectral_norm(m: SymmetricMatrix) -> float:

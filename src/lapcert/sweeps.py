@@ -50,7 +50,13 @@ from .laplacians import centered_laplacian, centered_partition_gap, laplacian_of
 from .sdp import bm_solve, default_rank
 from .tails import ThresholdQuery, threshold_margin
 
-RATIO_ENSEMBLES = ("wigner-neg-laplacian", "centered-er", "centered-sbm")
+#: Grid axes each ratio ensemble reads.
+_RATIO_AXES = {
+    "wigner-neg-laplacian": (),
+    "centered-er": ("rho", "p"),
+    "centered-sbm": ("alpha", "beta"),
+}
+RATIO_ENSEMBLES = tuple(_RATIO_AXES)
 
 _TRIAL_STRIDE = 1 << 32
 _BM_LANE = 1 << 62
@@ -244,6 +250,8 @@ def _aggregate_er(cfg: SweepConfig, cell: dict, records: list) -> dict:
 
 def _resolve_z2gauss(cfg: SweepConfig, cell: dict, logn: float) -> None:
     n = cell["n"]
+    if n < 2:
+        raise ConfigError("z2gauss experiment needs n >= 2: sigma* divides by log n")
     star = math.sqrt(n / (2.0 * math.log(n)))
     if "sigma" in cell:
         cell["sigma"] = float(cell["sigma"])
@@ -310,6 +318,9 @@ def _aggregate_sbm(cfg: SweepConfig, cell: dict, records: list) -> dict:
 def _resolve_ratio(cfg: SweepConfig, cell: dict, logn: float) -> None:
     if cfg.ensemble not in RATIO_ENSEMBLES:
         raise ConfigError(f"ratio ensemble must be one of {RATIO_ENSEMBLES}")
+    unread = [axis for axis in cfg.grids if axis not in _RATIO_AXES[cfg.ensemble]]
+    if unread:
+        raise ConfigError(f"--{unread[0]} is not an axis of the {cfg.ensemble} ensemble")
     if cfg.ensemble == "centered-er":
         _resolve_p(cell, logn, "centered-er ensemble")
     elif cfg.ensemble == "centered-sbm":
@@ -354,6 +365,8 @@ def _aggregate_ratio(cfg: SweepConfig, cell: dict, records: list) -> dict:
 
 
 def _resolve_normbound(cfg: SweepConfig, cell: dict, logn: float) -> None:
+    if cell["n"] < 2:
+        raise ConfigError("normbound experiment needs n >= 2: t scales with sqrt(log n)")
     if "p" not in cell:
         raise ConfigError("normbound experiment needs a p grid")
     _check_resolved_probs(cell, ("p",))

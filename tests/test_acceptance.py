@@ -117,13 +117,20 @@ def test_03_sbm_threshold(sbm_threshold_sweep):
         above.freq_certified >= 0.90
         and below.freq_certified <= 0.10
         and below.freq_oracle_block >= 0.50
+        and above.sufficiency_violations == below.sufficiency_violations == 0
+        and above.freq_sufficient >= 0.90
+        and below.freq_sufficient <= 0.10
     )
     report(
         "03 sbm-threshold",
         ok and elapsed < 900.0,
-        f"alpha=10 certified {above.freq_certified:.2f}, "
+        f"alpha=10 certified {above.freq_certified:.2f} "
+        f"sufficient {above.freq_sufficient:.2f}, "
         f"alpha=2 certified {below.freq_certified:.2f} "
-        f"blocked {below.freq_oracle_block:.2f}, {elapsed:.1f}s",
+        f"sufficient {below.freq_sufficient:.2f} "
+        f"blocked {below.freq_oracle_block:.2f}, "
+        f"sufficiency violations {above.sufficiency_violations + below.sufficiency_violations}, "
+        f"{elapsed:.1f}s",
     )
 
 

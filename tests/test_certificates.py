@@ -6,6 +6,7 @@ import pytest
 
 from lapcert import (
     SymmetricMatrix,
+    centered_partition_gap,
     certify_rank_one,
     certify_sbm,
     certify_z2sync,
@@ -13,6 +14,7 @@ from lapcert import (
     connectivity_unionfind,
     derive_stream,
     dual_diagonal,
+    eigenvalues_selected,
     ensemble_profile,
     flip_oracle_sbm,
     flip_oracle_z2,
@@ -26,6 +28,8 @@ from lapcert import (
     signed_adjacency,
     spectral_diag_ratio,
 )
+from lapcert import certificates
+from lapcert.certificates import TAU_POS
 from lapcert.ensembles import GraphSample
 from lapcert.errors import (
     MissingLabels,
@@ -215,6 +219,42 @@ class TestSufficientCondition:
             rep = sbm_sufficient_condition(g)
             if rep.holds:
                 assert certify_sbm(g).tight
+
+    @staticmethod
+    def eigenvalue_rule(g):
+        """The verdict from the spectrum: lhs < rhs - tau (1 + |lhs| + |rhs|)."""
+        n, p, q = g.n, g.params.p, g.params.q
+        lhs = float(eigenvalues_selected(centered_partition_gap(g, p, q), (n,))[0])
+        rhs = (n / 2) * (p - q)
+        return lhs < rhs - TAU_POS * (1.0 + abs(lhs) + abs(rhs))
+
+    def test_matches_eigenvalue_rule(self):
+        rng = derive_stream(61, 0)
+        samples = []
+        for _ in range(300):
+            n = 2 * (int(rng.uniform() * 40) + 2)
+            p = 0.05 + 0.9 * rng.uniform()
+            samples.append(sample_sbm(n, p, rng.uniform() * p, rng))
+        # n=300 near sqrt(alpha) - sqrt(beta) = sqrt(2), where lhs - rhs is a
+        # few units either side of zero
+        logn = math.log(300)
+        for i, alpha in enumerate(np.linspace(5.0, 7.0, 12)):
+            samples.append(sample_sbm(300, alpha * logn / 300, logn / 300,
+                                      derive_stream(62, i)))
+        verdicts = [sbm_sufficient_condition(g).holds for g in samples]
+        assert verdicts == [self.eigenvalue_rule(g) for g in samples]
+        assert len(set(verdicts[:300])) == len(set(verdicts[300:])) == 2
+
+    def test_lhs_computed_only_when_read(self, monkeypatch):
+        def no_spectrum(*args):
+            raise AssertionError("eigenvalues computed")
+
+        g = sample_sbm(40, 0.9, 0.1, derive_stream(63, 0))
+        monkeypatch.setattr(certificates, "eigenvalues_selected", no_spectrum)
+        rep = sbm_sufficient_condition(g)
+        assert rep.holds
+        with pytest.raises(AssertionError, match="eigenvalues computed"):
+            rep.lhs
 
 
 class TestConnectivity:

@@ -6,6 +6,7 @@ from lapcert import (
     eigendecompose,
     eigenvalue_k,
     eigenvalues_selected,
+    is_positive_definite,
     spectral_norm,
 )
 from lapcert.errors import IndexOutOfRange, NonConvergence
@@ -190,6 +191,35 @@ class TestSpectralNorm:
             m = random_sym(rng, n)
             ref = power_iteration_norm(m.array)
             assert spectral_norm(m) == pytest.approx(ref, rel=1e-6, abs=1e-9)
+
+
+class TestIsPositiveDefinite:
+    def test_positive_definite(self):
+        assert is_positive_definite(sym([[2.0, -1.0], [-1.0, 2.0]]))
+        assert is_positive_definite(sym([[2.0]]))
+
+    def test_singular_psd_is_not(self):
+        assert not is_positive_definite(sym(PATH3))
+
+    def test_indefinite_is_not(self):
+        assert not is_positive_definite(sym([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_zero_is_not(self):
+        assert not is_positive_definite(sym([[0.0]]))
+
+    def test_agrees_with_smallest_eigenvalue_sign(self):
+        rng = np.random.default_rng(23)
+        seen = set()
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            a = random_sym(rng, n).array
+            # shift so the smallest eigenvalue is +-(0.1..1), far from 0
+            target = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
+            m = sym(a + (target - np.linalg.eigvalsh(a)[0]) * np.eye(n))
+            expected = bool(np.linalg.eigvalsh(m.array)[0] > 0.0)
+            assert is_positive_definite(m) == expected
+            seen.add(expected)
+        assert seen == {True, False}
 
 
 @pytest.mark.slow

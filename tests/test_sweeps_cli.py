@@ -548,6 +548,36 @@ class TestCli:
         assert err.count("error:") == 1 and axis in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--experiment", "z2gauss", "--n", "1", "--sigma", "1"],
+        ["sweep", "--experiment", "normbound", "--n", "1", "--p", "0.5"],
+    ])
+    def test_n_one_exits_one(self, tmp_path, monkeypatch, capsys, argv):
+        def no_trials(args):
+            raise AssertionError("a trial ran before the cell was checked")
+
+        monkeypatch.setattr(sweeps, "_eval_trial", no_trials)
+        out = tmp_path / "out.csv"
+        assert cli_main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "needs n >= 2" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, axis", [
+        (["--ensemble", "wigner-neg-laplacian", "--n", "20", "--p", "0.3"], "p"),
+        (["--ensemble", "centered-er", "--n", "20", "--p", "0.3", "--alpha", "2"],
+         "alpha"),
+        (["--ensemble", "centered-sbm", "--n", "20", "--alpha", "2", "--beta", "1",
+          "--rho", "3"], "rho"),
+    ])
+    def test_axis_the_ratio_ensemble_does_not_read_exits_one(self, tmp_path, capsys,
+                                                             argv, axis):
+        out = tmp_path / "out.csv"
+        assert cli_main(["ratio", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"--{axis} is not an axis" in err
+        assert not out.exists()
+
     def test_non_integer_n_flag_exits_one(self, capsys):
         code = cli_main(["sweep", "--experiment", "er", "--n", "20.5", "--p", "1"])
         assert code == 1
