@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .eig import (
-    DEFAULT_TOL,
     Spectrum,
     SymmetricMatrix,
     eigendecompose,
@@ -27,15 +26,11 @@ from .ensembles import (
     sample_z2sync_gaussian,
 )
 from .laplacians import (
-    DegreeSplit,
     centered_laplacian,
     centered_partition_gap,
-    degree_split,
     graph_laplacian,
     laplacian_of,
-    partition_gap_matrix,
     signed_adjacency,
-    sync_laplacian,
 )
 from .certificates import (
     CertificateReport,

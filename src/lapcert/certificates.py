@@ -6,10 +6,11 @@ diagonal D with D_ii = sum_j Y_ij x_i x_j. Then trace(D) = x^T Y x and
 is the unique optimum of max trace(YX) over {X >= 0, X_ii = 1}, and the
 corresponding combinatorial problem is solved exactly by the relaxation.
 
-The per-model certifiers specialize this to the synchronization and
-two-community matrices, where the certificate matrix is (a conjugation of)
-a Laplacian and the condition becomes positivity of its second-smallest
-eigenvalue.
+Every discrete certificate is this D - Y: the per-model certifiers only
+choose (Y, x), the sign measurements and planted signs for synchronization
+and the signed adjacency and labels for two communities. Conjugated by
+diag(x) the matrix is a Laplacian (L_G - 2 L_H, resp. 2 Gamma + 11^T), and
+the condition is positivity of its second-smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -39,11 +40,9 @@ from .errors import (
 )
 from .laplacians import (
     centered_partition_gap,
-    degree_split,
     graph_laplacian,
     laplacian_of,
-    partition_gap_matrix,
-    sync_laplacian,
+    signed_adjacency,
 )
 
 #: Positivity dead band, relative to 1 + ||certificate matrix||. Strict
@@ -129,27 +128,6 @@ def dual_diagonal(y: SymmetricMatrix, x) -> np.ndarray:
     return x * (y.array @ x)
 
 
-def _report_from_matrix(
-    cert: np.ndarray, d: np.ndarray, x: np.ndarray, tau: float
-) -> CertificateReport:
-    sm = SymmetricMatrix(cert)
-    # (lambda_1, lambda_2, lambda_n) from one decomposition
-    lam = [cert[0, 0]] * 3 if sm.n == 1 else eigenvalues_selected(sm, (1, 2, sm.n))
-    lam1, lam2, lamn = (float(v) for v in lam)
-    norm = max(abs(lam1), abs(lamn))
-    band = tau * (1.0 + norm)
-    residual = float(np.linalg.norm(cert @ x))
-    return CertificateReport(
-        d_diag=d,
-        lambda1=lam1,
-        lambda2=lam2,
-        residual_null=residual,
-        tight=lam2 > band,
-        margin=lam2,
-        band=band,
-    )
-
-
 def certify_rank_one(
     y: SymmetricMatrix, x, tau: float = TAU_POS
 ) -> CertificateReport:
@@ -160,34 +138,39 @@ def certify_rank_one(
     """
     x = _as_sign_vector(x, y.n)
     d = dual_diagonal(y, x)
-    cert = -y.array.copy()
-    idx = np.arange(y.n)
-    cert[idx, idx] += d
-    return _report_from_matrix(cert, d, x, tau)
+    # diag(d) - Y, not -Y + diag(d): -Y would put -0.0 where Y is zero.
+    cert = np.diag(d)
+    cert -= y.array
+    sm = SymmetricMatrix(cert)
+    # (lambda_1, lambda_2, lambda_n) from one decomposition
+    lam = [cert[0, 0]] * 3 if sm.n == 1 else eigenvalues_selected(sm, (1, 2, sm.n))
+    lam1, lam2, lamn = (float(v) for v in lam)
+    band = tau * (1.0 + max(abs(lam1), abs(lamn)))
+    return CertificateReport(
+        d_diag=d,
+        lambda1=lam1,
+        lambda2=lam2,
+        residual_null=float(np.linalg.norm(cert @ x)),
+        tight=lam2 > band,
+        margin=lam2,
+        band=band,
+    )
 
 
 def certify_z2sync(inst: SyncInstance, tau: float = TAU_POS) -> CertificateReport:
     """Exact-recovery certificate for a synchronization instance.
 
-    Discrete instances: the certificate matrix conjugated by diag(z) is
-    L_G - 2 L_H, so the report is computed on that Laplacian with the
-    all-ones null vector. Gaussian instances: tightness is equivalent to
-    lambda_max of the Laplacian of -W staying below n / sigma; the report
-    is stated on the D - Y scale (margin still equals lambda2), where the
-    reported lambda2 = n - sigma * lambda_max is exact in the feasible
-    regime and a lower bound once the certificate has failed. Verdicts
-    agree with certify_rank_one on both paths.
+    Discrete instances (and sigma = 0): ``certify_rank_one(y, z)``, whose
+    matrix D - Y conjugated by diag(z) is L_G - 2 L_H. Gaussian instances:
+    tightness is equivalent to lambda_max of the Laplacian of -W staying
+    below n / sigma; the report is stated on the D - Y scale (margin still
+    equals lambda2), where the reported lambda2 = n - sigma * lambda_max is
+    exact in the feasible regime and a lower bound once the certificate has
+    failed. Its verdicts agree with certify_rank_one.
     """
-    n = inst.n
-    if inst.is_discrete:
-        lsync = sync_laplacian(inst)
-        d = np.diag(lsync.array).copy()
-        ones = np.ones(n)
-        return _report_from_matrix(lsync.array.copy(), d, ones, tau)
-    sigma = inst.params.sigma
-    if sigma == 0.0:
+    if inst.is_discrete or inst.params.sigma == 0.0:
         return certify_rank_one(inst.y, inst.z, tau)
-    z = inst.z
+    n, sigma, z = inst.n, inst.params.sigma, inst.z
     # Conjugated noise: W' = diag(z) W diag(z), same distribution as W.
     wprime = (z[:, None] * inst.y.array * z[None, :] - 1.0) / sigma
     np.fill_diagonal(wprime, 0.0)
@@ -214,16 +197,13 @@ def certify_z2sync(inst: SyncInstance, tau: float = TAU_POS) -> CertificateRepor
 def certify_sbm(g: GraphSample, tau: float = TAU_POS) -> CertificateReport:
     """Exact-recovery certificate for a labeled two-community sample.
 
-    Evaluates 2 (D_+ - D_- - A) + 11^T, whose second-smallest eigenvalue
+    ``certify_rank_one(B, labels)`` with B the signed adjacency: its matrix
+    D - B equals 2 (D_+ - D_- - A) + 11^T, whose second-smallest eigenvalue
     being positive makes g g^T the unique optimum of the relaxation.
     """
     if g.labels is None:
         raise MissingLabels("sample has no planted labels")
-    gap = partition_gap_matrix(g)
-    cert = 2.0 * gap.array + 1.0
-    labels = g.labels.astype(np.float64)
-    d = np.diag(cert).copy()
-    return _report_from_matrix(cert, d, labels, tau)
+    return certify_rank_one(signed_adjacency(g), g.labels, tau)
 
 
 def sbm_sufficient_condition(g: GraphSample) -> SufficiencyReport:
@@ -321,8 +301,10 @@ def flip_oracle_sbm(g: GraphSample) -> RecoveryVerdict:
     Reported as-is: a negative minimum is the standard impossibility
     statistic for balanced two-community recovery.
     """
-    din, dout = degree_split(g)
-    stat = din - dout
+    if g.labels is None:
+        raise MissingLabels("sample has no planted labels")
+    labels = g.labels.astype(np.int64)
+    stat = labels * (g.adjacency @ labels)  # dual diagonal of (A, labels)
     return _oracle_verdict(int(stat.min()))
 
 

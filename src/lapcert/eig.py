@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import IndexOutOfRange, NonConvergence
 
-#: Default relative tolerance for spectra and certificate residuals.
-DEFAULT_TOL = 1e-10
-
 
 class SymmetricMatrix:
     """Immutable dense real symmetric matrix.

@@ -58,10 +58,6 @@ class SolveReport:
     dual: DualCheck
     objective_trace: list = field(default_factory=list, repr=False)
 
-    @property
-    def dual_gap(self) -> Optional[float]:
-        return self.dual.gap if self.dual.feasible else None
-
 
 def default_rank(n: int) -> int:
     """ceil(sqrt(2n)): generically no spurious local optima at this rank."""

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .certificates import (
     TAU_POS,
-    certify_sbm,
+    certify_rank_one,
     certify_z2sync,
     connectivity_unionfind,
     flip_oracle_sbm,
@@ -201,14 +201,18 @@ def _bm_recovers(cfg: SweepConfig, sid: int, y: SymmetricMatrix,
     return False
 
 
-def _certified(cfg: SweepConfig, sid: int, certify, sample, bm_input) -> dict:
-    """Tight and boundary flags of ``certify(sample)``. Under --cross-check
-    a tight trial is solved again by the factorized solver on the
-    (Y, planted signs) that ``bm_input()`` returns."""
-    rep = certify(sample, TAU_POS if cfg.tau is None else cfg.tau)
+def _tau(cfg: SweepConfig) -> float:
+    return TAU_POS if cfg.tau is None else cfg.tau
+
+
+def _certified(cfg: SweepConfig, sid: int, rep, y: SymmetricMatrix,
+               truth) -> dict:
+    """Tight and boundary flags of the certificate ``rep`` of (Y, planted
+    signs). Under --cross-check a tight trial is solved again by the
+    factorized solver on the same (Y, planted signs)."""
     rec = {"tight": rep.tight, "boundary": rep.side == "boundary"}
     if cfg.cross_check and rep.tight:
-        rec["bm_fail"] = not _bm_recovers(cfg, sid, *bm_input())
+        rec["bm_fail"] = not _bm_recovers(cfg, sid, y, truth)
     return rec
 
 
@@ -229,6 +233,8 @@ def _margin(model: str, **params) -> float:
 
 
 def _resolve_er(cfg: SweepConfig, cell: dict, logn: float) -> None:
+    if cell["n"] < 2:
+        raise ConfigError("er experiment needs n >= 2: rho = p n / log n divides by log n")
     _resolve_p(cell, logn, "er experiment")
     if "rho" not in cell:
         cell["rho"] = cell["p"] * cell["n"] / logn
@@ -266,7 +272,7 @@ def _resolve_z2gauss(cfg: SweepConfig, cell: dict, logn: float) -> None:
 def _eval_z2gauss(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
     n = cell["n"]
     inst = sample_z2sync_gaussian(n, cell["sigma"], np.ones(n), rng)
-    return _certified(cfg, sid, certify_z2sync, inst, lambda: (inst.y, inst.z))
+    return _certified(cfg, sid, certify_z2sync(inst, _tau(cfg)), inst.y, inst.z)
 
 
 def _resolve_z2er(cfg: SweepConfig, cell: dict, logn: float) -> None:
@@ -281,7 +287,7 @@ def _resolve_z2er(cfg: SweepConfig, cell: dict, logn: float) -> None:
 def _eval_z2er(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
     n = cell["n"]
     inst = sample_z2sync_er(n, cell["p"], cell["eps"], np.ones(n), rng)
-    rec = _certified(cfg, sid, certify_z2sync, inst, lambda: (inst.y, inst.z))
+    rec = _certified(cfg, sid, certify_z2sync(inst, _tau(cfg)), inst.y, inst.z)
     return {**rec, "block": flip_oracle_z2(inst).oracle_block}
 
 
@@ -302,8 +308,8 @@ def _resolve_sbm(cfg: SweepConfig, cell: dict, logn: float) -> None:
 
 def _eval_sbm(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
     g = sample_sbm(cell["n"], cell["p"], cell["q"], rng)
-    truth = g.labels.astype(np.float64)
-    rec = _certified(cfg, sid, certify_sbm, g, lambda: (signed_adjacency(g), truth))
+    b, truth = signed_adjacency(g), g.labels.astype(np.float64)
+    rec = _certified(cfg, sid, certify_rank_one(b, truth, _tau(cfg)), b, truth)
     suff = sbm_sufficient_condition(g).holds
     return {**rec, "block": flip_oracle_sbm(g).oracle_block, "suff": suff,
             "viol": suff and not rec["tight"]}

@@ -2,7 +2,9 @@
 
 These deliberately avoid LAPACK's symmetric eigensolver, which the package
 itself calls: the characteristic polynomial oracle only uses LU
-determinants, and the spectral norm comes from power iteration.
+determinants, and the spectral norm comes from power iteration. The two
+certificate-matrix builders use the per-model formulas in plain numpy,
+not the package's D - Y construction they are compared against.
 """
 
 import numpy as np
@@ -65,3 +67,24 @@ def power_iteration_norm(a, iters=2000, seed=1234):
         v = w / norm
         lam = norm
     return float(np.sqrt(lam))
+
+
+def partition_gap_certificate(adjacency, labels):
+    """SBM certificate matrix 2 Gamma + 11^T from the adjacency and labels,
+    with Gamma = diag(deg_in - deg_out) - A counted edge by edge."""
+    a = np.asarray(adjacency, dtype=np.float64)
+    labels = np.asarray(labels)
+    same = labels[:, None] == labels[None, :]
+    deg_in = np.sum(np.where(same, a, 0.0), axis=1)
+    deg_out = np.sum(np.where(same, 0.0, a), axis=1)
+    return 2.0 * (np.diag(deg_in - deg_out) - a) + 1.0
+
+
+def sync_certificate(g_edges, h_edges):
+    """z2er certificate matrix L_G - 2 L_H from the measurement graph G and
+    its corrupted edges H (planted signs all +1)."""
+    g = np.asarray(g_edges, dtype=np.float64)
+    h = np.asarray(h_edges, dtype=np.float64)
+    l_g = np.diag(g.sum(axis=1)) - g
+    l_h = np.diag(h.sum(axis=1)) - h
+    return l_g - 2.0 * l_h

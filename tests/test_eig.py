@@ -11,7 +11,11 @@ from lapcert import (
 )
 from lapcert.errors import IndexOutOfRange, NonConvergence
 
-from _oracles import charpoly_bisect_eigs, power_iteration_norm
+from _oracles import (
+    charpoly_bisect_eigs,
+    partition_gap_certificate,
+    power_iteration_norm,
+)
 
 PATH3 = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
 
@@ -146,11 +150,15 @@ class TestEigenvalueK:
 
     def test_two_community_certificate_matrix(self):
         # two disjoint edges, labels split: lambda_2 of 2(D+ - D- - A) + J
-        from lapcert import derive_stream, partition_gap_matrix, sample_sbm
+        from lapcert import certify_sbm, derive_stream, sample_sbm
 
         g = sample_sbm(4, 1.0, 0.0, derive_stream(0, 0))
-        cert = sym(2.0 * partition_gap_matrix(g).array + 1.0)
+        cert = sym(partition_gap_certificate(g.adjacency, g.labels))
         assert eigenvalue_k(cert, 2) == pytest.approx(4.0, abs=1e-10)
+        rep = certify_sbm(g)
+        assert rep.lambda1 == eigenvalue_k(cert, 1)
+        assert rep.lambda2 == eigenvalue_k(cert, 2)
+        assert np.array_equal(rep.d_diag, np.diag(cert.array))
 
     def test_index_out_of_range(self):
         m = sym(np.eye(3))

@@ -191,10 +191,13 @@ class TestSbm:
         expect[0, 1] = expect[1, 0] = 1
         expect[2, 3] = expect[3, 2] = 1
         assert np.array_equal(g.adjacency, expect)
-        from lapcert import degree_split
+        from _oracles import partition_gap_certificate
+        from lapcert import flip_oracle_sbm
 
-        din, dout = degree_split(g)
-        assert np.all(din - dout == 1)
+        # deg_in - deg_out = 1 at every node, read off 2 Gamma + J
+        cert = partition_gap_certificate(g.adjacency, g.labels)
+        assert np.all(np.diag(cert) == 3.0)
+        assert flip_oracle_sbm(g).min_stat == 1.0
 
     def test_complete_bipartite(self):
         g = sample_sbm(4, 0.0, 1.0, derive_stream(0, 0))

@@ -1,23 +1,26 @@
 import numpy as np
 import pytest
 
+from _oracles import partition_gap_certificate, sync_certificate
 from lapcert import (
     SymmetricMatrix,
     centered_laplacian,
     centered_partition_gap,
-    degree_split,
+    certify_rank_one,
+    certify_sbm,
+    certify_z2sync,
     derive_stream,
     eigendecompose,
+    flip_oracle_sbm,
+    flip_oracle_z2,
     graph_laplacian,
     laplacian_of,
-    partition_gap_matrix,
     sample_er,
     sample_sbm,
     sample_z2sync_er,
     signed_adjacency,
-    sync_laplacian,
 )
-from lapcert.ensembles import GraphSample
+from lapcert.ensembles import EnsembleParams, GraphSample, SyncInstance
 from lapcert.errors import MissingLabels, RequiresDiscreteInstance
 
 
@@ -31,6 +34,14 @@ def graph_from_edges(n, edges):
         a[i, j] = a[j, i] = 1
     a.setflags(write=False)
     return GraphSample(n, a)
+
+
+def assert_certificate_is(rep, ref):
+    """``rep`` was computed on exactly the matrix ``ref``: the same dual
+    diagonal and the same lambda_1 and lambda_2, bit for bit."""
+    lam = np.linalg.eigvalsh(ref)
+    assert np.array_equal(rep.d_diag, np.diag(ref))
+    assert rep.lambda1 == lam[0] and rep.lambda2 == lam[1]
 
 
 class TestLaplacianOf:
@@ -108,91 +119,103 @@ class TestCenteredLaplacian:
 
 
 class TestSyncLaplacian:
+    """certify_z2sync on a discrete instance with planted signs all +1
+    evaluates L_G - 2 L_H, the reference ``sync_certificate``."""
+
     def _instance(self, n, p, eps, seed):
-        rng = derive_stream(seed, 0)
-        z = np.where(rng.uniform(n) < 0.5, 1.0, -1.0)
-        return sample_z2sync_er(n, p, eps, z, rng)
+        return sample_z2sync_er(n, p, eps, np.ones(n), derive_stream(seed, 0))
+
+    def _hand_instance(self, g, h):
+        # y = G - 2H: +1 on clean edges, -1 on corrupted ones
+        y = sym(g.adjacency.astype(float) - 2.0 * h.adjacency)
+        return SyncInstance(n=g.n, y=y, z=np.ones(g.n), g_edges=g.adjacency,
+                            h_edges=h.adjacency,
+                            params=EnsembleParams("z2-er", p=0.5, eps=0.25))
 
     def test_h_empty_equals_lg(self):
         inst = self._instance(20, 0.5, 0.0, 3)
+        ref = sync_certificate(inst.g_edges, inst.h_edges)
         lg = graph_laplacian(GraphSample(20, inst.g_edges))
-        assert np.array_equal(sync_laplacian(inst).array, lg.array)
+        assert np.array_equal(ref, lg.array)
+        assert_certificate_is(certify_z2sync(inst), ref)
 
     def test_h_equals_g_negates(self):
-        # eps -> flip every edge: build manually
-        n = 5
-        g = graph_from_edges(n, [(0, 1), (1, 2), (3, 4)])
-        inst_like = sample_z2sync_er(n, 0.0, 0.0, np.ones(n), derive_stream(0, 0))
-        inst = type(inst_like)(
-            n=n,
-            y=inst_like.y,
-            z=inst_like.z,
-            g_edges=g.adjacency,
-            h_edges=g.adjacency,
-            params=inst_like.params,
-        )
-        lg = graph_laplacian(g)
-        assert np.array_equal(sync_laplacian(inst).array, -lg.array)
+        # every edge corrupted
+        g = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        ref = sync_certificate(g.adjacency, g.adjacency)
+        assert np.array_equal(ref, -graph_laplacian(g).array)
+        assert_certificate_is(certify_z2sync(self._hand_instance(g, g)), ref)
 
     def test_triangle_one_corrupted(self):
-        n = 3
-        tri = graph_from_edges(n, [(0, 1), (1, 2), (0, 2)])
-        h = graph_from_edges(n, [(0, 1)])
-        inst_like = sample_z2sync_er(n, 0.0, 0.0, np.ones(n), derive_stream(0, 0))
-        inst = type(inst_like)(
-            n=n,
-            y=inst_like.y,
-            z=inst_like.z,
-            g_edges=tri.adjacency,
-            h_edges=h.adjacency,
-            params=inst_like.params,
-        )
-        diag = np.diag(sync_laplacian(inst).array)
-        assert diag.tolist() == [0.0, 0.0, 2.0]
+        tri = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        h = graph_from_edges(3, [(0, 1)])
+        rep = certify_z2sync(self._hand_instance(tri, h))
+        assert rep.d_diag.tolist() == [0.0, 0.0, 2.0]
+        assert_certificate_is(rep, sync_certificate(tri.adjacency, h.adjacency))
 
     def test_consistency_with_laplacian_of(self):
         for seed in range(40):
             inst = self._instance(25, 0.4, 0.25, seed)
-            direct = sync_laplacian(inst).array
+            ref = sync_certificate(inst.g_edges, inst.h_edges)
             via = laplacian_of(
                 sym(inst.g_edges.astype(float) - 2.0 * inst.h_edges.astype(float))
             ).array
-            assert np.array_equal(direct, via)
+            assert np.array_equal(ref, via)
+            assert_certificate_is(certify_z2sync(inst), ref)
+            # random planted signs conjugate the matrix: same dual diagonal,
+            # same spectrum up to rounding
+            rng = derive_stream(seed, 1)
+            z = np.where(rng.uniform(25) < 0.5, 1.0, -1.0)
+            rep = certify_z2sync(sample_z2sync_er(25, 0.4, 0.25, z, derive_stream(seed, 0)))
+            assert np.array_equal(rep.d_diag, np.diag(ref))
+            lam = np.linalg.eigvalsh(ref)
+            assert rep.lambda1 == pytest.approx(lam[0], abs=1e-9)
+            assert rep.lambda2 == pytest.approx(lam[1], abs=1e-9)
 
     def test_rejects_gaussian(self):
+        # flip_oracle_z2 reads G and H directly, which a Gaussian instance lacks
         from lapcert import sample_z2sync_gaussian
 
         inst = sample_z2sync_gaussian(4, 1.0, np.ones(4), derive_stream(0, 0))
         with pytest.raises(RequiresDiscreteInstance):
-            sync_laplacian(inst)
+            flip_oracle_z2(inst)
 
 
 class TestPartitionGap:
+    """certify_sbm evaluates 2 Gamma + 11^T, the reference
+    ``partition_gap_certificate`` built from the adjacency and labels."""
+
     def test_deterministic_blocks(self):
         g = sample_sbm(4, 1.0, 0.0, derive_stream(0, 0))
-        gap = partition_gap_matrix(g)
-        cert = 2.0 * gap.array + 1.0
-        vals = eigendecompose(sym(cert)).eigenvalues
+        ref = partition_gap_certificate(g.adjacency, g.labels)
+        vals = eigendecompose(sym(ref)).eigenvalues
         assert np.max(np.abs(vals - [0.0, 4.0, 4.0, 4.0])) < 1e-12
+        assert_certificate_is(certify_sbm(g), ref)
 
     def test_empty_graph(self):
         g = GraphSample(4, np.zeros((4, 4), dtype=np.uint8),
                         labels=np.array([1, 1, -1, -1], dtype=np.int8))
-        assert np.all(partition_gap_matrix(g).array == 0.0)
+        ref = partition_gap_certificate(g.adjacency, g.labels)
+        assert np.all(ref == 1.0)  # Gamma = 0
+        assert_certificate_is(certify_sbm(g), ref)
 
     def test_complete_bipartite(self):
         g = sample_sbm(4, 0.0, 1.0, derive_stream(0, 0))
-        gap = partition_gap_matrix(g).array
-        assert np.allclose(np.diag(gap), -2.0)
-        assert gap[0, 2] == -1.0 and gap[0, 1] == 0.0
+        ref = partition_gap_certificate(g.adjacency, g.labels)
+        assert np.all(np.diag(ref) == -3.0)  # deg_in - deg_out = -2
+        assert ref[0, 2] == -1.0 and ref[0, 1] == 1.0
+        assert_certificate_is(certify_sbm(g), ref)
 
     def test_conjugated_row_sums_vanish(self):
         for seed in range(60):
             g = sample_sbm(30, 0.5, 0.2, derive_stream(seed, 1))
-            gap = partition_gap_matrix(g).array
+            ref = partition_gap_certificate(g.adjacency, g.labels)
             lab = g.labels.astype(float)
-            conj = lab[:, None] * gap * lab[None, :]
+            conj = lab[:, None] * ref * lab[None, :]
             assert np.max(np.abs(conj @ np.ones(30))) < 1e-9
+            rep = certify_sbm(g)
+            assert rep.residual_null == 0.0
+            assert_certificate_is(rep, ref)
 
     def test_certificate_identity(self):
         # 2 Gamma + J == D_[diag(g) B diag(g)] - B entrywise
@@ -201,15 +224,17 @@ class TestPartitionGap:
             b = signed_adjacency(g)
             lab = g.labels.astype(float)
             conj = lab[:, None] * b.array * lab[None, :]
-            d = np.diag(conj.sum(axis=1))
-            lhs = 2.0 * partition_gap_matrix(g).array + 1.0
-            rhs = d - b.array
-            assert np.array_equal(lhs, rhs)
+            ref = partition_gap_certificate(g.adjacency, g.labels)
+            assert np.array_equal(ref, np.diag(conj.sum(axis=1)) - b.array)
+            assert_certificate_is(certify_sbm(g), ref)
+            assert_certificate_is(certify_rank_one(b, lab), ref)
 
     def test_missing_labels(self):
         g = graph_from_edges(4, [(0, 1)])
         with pytest.raises(MissingLabels):
-            partition_gap_matrix(g)
+            centered_partition_gap(g, 0.5, 0.2)
+        with pytest.raises(MissingLabels):
+            flip_oracle_sbm(g)
 
 
 class TestCenteredPartitionGap:
@@ -245,17 +270,28 @@ class TestSignedAdjacency:
 
 
 class TestDegreeSplit:
+    """flip_oracle_sbm and centered_partition_gap read deg_in - deg_out,
+    the reference ``partition_gap_certificate``'s (diagonal - 1) / 2."""
+
     def test_deterministic_blocks(self):
         g = sample_sbm(4, 1.0, 0.0, derive_stream(0, 0))
-        din, dout = degree_split(g)
-        assert np.all(din == 1) and np.all(dout == 0)
+        ref = partition_gap_certificate(g.adjacency, g.labels)
+        assert np.all((np.diag(ref) - 1.0) / 2.0 == 1.0)
+        assert flip_oracle_sbm(g).min_stat == 1.0
 
     def test_complete_bipartite(self):
         g = sample_sbm(4, 0.0, 1.0, derive_stream(0, 0))
-        din, dout = degree_split(g)
-        assert np.all(din == 0) and np.all(dout == 2)
+        ref = partition_gap_certificate(g.adjacency, g.labels)
+        assert np.all((np.diag(ref) - 1.0) / 2.0 == -2.0)
+        assert flip_oracle_sbm(g).min_stat == -2.0
 
     def test_split_sums_to_degree(self):
-        g = sample_sbm(50, 0.4, 0.2, derive_stream(9, 0))
-        din, dout = degree_split(g)
-        assert np.array_equal(din + dout, g.adjacency.sum(axis=1))
+        n, p, q = 50, 0.4, 0.2
+        g = sample_sbm(n, p, q, derive_stream(9, 0))
+        stat = (np.diag(partition_gap_certificate(g.adjacency, g.labels)) - 1.0) / 2.0
+        deg = g.adjacency.sum(axis=1)
+        # deg_in - deg_out has the parity of the degree and lies within it
+        assert np.all(np.abs(stat) <= deg) and np.all((deg - stat) % 2 == 0)
+        assert flip_oracle_sbm(g).min_stat == stat.min()
+        dev = centered_partition_gap(g, p, q).array
+        assert np.array_equal(np.diag(dev), (n / 2 - 1) * p - (n / 2) * q - stat)

@@ -551,6 +551,8 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--experiment", "z2gauss", "--n", "1", "--sigma", "1"],
         ["sweep", "--experiment", "normbound", "--n", "1", "--p", "0.5"],
+        ["sweep", "--experiment", "er", "--n", "1", "--p", "0.5"],
+        ["sweep", "--experiment", "er", "--n", "1", "--rho", "0.5"],
     ])
     def test_n_one_exits_one(self, tmp_path, monkeypatch, capsys, argv):
         def no_trials(args):
