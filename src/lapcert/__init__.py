@@ -27,9 +27,11 @@ from .ensembles import (
 )
 from .laplacians import (
     centered_laplacian,
+    PartitionGap,
     centered_partition_gap,
     graph_laplacian,
     laplacian_of,
+    partition_gap,
     signed_adjacency,
 )
 from .certificates import (
@@ -45,6 +47,7 @@ from .certificates import (
     flip_oracle_sbm,
     flip_oracle_z2,
     norm_bound_check,
+    rank_one_side,
     sbm_sufficient_condition,
     spectral_diag_ratio,
 )

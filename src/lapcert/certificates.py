@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -39,9 +39,11 @@ from .errors import (
     RequiresDiscreteInstance,
 )
 from .laplacians import (
+    PartitionGap,
     centered_partition_gap,
     graph_laplacian,
     laplacian_of,
+    partition_gap,
     signed_adjacency,
 )
 
@@ -53,6 +55,8 @@ TAU_POS = 1e-9
 SIDE_ABOVE = "above"
 SIDE_BELOW = "below"
 SIDE_BOUNDARY = "boundary"
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -128,19 +132,18 @@ def dual_diagonal(y: SymmetricMatrix, x) -> np.ndarray:
     return x * (y.array @ x)
 
 
-def certify_rank_one(
-    y: SymmetricMatrix, x, tau: float = TAU_POS
-) -> CertificateReport:
-    """Certify x x^T as the unique SDP optimum for coefficient matrix Y.
-
-    Builds D - Y with the constructed dual diagonal and reports lambda_1,
-    lambda_2 and the null-direction residual ||(D - Y)x||.
-    """
+def _certificate(y: SymmetricMatrix, x):
+    """(x, D, D - Y): the one builder of the discrete certificate matrix."""
     x = _as_sign_vector(x, y.n)
     d = dual_diagonal(y, x)
     # diag(d) - Y, not -Y + diag(d): -Y would put -0.0 where Y is zero.
     cert = np.diag(d)
     cert -= y.array
+    return x, d, cert
+
+
+def _report(x: np.ndarray, d: np.ndarray, cert: np.ndarray,
+            tau: float) -> CertificateReport:
     sm = SymmetricMatrix(cert)
     # (lambda_1, lambda_2, lambda_n) from one decomposition
     lam = [cert[0, 0]] * 3 if sm.n == 1 else eigenvalues_selected(sm, (1, 2, sm.n))
@@ -155,6 +158,59 @@ def certify_rank_one(
         margin=lam2,
         band=band,
     )
+
+
+def certify_rank_one(
+    y: SymmetricMatrix, x, tau: float = TAU_POS
+) -> CertificateReport:
+    """Certify x x^T as the unique SDP optimum for coefficient matrix Y.
+
+    Builds D - Y with the constructed dual diagonal and reports lambda_1,
+    lambda_2 and the null-direction residual ||(D - Y)x||.
+    """
+    return _report(*_certificate(y, x), tau)
+
+
+def rank_one_side(y: SymmetricMatrix, x, tau: float = TAU_POS) -> str:
+    """``certify_rank_one(y, x, tau).side``, without a spectrum of C = D - Y
+    where a factorization or a smaller spectrum settles it.
+
+    Where C x = 0 holds exactly in floating point, take
+    t = 2 (tau + n eps)(1 + ||C||_inf), at least twice the dead band plus
+    the rounding of eigvalsh and potrf. On the blocked nodes
+    K = {i : C_ii < 0}, Cauchy interlacing gives
+    lambda_2(C) <= lambda_2(C[K, K]), so if that is below -t the side is
+    "below". Without blocked nodes, C + ((t + 1)/n) x x^T - t I has the
+    eigenvalue 1 on x and lambda - t on the rest of C's spectrum, so if it
+    is positive definite, lambda_2(C) > t and the side is "above". (A
+    blocked node makes C indefinite, and its negative eigenvalue lies off
+    x, so that matrix cannot be positive definite.) Every other case is
+    decided by ``certify_rank_one``'s spectrum, so the side never differs
+    from it.
+    """
+    x, d, cert = _certificate(y, x)
+    n = y.n
+    if n >= 2 and not np.any(cert @ x):
+        t = 2.0 * (tau + n * _EPS) * (1.0 + float(np.linalg.norm(cert, np.inf)))
+        blocked = np.flatnonzero(np.diagonal(cert) < 0.0)
+        if len(blocked) >= 2:
+            sub = SymmetricMatrix(cert[np.ix_(blocked, blocked)])
+            if eigenvalue_k(sub, 2) < -t:
+                return SIDE_BELOW
+        elif not len(blocked) and _positive_definite_shift(cert, x, t):
+            return SIDE_ABOVE
+    return _report(x, d, cert, tau).side
+
+
+def _positive_definite_shift(cert: np.ndarray, x: np.ndarray, t: float) -> bool:
+    """Whether C + ((t + 1)/n) x x^T - t I is positive definite."""
+    n = len(x)
+    shifted = np.outer(x, x * ((t + 1.0) / n))
+    shifted += cert
+    shifted.flat[:: n + 1] -= t
+    m = SymmetricMatrix(shifted)
+    del shifted  # released before potrf allocates its factor: peak memory
+    return is_positive_definite(m)
 
 
 def certify_z2sync(inst: SyncInstance, tau: float = TAU_POS) -> CertificateReport:
@@ -206,13 +262,15 @@ def certify_sbm(g: GraphSample, tau: float = TAU_POS) -> CertificateReport:
     return certify_rank_one(signed_adjacency(g), g.labels, tau)
 
 
-def sbm_sufficient_condition(g: GraphSample) -> SufficiencyReport:
+def sbm_sufficient_condition(g: GraphSample,
+                             gap: Optional[PartitionGap] = None) -> SufficiencyReport:
     """Mean-deviation sufficient condition for SBM tightness.
 
     With lhs = lambda_max(E[Gamma] - Gamma), where Gamma = D_+ - D_- - A,
     and rhs = (n/2)(p - q), lhs < rhs implies the certificate holds. The
-    verdict takes one Cholesky factorization; lhs is computed only when
-    the report's ``lhs`` is read.
+    verdict takes at most one Cholesky factorization; lhs is computed only
+    when the report's ``lhs`` is read. ``gap`` is ``partition_gap(g)``,
+    when the caller has built it already.
     """
     if g.labels is None:
         raise MissingLabels("sample has no planted labels")
@@ -228,10 +286,12 @@ def sbm_sufficient_condition(g: GraphSample) -> SufficiencyReport:
     # that is when s I - (E[Gamma] - Gamma) is positive definite.
     t = rhs - TAU_POS * (1.0 + abs(rhs))
     s = t / (1.0 + TAU_POS) if t >= 0.0 else t / (1.0 - TAU_POS)
-    shifted = -centered_partition_gap(g, p, q).array
-    idx = np.arange(n)
-    shifted[idx, idx] += s
-    holds = is_positive_definite(SymmetricMatrix(shifted))
+    shifted = (partition_gap(g) if gap is None else gap).centered(p, q)
+    np.negative(shifted, out=shifted)
+    shifted.flat[:: n + 1] += s
+    m = SymmetricMatrix(shifted)
+    del shifted  # released before potrf allocates its factor: peak memory
+    holds = is_positive_definite(m)
     return SufficiencyReport(rhs=rhs, holds=holds, sample=g)
 
 
@@ -295,16 +355,15 @@ def flip_oracle_z2(inst: SyncInstance) -> RecoveryVerdict:
     return _oracle_verdict(int(stat.min()))
 
 
-def flip_oracle_sbm(g: GraphSample) -> RecoveryVerdict:
+def flip_oracle_sbm(g: GraphSample,
+                    gap: Optional[PartitionGap] = None) -> RecoveryVerdict:
     """Single-node degree statistic min_i(deg_in(i) - deg_out(i)).
 
     Reported as-is: a negative minimum is the standard impossibility
-    statistic for balanced two-community recovery.
+    statistic for balanced two-community recovery. ``gap`` is
+    ``partition_gap(g)``, when the caller has built it already.
     """
-    if g.labels is None:
-        raise MissingLabels("sample has no planted labels")
-    labels = g.labels.astype(np.int64)
-    stat = labels * (g.adjacency @ labels)  # dual diagonal of (A, labels)
+    stat = (partition_gap(g) if gap is None else gap).stat
     return _oracle_verdict(int(stat.min()))
 
 

@@ -4,7 +4,7 @@
 numpy's LAPACK drivers (``syevd``). The certificate sweeps only need the
 second-smallest or largest eigenvalue, which is read off the full spectrum.
 A positive-definiteness test needs no spectrum: it is one Cholesky
-factorization (``potrf``).
+factorization (``potrf``), skipped when a diagonal entry is not positive.
 """
 
 from __future__ import annotations
@@ -127,8 +127,12 @@ def is_positive_definite(m: SymmetricMatrix) -> bool:
     """Whether m is positive definite, from one Cholesky factorization.
 
     LAPACK ``potrf`` stops at the first pivot that is not positive, so a
-    ``LinAlgError`` here is the answer "no", not a convergence failure.
+    ``LinAlgError`` here is the answer "no", not a convergence failure. A
+    diagonal entry <= 0 answers "no" without factorizing: ``potrf`` only
+    subtracts sums of squares from a pivot, which cannot make it positive.
     """
+    if not np.diagonal(m.array).min() > 0.0:
+        return False
     try:
         np.linalg.cholesky(m.array)
     except np.linalg.LinAlgError:

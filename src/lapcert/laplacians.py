@@ -12,6 +12,8 @@ for synchronization) and planted signs x.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .eig import SymmetricMatrix
@@ -53,22 +55,43 @@ def centered_laplacian(g: GraphSample, p: float) -> SymmetricMatrix:
     return laplacian_of(SymmetricMatrix(x))
 
 
-def centered_partition_gap(g: GraphSample, p: float, q: float) -> SymmetricMatrix:
-    """Deviation E[Gamma] - Gamma of the partition gap matrix
-    Gamma = diag(deg_in - deg_out) - A of an SBM(n, p, q) sample.
+class PartitionGap(NamedTuple):
+    """Partition gap Gamma = diag(stat) - A of a labeled sample, built once.
 
-    deg_in - deg_out = labels * (A labels) is the dual diagonal of
-    (A, labels), the same statistic the SBM flip oracle reads.
+    ``stat`` = deg_in - deg_out = labels * (A labels) (int64) is the dual
+    diagonal of (A, labels), the statistic the SBM flip oracle reads.
     """
+
+    gamma: np.ndarray
+    stat: np.ndarray
+    labels: np.ndarray
+
+    def centered(self, p: float, q: float) -> np.ndarray:
+        """A fresh array E[Gamma] - Gamma under SBM(n, p, q)."""
+        n = len(self.stat)
+        dev = np.where(np.equal.outer(self.labels, self.labels), p, q)
+        np.negative(dev, out=dev)
+        np.fill_diagonal(dev, (n / 2 - 1) * p - (n / 2) * q)
+        dev -= self.gamma
+        return dev
+
+
+def partition_gap(g: GraphSample) -> PartitionGap:
+    """Gamma and deg_in - deg_out of a labeled sample, from one product A labels."""
     if g.labels is None:
         raise MissingLabels("sample has no planted labels")
-    n = g.n
     labels = g.labels.astype(np.int64)
-    gamma = -g.adjacency.astype(np.float64)
-    np.fill_diagonal(gamma, labels * (g.adjacency @ labels))
-    e_gamma = -np.where(np.equal.outer(g.labels, g.labels), p, q)
-    np.fill_diagonal(e_gamma, (n / 2 - 1) * p - (n / 2) * q)
-    return SymmetricMatrix(e_gamma - gamma)
+    stat = labels * (g.adjacency @ labels)
+    gamma = g.adjacency.astype(np.float64)
+    np.negative(gamma, out=gamma)
+    np.fill_diagonal(gamma, stat)
+    return PartitionGap(gamma, stat, g.labels)
+
+
+def centered_partition_gap(g: GraphSample, p: float, q: float) -> SymmetricMatrix:
+    """Deviation E[Gamma] - Gamma of the partition gap matrix of an
+    SBM(n, p, q) sample (see ``partition_gap``)."""
+    return SymmetricMatrix(partition_gap(g).centered(p, q))
 
 
 def signed_adjacency(g: GraphSample) -> SymmetricMatrix:

@@ -25,13 +25,15 @@ import numpy as np
 
 from . import __version__
 from .certificates import (
+    SIDE_ABOVE,
+    SIDE_BOUNDARY,
     TAU_POS,
-    certify_rank_one,
     certify_z2sync,
     connectivity_unionfind,
     flip_oracle_sbm,
     flip_oracle_z2,
     norm_bound_check,
+    rank_one_side,
     sbm_sufficient_condition,
     spectral_diag_ratio,
 )
@@ -46,7 +48,13 @@ from .ensembles import (
     sample_z2sync_gaussian,
 )
 from .errors import ConfigError, IoError, NonPositiveDiagonalMax
-from .laplacians import centered_laplacian, centered_partition_gap, laplacian_of, signed_adjacency
+from .laplacians import (
+    centered_laplacian,
+    centered_partition_gap,
+    laplacian_of,
+    partition_gap,
+    signed_adjacency,
+)
 from .sdp import bm_solve, default_rank
 from .tails import ThresholdQuery, threshold_margin
 
@@ -205,13 +213,13 @@ def _tau(cfg: SweepConfig) -> float:
     return TAU_POS if cfg.tau is None else cfg.tau
 
 
-def _certified(cfg: SweepConfig, sid: int, rep, y: SymmetricMatrix,
+def _certified(cfg: SweepConfig, sid: int, side: str, y: SymmetricMatrix,
                truth) -> dict:
-    """Tight and boundary flags of the certificate ``rep`` of (Y, planted
+    """Tight and boundary flags of the certificate side of (Y, planted
     signs). Under --cross-check a tight trial is solved again by the
     factorized solver on the same (Y, planted signs)."""
-    rec = {"tight": rep.tight, "boundary": rep.side == "boundary"}
-    if cfg.cross_check and rep.tight:
+    rec = {"tight": side == SIDE_ABOVE, "boundary": side == SIDE_BOUNDARY}
+    if cfg.cross_check and rec["tight"]:
         rec["bm_fail"] = not _bm_recovers(cfg, sid, y, truth)
     return rec
 
@@ -272,7 +280,7 @@ def _resolve_z2gauss(cfg: SweepConfig, cell: dict, logn: float) -> None:
 def _eval_z2gauss(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
     n = cell["n"]
     inst = sample_z2sync_gaussian(n, cell["sigma"], np.ones(n), rng)
-    return _certified(cfg, sid, certify_z2sync(inst, _tau(cfg)), inst.y, inst.z)
+    return _certified(cfg, sid, certify_z2sync(inst, _tau(cfg)).side, inst.y, inst.z)
 
 
 def _resolve_z2er(cfg: SweepConfig, cell: dict, logn: float) -> None:
@@ -287,7 +295,7 @@ def _resolve_z2er(cfg: SweepConfig, cell: dict, logn: float) -> None:
 def _eval_z2er(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
     n = cell["n"]
     inst = sample_z2sync_er(n, cell["p"], cell["eps"], np.ones(n), rng)
-    rec = _certified(cfg, sid, certify_z2sync(inst, _tau(cfg)), inst.y, inst.z)
+    rec = _certified(cfg, sid, rank_one_side(inst.y, inst.z, _tau(cfg)), inst.y, inst.z)
     return {**rec, "block": flip_oracle_z2(inst).oracle_block}
 
 
@@ -309,9 +317,10 @@ def _resolve_sbm(cfg: SweepConfig, cell: dict, logn: float) -> None:
 def _eval_sbm(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
     g = sample_sbm(cell["n"], cell["p"], cell["q"], rng)
     b, truth = signed_adjacency(g), g.labels.astype(np.float64)
-    rec = _certified(cfg, sid, certify_rank_one(b, truth, _tau(cfg)), b, truth)
-    suff = sbm_sufficient_condition(g).holds
-    return {**rec, "block": flip_oracle_sbm(g).oracle_block, "suff": suff,
+    rec = _certified(cfg, sid, rank_one_side(b, truth, _tau(cfg)), b, truth)
+    gap = partition_gap(g)
+    suff = sbm_sufficient_condition(g, gap).holds
+    return {**rec, "block": flip_oracle_sbm(g, gap).oracle_block, "suff": suff,
             "viol": suff and not rec["tight"]}
 
 
@@ -450,6 +459,10 @@ def _validate(cfg: SweepConfig) -> None:
             raise ConfigError(f"empty grid for {name}")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
+    if cfg.tau is not None and not (math.isfinite(cfg.tau) and cfg.tau >= 0.0):
+        raise ConfigError(f"tau must be a finite number >= 0, got {cfg.tau!r}")
+    if cfg.rank_k is not None and cfg.rank_k < 2:
+        raise ConfigError(f"rank-k must be an integer >= 2, got {cfg.rank_k}")
 
 
 def _openblas_entries(verb: str):

@@ -20,6 +20,7 @@ from lapcert import (
     flip_oracle_z2,
     laplacian_of,
     norm_bound_check,
+    partition_gap,
     sample_er,
     sample_sbm,
     sample_z2sync_er,
@@ -160,6 +161,111 @@ class TestCertifyZ2Sync:
                 )
 
 
+class TestRankOneSide:
+    """rank_one_side decides certify_rank_one's side; a Cholesky factorization
+    or the blocked nodes' spectrum settles the clear cases."""
+
+    @staticmethod
+    def spy_eigvalsh(monkeypatch, limit=None):
+        """Record the size of every eigvalsh input; raise at size >= limit."""
+        sizes = []
+        original = np.linalg.eigvalsh
+
+        def eigvalsh(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            if limit is not None and a.shape[0] >= limit:
+                raise AssertionError(f"spectrum of a {a.shape[0]}x{a.shape[0]} matrix")
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        return sizes
+
+    @staticmethod
+    def sbm_instance(rng):
+        n = 2 * (int(rng.uniform() * 141) + 10)  # 20..300
+        alpha = 2.0 + 8.0 * rng.uniform()
+        logn = math.log(n)
+        g = sample_sbm(n, min(1.0, alpha * logn / n), logn / n, rng)
+        return signed_adjacency(g), g.labels
+
+    @staticmethod
+    def z2er_instance(rng):
+        n = int(rng.uniform() * 131) + 20  # 20..150
+        p = 0.1 + 0.7 * rng.uniform()
+        eps = 0.45 * rng.uniform()
+        inst = sample_z2sync_er(n, p, eps, random_signs(rng, n), rng)
+        return inst.y, inst.z
+
+    @pytest.mark.parametrize("model, seed", [("sbm", 71), ("z2er", 72)])
+    def test_matches_spectrum_side(self, model, seed):
+        rng = derive_stream(seed, 0)
+        instance = self.sbm_instance if model == "sbm" else self.z2er_instance
+        sides = []
+        for _ in range(300):
+            y, x = instance(rng)
+            side = certificates.rank_one_side(y, x)
+            assert side == certify_rank_one(y, x).side
+            sides.append(side)
+        assert set(sides) == {"above", "below", "boundary"}
+
+    def test_tau_zero_matches_spectrum_side(self):
+        rng = derive_stream(73, 0)
+        for _ in range(100):
+            for y, x in (self.sbm_instance(rng), self.z2er_instance(rng)):
+                assert (certificates.rank_one_side(y, x, 0.0)
+                        == certify_rank_one(y, x, 0.0).side)
+
+    def test_empty_graph_boundary(self, monkeypatch):
+        g = sample_sbm(20, 0.0, 0.0, derive_stream(0, 0))
+        sizes = self.spy_eigvalsh(monkeypatch)
+        assert certificates.rank_one_side(signed_adjacency(g), g.labels) == "boundary"
+        assert sizes == [20]  # decided by the full spectrum
+
+    def test_single_bad_node_falls_back(self, monkeypatch):
+        # two 6-cliques, and node 0 wired to the other community instead of its own
+        labels = np.repeat([1, -1], 6).astype(np.int8)
+        a = np.equal.outer(labels, labels).astype(np.uint8)
+        np.fill_diagonal(a, 0)
+        a[0, :6] = a[:6, 0] = 0
+        a[0, 6:] = a[6:, 0] = 1
+        b, x = signed_adjacency(GraphSample(12, a, labels=labels)), labels
+        rep = certify_rank_one(b, x)
+        assert rep.d_diag[0] < 0 and np.count_nonzero(rep.d_diag < 0) == 1
+        sizes = self.spy_eigvalsh(monkeypatch)
+        assert certificates.rank_one_side(b, x) == rep.side
+        assert sizes[0] == 12
+
+    @pytest.mark.parametrize("y, x, side", [
+        ([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0], "above"),
+        ([[0.0, 1.0], [1.0, 0.0]], [1.0, -1.0], "boundary"),
+        ([[0.0, 0.0], [0.0, 0.0]], [1.0, -1.0], "boundary"),
+        ([[3.0]], [-1.0], "boundary"),
+    ])
+    def test_small_n(self, y, x, side):
+        assert certify_rank_one(sym(y), x).side == side
+        assert certificates.rank_one_side(sym(y), x) == side
+
+    def test_nonzero_diagonal_falls_back(self, monkeypatch):
+        rng = derive_stream(74, 0)
+        y, x = self.sbm_instance(rng)
+        y = sym(y.array + np.diag(0.1 + rng.uniform(y.n)))
+        assert certify_rank_one(y, x).residual_null > 0.0  # C x != 0
+        sizes = self.spy_eigvalsh(monkeypatch)
+        assert certificates.rank_one_side(y, x) == certify_rank_one(y, x).side
+        assert sizes[0] == y.n
+
+    @pytest.mark.parametrize("alpha, side", [(12.0, "above"), (1.5, "below")])
+    def test_clear_sides_take_no_full_spectrum(self, monkeypatch, alpha, side):
+        n = 200
+        logn = math.log(n)
+        g = sample_sbm(n, alpha * logn / n, logn / n, derive_stream(75, 0))
+        b = signed_adjacency(g)
+        assert certify_rank_one(b, g.labels).side == side
+        sizes = self.spy_eigvalsh(monkeypatch, limit=n)
+        assert certificates.rank_one_side(b, g.labels) == side
+        assert (sizes == []) == (side == "above")
+
+
 class TestCertifySbm:
     def test_two_cliques_tight(self):
         g = sample_sbm(4, 1.0, 0.0, derive_stream(0, 0))
@@ -243,6 +349,8 @@ class TestSufficientCondition:
                                       derive_stream(62, i)))
         verdicts = [sbm_sufficient_condition(g).holds for g in samples]
         assert verdicts == [self.eigenvalue_rule(g) for g in samples]
+        assert verdicts == [sbm_sufficient_condition(g, partition_gap(g)).holds
+                            for g in samples]
         assert len(set(verdicts[:300])) == len(set(verdicts[300:])) == 2
 
     def test_lhs_computed_only_when_read(self, monkeypatch):

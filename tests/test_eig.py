@@ -215,6 +215,16 @@ class TestIsPositiveDefinite:
     def test_zero_is_not(self):
         assert not is_positive_definite(sym([[0.0]]))
 
+    @pytest.mark.parametrize("a", [
+        [[0.0]], [[-1.0, 0.0], [0.0, 5.0]], [[4.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 4.0]],
+    ])
+    def test_non_positive_diagonal_is_not_without_factorizing(self, monkeypatch, a):
+        def no_cholesky(*args):
+            raise AssertionError("factorized")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        assert not is_positive_definite(sym(a))
+
     def test_agrees_with_smallest_eigenvalue_sign(self):
         rng = np.random.default_rng(23)
         seen = set()

@@ -508,7 +508,8 @@ class TestCli:
     @pytest.mark.parametrize("key, value", [
         ("trials", "abc"), ("trials", 2.5), ("trials", True), ("workers", "x"),
         ("seed", "abc"), ("seed", [1]), ("n", "abc"), ("n", 20.5), ("p", "abc"),
-        ("rank-k", "two"), ("tau", "small"),
+        ("rank-k", "two"), ("tau", "small"), ("tau", float("nan")),
+        ("tau", float("inf")), ("tau", -1), ("rank-k", 0), ("rank-k", -3),
     ])
     def test_bad_config_value_exits_one(self, tmp_path, capsys, key, value):
         opts = {"experiment": "er", "n": 4, "p": 1, "trials": 1}
@@ -563,6 +564,30 @@ class TestCli:
         assert cli_main([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "needs n >= 2" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--experiment", "sbm", "--n", "40", "--alpha", "10", "--beta", "1",
+          "--tau", "nan"], "tau must be"),
+        (["--experiment", "sbm", "--n", "40", "--alpha", "10", "--beta", "1",
+          "--tau", "inf"], "tau must be"),
+        (["--experiment", "sbm", "--n", "40", "--alpha", "10", "--beta", "1",
+          "--tau", "-1"], "tau must be"),
+        (["--experiment", "z2er", "--n", "30", "--p", "0.5", "--eps", "0.1",
+          "--cross-check", "--rank-k", "0"], "rank-k must be"),
+        (["--experiment", "z2er", "--n", "30", "--p", "0.5", "--eps", "0.1",
+          "--cross-check", "--rank-k", "-3"], "rank-k must be"),
+    ])
+    def test_bad_tau_or_rank_flag_exits_one(self, tmp_path, monkeypatch, capsys,
+                                            argv, message):
+        def no_trials(args):
+            raise AssertionError("a trial ran before the config was checked")
+
+        monkeypatch.setattr(sweeps, "_eval_trial", no_trials)
+        out = tmp_path / "out.csv"
+        assert cli_main(["sweep", *argv, "--trials", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, axis", [
