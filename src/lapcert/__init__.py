@@ -27,11 +27,9 @@ from .ensembles import (
 )
 from .laplacians import (
     centered_laplacian,
-    PartitionGap,
     centered_partition_gap,
     graph_laplacian,
     laplacian_of,
-    partition_gap,
     signed_adjacency,
 )
 from .certificates import (

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +39,11 @@ from .errors import (
     RequiresDiscreteInstance,
 )
 from .laplacians import (
-    PartitionGap,
+    _centered_gap,
+    _degree_gap,
     centered_partition_gap,
     graph_laplacian,
     laplacian_of,
-    partition_gap,
     signed_adjacency,
 )
 
@@ -57,6 +57,8 @@ SIDE_BELOW = "below"
 SIDE_BOUNDARY = "boundary"
 
 _EPS = float(np.finfo(np.float64).eps)
+#: Lanczos steps of the Ritz bound that rank_one_side reads before its accept.
+_RITZ_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -175,31 +177,65 @@ def rank_one_side(y: SymmetricMatrix, x, tau: float = TAU_POS) -> str:
     """``certify_rank_one(y, x, tau).side``, without a spectrum of C = D - Y
     where a factorization or a smaller spectrum settles it.
 
-    Where C x = 0 holds exactly in floating point, take
-    t = 2 (tau + n eps)(1 + ||C||_inf), at least twice the dead band plus
-    the rounding of eigvalsh and potrf. On the blocked nodes
+    Where tau is finite and >= 0 and C x = 0 holds exactly in floating
+    point, take t = 2 (tau + n eps)(1 + ||C||_inf), at least twice the
+    dead band plus the rounding of eigvalsh and potrf. On the blocked nodes
     K = {i : C_ii < 0}, Cauchy interlacing gives
     lambda_2(C) <= lambda_2(C[K, K]), so if that is below -t the side is
     "below". Without blocked nodes, C + ((t + 1)/n) x x^T - t I has the
     eigenvalue 1 on x and lambda - t on the rest of C's spectrum, so if it
     is positive definite, lambda_2(C) > t and the side is "above". (A
     blocked node makes C indefinite, and its negative eigenvalue lies off
-    x, so that matrix cannot be positive definite.) Every other case is
-    decided by ``certify_rank_one``'s spectrum, so the side never differs
-    from it.
+    x, so that matrix cannot be positive definite.) The factorization is
+    skipped where a Ritz value of C off x is already <= t, which shows
+    lambda_2(C) <= t: it would fail, as it does on most trials near the
+    threshold. Every other case is decided by ``certify_rank_one``'s
+    spectrum, so the side never differs from it.
     """
     x, d, cert = _certificate(y, x)
     n = y.n
-    if n >= 2 and not np.any(cert @ x):
+    if n >= 2 and math.isfinite(tau) and tau >= 0.0 and not np.any(cert @ x):
         t = 2.0 * (tau + n * _EPS) * (1.0 + float(np.linalg.norm(cert, np.inf)))
         blocked = np.flatnonzero(np.diagonal(cert) < 0.0)
         if len(blocked) >= 2:
             sub = SymmetricMatrix(cert[np.ix_(blocked, blocked)])
             if eigenvalue_k(sub, 2) < -t:
                 return SIDE_BELOW
-        elif not len(blocked) and _positive_definite_shift(cert, x, t):
+        elif (not len(blocked) and _weak_node_ritz(cert, x) > t
+              and _positive_definite_shift(cert, x, t)):
             return SIDE_ABOVE
     return _report(x, d, cert, tau).side
+
+
+def _weak_node_ritz(cert: np.ndarray, x: np.ndarray) -> float:
+    """Smallest Ritz value of C on the complement of x, from _RITZ_STEPS
+    Lanczos steps started at the node with the smallest C_ii.
+
+    It is the Rayleigh quotient of some w orthogonal to x, and with C x = 0
+    every v = a x + b w has v^T C v = b^2 w^T C w, so Courant-Fischer on
+    span(x, w) gives lambda_2(C) <= max(0, that value). Rounding here can
+    only cost a skipped or a failed factorization, never change a side.
+    """
+    n = len(x)
+    i = int(np.argmin(np.diagonal(cert)))
+    q = x * (-x[i] / n)
+    q[i] += 1.0  # e_i less its component along x
+    q /= np.linalg.norm(q)
+    q_prev = np.zeros(n)
+    alpha, beta = [], [0.0]
+    for _ in range(_RITZ_STEPS):
+        w = cert @ q
+        w -= beta[-1] * q_prev
+        alpha.append(float(q @ w))
+        w -= alpha[-1] * q
+        b = float(np.linalg.norm(w))
+        if not b > 0.0:  # the Krylov space is invariant: its Ritz values are exact
+            break
+        beta.append(b)
+        q_prev, q = q, w / b
+    k = len(alpha)
+    off = np.diag(beta[1:k], 1)
+    return eigenvalue_k(SymmetricMatrix(np.diag(alpha) + off + off.T), 1)
 
 
 def _positive_definite_shift(cert: np.ndarray, x: np.ndarray, t: float) -> bool:
@@ -262,15 +298,13 @@ def certify_sbm(g: GraphSample, tau: float = TAU_POS) -> CertificateReport:
     return certify_rank_one(signed_adjacency(g), g.labels, tau)
 
 
-def sbm_sufficient_condition(g: GraphSample,
-                             gap: Optional[PartitionGap] = None) -> SufficiencyReport:
+def sbm_sufficient_condition(g: GraphSample) -> SufficiencyReport:
     """Mean-deviation sufficient condition for SBM tightness.
 
     With lhs = lambda_max(E[Gamma] - Gamma), where Gamma = D_+ - D_- - A,
     and rhs = (n/2)(p - q), lhs < rhs implies the certificate holds. The
     verdict takes at most one Cholesky factorization; lhs is computed only
-    when the report's ``lhs`` is read. ``gap`` is ``partition_gap(g)``,
-    when the caller has built it already.
+    when the report's ``lhs`` is read.
     """
     if g.labels is None:
         raise MissingLabels("sample has no planted labels")
@@ -286,7 +320,13 @@ def sbm_sufficient_condition(g: GraphSample,
     # that is when s I - (E[Gamma] - Gamma) is positive definite.
     t = rhs - TAU_POS * (1.0 + abs(rhs))
     s = t / (1.0 + TAU_POS) if t >= 0.0 else t / (1.0 - TAU_POS)
-    shifted = (partition_gap(g) if gap is None else gap).centered(p, q)
+    # Its diagonal, in the bits of the matrix below, is known from
+    # deg_in - deg_out alone: an entry <= 0 answers "no" before the n x n
+    # build, as is_positive_definite would after it.
+    e_diag = (n / 2 - 1) * p - (n / 2) * q
+    if not (s - (e_diag - _degree_gap(g))).min() > 0.0:
+        return SufficiencyReport(rhs=rhs, holds=False, sample=g)
+    shifted = _centered_gap(g, p, q)
     np.negative(shifted, out=shifted)
     shifted.flat[:: n + 1] += s
     m = SymmetricMatrix(shifted)
@@ -355,16 +395,13 @@ def flip_oracle_z2(inst: SyncInstance) -> RecoveryVerdict:
     return _oracle_verdict(int(stat.min()))
 
 
-def flip_oracle_sbm(g: GraphSample,
-                    gap: Optional[PartitionGap] = None) -> RecoveryVerdict:
+def flip_oracle_sbm(g: GraphSample) -> RecoveryVerdict:
     """Single-node degree statistic min_i(deg_in(i) - deg_out(i)).
 
     Reported as-is: a negative minimum is the standard impossibility
-    statistic for balanced two-community recovery. ``gap`` is
-    ``partition_gap(g)``, when the caller has built it already.
+    statistic for balanced two-community recovery.
     """
-    stat = (partition_gap(g) if gap is None else gap).stat
-    return _oracle_verdict(int(stat.min()))
+    return _oracle_verdict(int(_degree_gap(g).min()))
 
 
 def spectral_diag_ratio(l: SymmetricMatrix) -> RatioReport:

@@ -12,8 +12,6 @@ for synchronization) and planted signs x.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .eig import SymmetricMatrix
@@ -55,43 +53,32 @@ def centered_laplacian(g: GraphSample, p: float) -> SymmetricMatrix:
     return laplacian_of(SymmetricMatrix(x))
 
 
-class PartitionGap(NamedTuple):
-    """Partition gap Gamma = diag(stat) - A of a labeled sample, built once.
-
-    ``stat`` = deg_in - deg_out = labels * (A labels) (int64) is the dual
-    diagonal of (A, labels), the statistic the SBM flip oracle reads.
-    """
-
-    gamma: np.ndarray
-    stat: np.ndarray
-    labels: np.ndarray
-
-    def centered(self, p: float, q: float) -> np.ndarray:
-        """A fresh array E[Gamma] - Gamma under SBM(n, p, q)."""
-        n = len(self.stat)
-        dev = np.where(np.equal.outer(self.labels, self.labels), p, q)
-        np.negative(dev, out=dev)
-        np.fill_diagonal(dev, (n / 2 - 1) * p - (n / 2) * q)
-        dev -= self.gamma
-        return dev
-
-
-def partition_gap(g: GraphSample) -> PartitionGap:
-    """Gamma and deg_in - deg_out of a labeled sample, from one product A labels."""
+def _degree_gap(g: GraphSample) -> np.ndarray:
+    """deg_in - deg_out = labels * (A labels) (int64) of a labeled sample:
+    the dual diagonal of (A, labels), the diagonal of Gamma and the
+    statistic the SBM flip oracle reads."""
     if g.labels is None:
         raise MissingLabels("sample has no planted labels")
     labels = g.labels.astype(np.int64)
-    stat = labels * (g.adjacency @ labels)
-    gamma = g.adjacency.astype(np.float64)
-    np.negative(gamma, out=gamma)
-    np.fill_diagonal(gamma, stat)
-    return PartitionGap(gamma, stat, g.labels)
+    return labels * (g.adjacency @ labels)
+
+
+def _centered_gap(g: GraphSample, p: float, q: float) -> np.ndarray:
+    """A fresh array E[Gamma] - Gamma under SBM(n, p, q), where
+    Gamma = diag(deg_in - deg_out) - A."""
+    stat = _degree_gap(g)
+    n = g.n
+    dev = np.where(np.equal.outer(g.labels, g.labels), p, q)
+    np.negative(dev, out=dev)
+    dev += g.adjacency  # -E[Gamma] - (-A) off the diagonal, in those bits
+    np.fill_diagonal(dev, ((n / 2 - 1) * p - (n / 2) * q) - stat)
+    return dev
 
 
 def centered_partition_gap(g: GraphSample, p: float, q: float) -> SymmetricMatrix:
-    """Deviation E[Gamma] - Gamma of the partition gap matrix of an
-    SBM(n, p, q) sample (see ``partition_gap``)."""
-    return SymmetricMatrix(partition_gap(g).centered(p, q))
+    """Deviation E[Gamma] - Gamma of the partition gap matrix
+    Gamma = diag(deg_in - deg_out) - A of an SBM(n, p, q) sample."""
+    return SymmetricMatrix(_centered_gap(g, p, q))
 
 
 def signed_adjacency(g: GraphSample) -> SymmetricMatrix:

@@ -48,13 +48,7 @@ from .ensembles import (
     sample_z2sync_gaussian,
 )
 from .errors import ConfigError, IoError, NonPositiveDiagonalMax
-from .laplacians import (
-    centered_laplacian,
-    centered_partition_gap,
-    laplacian_of,
-    partition_gap,
-    signed_adjacency,
-)
+from .laplacians import centered_laplacian, centered_partition_gap, laplacian_of, signed_adjacency
 from .sdp import bm_solve, default_rank
 from .tails import ThresholdQuery, threshold_margin
 
@@ -318,9 +312,8 @@ def _eval_sbm(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
     g = sample_sbm(cell["n"], cell["p"], cell["q"], rng)
     b, truth = signed_adjacency(g), g.labels.astype(np.float64)
     rec = _certified(cfg, sid, rank_one_side(b, truth, _tau(cfg)), b, truth)
-    gap = partition_gap(g)
-    suff = sbm_sufficient_condition(g, gap).holds
-    return {**rec, "block": flip_oracle_sbm(g, gap).oracle_block, "suff": suff,
+    suff = sbm_sufficient_condition(g).holds
+    return {**rec, "block": flip_oracle_sbm(g).oracle_block, "suff": suff,
             "viol": suff and not rec["tight"]}
 
 

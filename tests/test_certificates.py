@@ -20,7 +20,6 @@ from lapcert import (
     flip_oracle_z2,
     laplacian_of,
     norm_bound_check,
-    partition_gap,
     sample_er,
     sample_sbm,
     sample_z2sync_er,
@@ -215,11 +214,33 @@ class TestRankOneSide:
                 assert (certificates.rank_one_side(y, x, 0.0)
                         == certify_rank_one(y, x, 0.0).side)
 
+    @staticmethod
+    def no_cholesky(monkeypatch):
+        def cholesky(a):
+            raise AssertionError("factorized")
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+
     def test_empty_graph_boundary(self, monkeypatch):
+        # C = 11^T: its Ritz value 0 skips the accept
         g = sample_sbm(20, 0.0, 0.0, derive_stream(0, 0))
         sizes = self.spy_eigvalsh(monkeypatch)
+        self.no_cholesky(monkeypatch)
         assert certificates.rank_one_side(signed_adjacency(g), g.labels) == "boundary"
-        assert sizes == [20]  # decided by the full spectrum
+        assert sizes[-1] == 20  # decided by the full spectrum
+
+    @pytest.mark.parametrize("seed, side", [(3, "boundary"), (4, "below")])
+    def test_near_threshold_skips_failing_accept(self, monkeypatch, seed, side):
+        # alpha = 5 at n = 300, no blocked node and lambda_2 <= t: the Ritz
+        # bound shows the factorization would fail
+        n = 300
+        logn = math.log(n)
+        g = sample_sbm(n, 5.0 * logn / n, logn / n, derive_stream(9090, seed))
+        b = signed_adjacency(g)
+        rep = certify_rank_one(b, g.labels)
+        assert rep.side == side and np.all(rep.d_diag > 0.0)
+        self.no_cholesky(monkeypatch)
+        assert certificates.rank_one_side(b, g.labels) == side
 
     def test_single_bad_node_falls_back(self, monkeypatch):
         # two 6-cliques, and node 0 wired to the other community instead of its own
@@ -263,7 +284,19 @@ class TestRankOneSide:
         assert certify_rank_one(b, g.labels).side == side
         sizes = self.spy_eigvalsh(monkeypatch, limit=n)
         assert certificates.rank_one_side(b, g.labels) == side
-        assert (sizes == []) == (side == "above")
+
+
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("alpha", [1.5, 12.0])
+    def test_out_of_range_tau_matches_spectrum_side(self, alpha, tau):
+        # the proofs assume t >= 2 band, which a negative or non-finite tau
+        # breaks: such a tau is left to the spectrum
+        n = 60
+        logn = math.log(n)
+        g = sample_sbm(n, alpha * logn / n, logn / n, derive_stream(76, 0))
+        b = signed_adjacency(g)
+        assert (certificates.rank_one_side(b, g.labels, tau)
+                == certify_rank_one(b, g.labels, tau).side)
 
 
 class TestCertifySbm:
@@ -349,9 +382,20 @@ class TestSufficientCondition:
                                       derive_stream(62, i)))
         verdicts = [sbm_sufficient_condition(g).holds for g in samples]
         assert verdicts == [self.eigenvalue_rule(g) for g in samples]
-        assert verdicts == [sbm_sufficient_condition(g, partition_gap(g)).holds
-                            for g in samples]
         assert len(set(verdicts[:300])) == len(set(verdicts[300:])) == 2
+
+    def test_non_positive_diagonal_builds_no_matrix(self, monkeypatch):
+        # below threshold some deg_in - deg_out is low enough that
+        # s I - (E[Gamma] - Gamma) has a diagonal entry <= 0
+        def no_build(*args):
+            raise AssertionError("E[Gamma] - Gamma built")
+
+        n = 200
+        logn = math.log(n)
+        g = sample_sbm(n, 2.0 * logn / n, logn / n, derive_stream(64, 0))
+        assert not self.eigenvalue_rule(g)
+        monkeypatch.setattr(certificates, "_centered_gap", no_build)
+        assert not sbm_sufficient_condition(g).holds
 
     def test_lhs_computed_only_when_read(self, monkeypatch):
         def no_spectrum(*args):
