@@ -28,6 +28,7 @@ from .ensembles import (
 from .laplacians import (
     centered_laplacian,
     centered_partition_gap,
+    degree_gap,
     graph_laplacian,
     laplacian_of,
     signed_adjacency,
@@ -51,14 +52,12 @@ from .certificates import (
 )
 from .sdp import (
     DualCheck,
-    FactorPoint,
     SolveReport,
     bm_solve,
     round_rank_one,
     verify_optimal,
 )
 from .tails import (
-    ThresholdQuery,
     bernoulli_diff_tail,
     bernoulli_diff_tail_mc,
     bernstein_bound,

@@ -16,8 +16,7 @@ the condition is positivity of its second-smallest eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,9 +38,8 @@ from .errors import (
     RequiresDiscreteInstance,
 )
 from .laplacians import (
-    _centered_gap,
-    _degree_gap,
     centered_partition_gap,
+    degree_gap,
     graph_laplacian,
     laplacian_of,
     signed_adjacency,
@@ -65,18 +63,20 @@ _RITZ_STEPS = 6
 class CertificateReport:
     """Outcome of a rank-one dual-certificate evaluation.
 
-    ``margin`` equals ``lambda2``; ``band`` is the positivity dead band
-    tau * (1 + ||D - Y||) against which it was compared, and ``tight`` is
-    true exactly when lambda2 > band.
+    ``band`` is the positivity dead band tau * (1 + ||D - Y||) against
+    which ``lambda2`` is compared, and ``tight`` is true exactly when
+    lambda2 > band.
     """
 
     d_diag: np.ndarray
     lambda1: float
     lambda2: float
     residual_null: float
-    tight: bool
-    margin: float
     band: float
+
+    @property
+    def tight(self) -> bool:
+        return self.side == SIDE_ABOVE
 
     @property
     def side(self) -> str:
@@ -104,21 +104,12 @@ class RatioReport(NamedTuple):
 
 @dataclass(frozen=True)
 class SufficiencyReport:
-    """Mean-deviation sufficient condition for one labeled SBM sample.
-
-    ``holds`` is decided without a spectrum; ``lhs`` = lambda_max(E[Gamma] -
-    Gamma) is computed from ``sample`` on first read, and only then.
-    """
+    """Mean-deviation sufficient condition for one labeled SBM sample:
+    ``holds`` is lambda_max(E[Gamma] - Gamma) < ``rhs``, decided without a
+    spectrum."""
 
     rhs: float
     holds: bool
-    sample: GraphSample = field(repr=False, compare=False)
-
-    @cached_property
-    def lhs(self) -> float:
-        params = self.sample.params
-        dev = centered_partition_gap(self.sample, params.p, params.q)
-        return float(eigenvalues_selected(dev, (dev.n,))[0])
 
 
 def _as_sign_vector(x, n: int) -> np.ndarray:
@@ -156,8 +147,6 @@ def _report(x: np.ndarray, d: np.ndarray, cert: np.ndarray,
         lambda1=lam1,
         lambda2=lam2,
         residual_null=float(np.linalg.norm(cert @ x)),
-        tight=lam2 > band,
-        margin=lam2,
         band=band,
     )
 
@@ -255,10 +244,10 @@ def certify_z2sync(inst: SyncInstance, tau: float = TAU_POS) -> CertificateRepor
     Discrete instances (and sigma = 0): ``certify_rank_one(y, z)``, whose
     matrix D - Y conjugated by diag(z) is L_G - 2 L_H. Gaussian instances:
     tightness is equivalent to lambda_max of the Laplacian of -W staying
-    below n / sigma; the report is stated on the D - Y scale (margin still
-    equals lambda2), where the reported lambda2 = n - sigma * lambda_max is
-    exact in the feasible regime and a lower bound once the certificate has
-    failed. Its verdicts agree with certify_rank_one.
+    below n / sigma; the report is stated on the D - Y scale, where the
+    reported lambda2 = n - sigma * lambda_max is exact in the feasible
+    regime and a lower bound once the certificate has failed. Its verdicts
+    agree with certify_rank_one.
     """
     if inst.is_discrete or inst.params.sigma == 0.0:
         return certify_rank_one(inst.y, inst.z, tau)
@@ -280,8 +269,6 @@ def certify_z2sync(inst: SyncInstance, tau: float = TAU_POS) -> CertificateRepor
         lambda1=lam1,
         lambda2=lam2,
         residual_null=float(np.linalg.norm(cert_apply)),
-        tight=lam2 > band,
-        margin=lam2,
         band=band,
     )
 
@@ -303,8 +290,7 @@ def sbm_sufficient_condition(g: GraphSample) -> SufficiencyReport:
 
     With lhs = lambda_max(E[Gamma] - Gamma), where Gamma = D_+ - D_- - A,
     and rhs = (n/2)(p - q), lhs < rhs implies the certificate holds. The
-    verdict takes at most one Cholesky factorization; lhs is computed only
-    when the report's ``lhs`` is read.
+    verdict takes at most one Cholesky factorization and no spectrum.
     """
     if g.labels is None:
         raise MissingLabels("sample has no planted labels")
@@ -324,22 +310,22 @@ def sbm_sufficient_condition(g: GraphSample) -> SufficiencyReport:
     # deg_in - deg_out alone: an entry <= 0 answers "no" before the n x n
     # build, as is_positive_definite would after it.
     e_diag = (n / 2 - 1) * p - (n / 2) * q
-    if not (s - (e_diag - _degree_gap(g))).min() > 0.0:
-        return SufficiencyReport(rhs=rhs, holds=False, sample=g)
-    shifted = _centered_gap(g, p, q)
+    if not (s - (e_diag - degree_gap(g))).min() > 0.0:
+        return SufficiencyReport(rhs=rhs, holds=False)
+    shifted = centered_partition_gap(g, p, q)
     np.negative(shifted, out=shifted)
     shifted.flat[:: n + 1] += s
     m = SymmetricMatrix(shifted)
     del shifted  # released before potrf allocates its factor: peak memory
     holds = is_positive_definite(m)
-    return SufficiencyReport(rhs=rhs, holds=holds, sample=g)
+    return SufficiencyReport(rhs=rhs, holds=holds)
 
 
-def connectivity_spectral(g: GraphSample, tau: float = TAU_POS) -> bool:
+def connectivity_spectral(g: GraphSample) -> bool:
     """Graph connectivity via lambda_2 of the graph Laplacian."""
     if g.n == 1:
         return True
-    return eigenvalue_k(graph_laplacian(g), 2) > tau * g.n
+    return eigenvalue_k(graph_laplacian(g), 2) > TAU_POS * g.n
 
 
 def connectivity_unionfind(g: GraphSample) -> bool:
@@ -383,16 +369,15 @@ def _oracle_verdict(min_stat: int) -> RecoveryVerdict:
 def flip_oracle_z2(inst: SyncInstance) -> RecoveryVerdict:
     """Single-node flip statistic min_i(deg_+(i) - deg_-(i)).
 
-    A negative minimum means flipping that node strictly improves the
-    likelihood, so the maximum-likelihood estimate cannot equal the ground
-    truth and exact recovery is blocked.
+    The statistic deg_G(i) - 2 deg_H(i) is the certificate's own dual
+    diagonal D_ii = sum_j y_ij z_i z_j, exact in floating point for +-1
+    entries. A negative minimum means flipping that node strictly improves
+    the likelihood, so the maximum-likelihood estimate cannot equal the
+    ground truth and exact recovery is blocked.
     """
     if not inst.is_discrete:
         raise RequiresDiscreteInstance("flip oracle needs a sign-flip instance")
-    deg_g = inst.g_edges.sum(axis=1, dtype=np.int64)
-    deg_h = inst.h_edges.sum(axis=1, dtype=np.int64)
-    stat = deg_g - 2 * deg_h
-    return _oracle_verdict(int(stat.min()))
+    return _oracle_verdict(int(dual_diagonal(inst.y, inst.z).min()))
 
 
 def flip_oracle_sbm(g: GraphSample) -> RecoveryVerdict:
@@ -401,7 +386,7 @@ def flip_oracle_sbm(g: GraphSample) -> RecoveryVerdict:
     Reported as-is: a negative minimum is the standard impossibility
     statistic for balanced two-community recovery.
     """
-    return _oracle_verdict(int(_degree_gap(g).min()))
+    return _oracle_verdict(int(degree_gap(g).min()))
 
 
 def spectral_diag_ratio(l: SymmetricMatrix) -> RatioReport:

@@ -30,12 +30,7 @@ from .eig import SymmetricMatrix, eigendecompose
 from .ensembles import derive_stream, sample_er, sample_sbm, sample_z2sync_er, sample_z2sync_gaussian
 from .errors import ConfigError, IoError, LapcertError, NonConvergence
 from .sweeps import EXPERIMENTS, SweepConfig, experiment_axes, run_sweep
-from .tails import (
-    ThresholdQuery,
-    bernoulli_diff_tail,
-    bernoulli_diff_tail_mc,
-    threshold_margin,
-)
+from .tails import bernoulli_diff_tail, bernoulli_diff_tail_mc, threshold_margin
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -225,7 +220,7 @@ def _print_report(kind: str, report, extra: str = "") -> None:
     print(f"model {kind}")
     print(f"lambda1 {report.lambda1:.9g}")
     print(f"lambda2 {report.lambda2:.9g}")
-    print(f"margin {report.margin:.9g}")
+    print(f"margin {report.lambda2:.9g}")
     print(f"tight {int(report.tight)}")
     if extra:
         print(extra)
@@ -234,6 +229,8 @@ def _print_report(kind: str, report, extra: str = "") -> None:
 def _cmd_certify(args: argparse.Namespace) -> int:
     rng = derive_stream(args.seed, 0)
     n = args.n
+    if n < 1:
+        raise ConfigError(f"--n must be >= 1, got {n}")
     if args.model == "er":
         if args.p is None:
             raise ConfigError("--p is required for er")
@@ -304,42 +301,40 @@ def _cmd_eig(args: argparse.Namespace) -> int:
 
 
 def _cmd_tail(args: argparse.Namespace) -> int:
-    printed = False
+    lines = []  # printed only once every value is computed
     if args.m is not None:
         if args.p is None or args.q is None or args.delta is None:
             raise ConfigError("--m needs --p, --q, and --delta")
         exact = bernoulli_diff_tail(args.m, args.p, args.q, args.delta)
-        print(f"t_exact {exact:.12g}")
-        if args.mc_trials:
+        lines.append(f"t_exact {exact:.12g}")
+        if args.mc_trials is not None:
             est, se = bernoulli_diff_tail_mc(
                 args.m, args.p, args.q, args.delta, args.mc_trials,
                 derive_stream(args.seed, 0),
             )
-            print(f"t_mc {est:.9g}")
-            print(f"t_mc_se {se:.3g}")
-        printed = True
+            lines += [f"t_mc {est:.9g}", f"t_mc_se {se:.3g}"]
     if args.model is not None:
-        query = _tail_query(args)
-        print(f"margin {threshold_margin(query):.9g}")
-        printed = True
-    if not printed:
+        lines.append(f"margin {threshold_margin(*_tail_query(args)):.9g}")
+    if not lines:
         raise ConfigError("tail needs --model and/or --m")
+    print("\n".join(lines))
     return EXIT_OK
 
 
-def _tail_query(args: argparse.Namespace) -> ThresholdQuery:
+def _tail_query(args: argparse.Namespace) -> tuple:
+    """The (model, params) arguments of threshold_margin."""
     if args.model == "er":
         if args.rho is None:
             raise ConfigError("--rho is required for er")
-        return ThresholdQuery("er_connectivity", {"rho": args.rho})
+        return "er_connectivity", {"rho": args.rho}
     if args.model == "sbm":
         if args.alpha is None or args.beta is None:
             raise ConfigError("--alpha and --beta are required for sbm")
-        return ThresholdQuery("sbm", {"alpha": args.alpha, "beta": args.beta})
+        return "sbm", {"alpha": args.alpha, "beta": args.beta}
     if args.model == "z2gauss":
         if args.n is None or args.sigma is None:
             raise ConfigError("--n and --sigma are required for z2gauss")
-        return ThresholdQuery("z2_gaussian", {"n": args.n, "sigma": args.sigma})
+        return "z2_gaussian", {"n": args.n, "sigma": args.sigma}
     if args.n is None or args.p is None or args.eps is None:
         raise ConfigError("--n, --p, and --eps are required for z2er")
     params = {"n": args.n, "p": args.p, "eps": args.eps}
@@ -347,7 +342,7 @@ def _tail_query(args: argparse.Namespace) -> ThresholdQuery:
         params["K"] = args.cap_k
     if args.delta is not None:
         params["delta"] = args.delta
-    return ThresholdQuery("z2_er", params)
+    return "z2_er", params
 
 
 def cli_main(argv) -> int:

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .eig import SymmetricMatrix
-from .errors import InvalidProbability, OddDimension, UnknownEnsemble
+from .errors import DomainError, InvalidProbability, OddDimension, UnknownEnsemble
 
 _MASK64 = (1 << 64) - 1
 _STREAM_TWEAK = 0xD2B74407B1CE6E93
@@ -133,16 +133,15 @@ class GraphSample:
 class SyncInstance:
     """Pairwise sign measurements with ground truth.
 
-    Discrete variant: y_ij = z_i z_j on clean edges of G, -z_i z_j on the
-    corrupted subgraph H, zero off G and on the diagonal. Gaussian variant:
-    y = z z^T + sigma * W with H empty and G complete.
+    Discrete variant: y_ij = z_i z_j on clean edges of the measurement
+    graph G, -z_i z_j on the corrupted subgraph H, zero off G and on the
+    diagonal; G and H are read off y and z. Gaussian variant:
+    y = z z^T + sigma * W.
     """
 
     n: int
     y: SymmetricMatrix
     z: np.ndarray
-    g_edges: np.ndarray
-    h_edges: np.ndarray
     params: EnsembleParams
 
     @property
@@ -161,6 +160,11 @@ class EnsembleProfile:
     sigma: float
     sigma_inf: float
     n: int
+
+
+def _check_count(n: int) -> None:
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
 
 
 def _check_prob(value: float, name: str) -> float:
@@ -203,8 +207,7 @@ def _adjacency_from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def sample_wigner(n: int, rng: RngStream) -> SymmetricMatrix:
     """Symmetric matrix with iid N(0,1) entries on and above the diagonal."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count(n)
     vals = rng.normal(n * (n + 1) // 2)
     if n == 1:
         vals = np.atleast_1d(vals)
@@ -213,6 +216,7 @@ def sample_wigner(n: int, rng: RngStream) -> SymmetricMatrix:
 
 def sample_er(n: int, p: float, rng: RngStream) -> GraphSample:
     """Erdos-Renyi graph: each of the (n choose 2) edges present w.p. p."""
+    _check_count(n)
     p = _check_prob(p, "p")
     mask = rng.bernoulli(p, n * (n - 1) // 2)
     adj = _adjacency_from_pairs(n, *_edge_pairs(n, mask))
@@ -252,6 +256,7 @@ def sample_z2sync_er(
     Each pair enters G independently w.p. p; each G-edge is corrupted
     (flipped into H) independently w.p. eps < 1/2.
     """
+    _check_count(n)
     p = _check_prob(p, "p")
     eps = float(eps)
     if not 0.0 <= eps < 0.5:
@@ -261,8 +266,6 @@ def sample_z2sync_er(
     g_mask = rng.bernoulli(p, npairs)
     flipped = rng.bernoulli(eps, npairs)[g_mask]
     i, j = _edge_pairs(n, g_mask)
-    g_adj = _adjacency_from_pairs(n, i, j)
-    h_adj = _adjacency_from_pairs(n, i[flipped], j[flipped])
     signs = z[i] * z[j] * (1.0 - 2.0 * flipped)
     y = np.zeros((n, n))
     y[i, j] = signs
@@ -271,8 +274,6 @@ def sample_z2sync_er(
         n=n,
         y=SymmetricMatrix(y),
         z=z,
-        g_edges=g_adj,
-        h_edges=h_adj,
         params=EnsembleParams("z2-er", p=p, eps=eps),
     )
 
@@ -281,23 +282,17 @@ def sample_z2sync_gaussian(
     n: int, sigma: float, z, rng: RngStream
 ) -> SyncInstance:
     """Gaussian-noise synchronization: y = z z^T + sigma * W."""
+    _check_count(n)
     sigma = float(sigma)
-    if sigma < 0.0 or math.isnan(sigma):
-        raise ValueError("sigma must be >= 0")
+    if not 0.0 <= sigma < math.inf:
+        raise DomainError(f"sigma must be a finite number >= 0, got {sigma}")
     z = _check_sign_vector(z, n)
     w = sample_wigner(n, rng)
     y = np.outer(z, z) + sigma * w.array
-    complete = np.ones((n, n), dtype=np.uint8)
-    np.fill_diagonal(complete, 0)
-    complete.setflags(write=False)
-    empty = np.zeros((n, n), dtype=np.uint8)
-    empty.setflags(write=False)
     return SyncInstance(
         n=n,
         y=SymmetricMatrix(y),
         z=z,
-        g_edges=complete,
-        h_edges=empty,
         params=EnsembleParams("z2-gaussian", sigma=sigma),
     )
 
@@ -335,8 +330,7 @@ def ensemble_profile(
     ``centered-sbm`` and ``centered-z2er``. Degenerate parameters (a.s.
     constant entries) yield sigma_inf = 0 rather than the formal bound.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count(n)
     if name == "wigner":
         return EnsembleProfile(sigma=math.sqrt(max(n - 1, 0)), sigma_inf=math.inf, n=n)
     atom_sets = _centered_atoms(name, p=p, q=q, eps=eps)

@@ -53,7 +53,7 @@ def centered_laplacian(g: GraphSample, p: float) -> SymmetricMatrix:
     return laplacian_of(SymmetricMatrix(x))
 
 
-def _degree_gap(g: GraphSample) -> np.ndarray:
+def degree_gap(g: GraphSample) -> np.ndarray:
     """deg_in - deg_out = labels * (A labels) (int64) of a labeled sample:
     the dual diagonal of (A, labels), the diagonal of Gamma and the
     statistic the SBM flip oracle reads."""
@@ -63,22 +63,17 @@ def _degree_gap(g: GraphSample) -> np.ndarray:
     return labels * (g.adjacency @ labels)
 
 
-def _centered_gap(g: GraphSample, p: float, q: float) -> np.ndarray:
-    """A fresh array E[Gamma] - Gamma under SBM(n, p, q), where
-    Gamma = diag(deg_in - deg_out) - A."""
-    stat = _degree_gap(g)
+def centered_partition_gap(g: GraphSample, p: float, q: float) -> np.ndarray:
+    """A fresh array E[Gamma] - Gamma: the deviation of the partition gap
+    matrix Gamma = diag(deg_in - deg_out) - A of an SBM(n, p, q) sample
+    from its mean."""
+    stat = degree_gap(g)
     n = g.n
     dev = np.where(np.equal.outer(g.labels, g.labels), p, q)
     np.negative(dev, out=dev)
     dev += g.adjacency  # -E[Gamma] - (-A) off the diagonal, in those bits
     np.fill_diagonal(dev, ((n / 2 - 1) * p - (n / 2) * q) - stat)
     return dev
-
-
-def centered_partition_gap(g: GraphSample, p: float, q: float) -> SymmetricMatrix:
-    """Deviation E[Gamma] - Gamma of the partition gap matrix
-    Gamma = diag(deg_in - deg_out) - A of an SBM(n, p, q) sample."""
-    return SymmetricMatrix(_centered_gap(g, p, q))
 
 
 def signed_adjacency(g: GraphSample) -> SymmetricMatrix:

@@ -20,21 +20,10 @@ from .eig import SymmetricMatrix, eigendecompose, spectral_norm
 from .ensembles import RngStream
 
 ARMIJO_C = 1e-4
-
-
-@dataclass(frozen=True)
-class FactorPoint:
-    """Feasible factor R with unit-norm rows (X = R R^T has unit diagonal)."""
-
-    r: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.r.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.r.shape[1]
+#: Iteration cap of bm_solve's ascent.
+MAX_ITERS = 1000
+#: Stop once the Riemannian gradient norm is <= GRAD_TOL * (1 + ||y||).
+GRAD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -78,16 +67,14 @@ def bm_solve(
     y: SymmetricMatrix,
     rng: RngStream,
     k: Optional[int] = None,
-    max_iters: int = 1000,
-    grad_tol: float = 1e-6,
-    tau: float = TAU_POS,
-) -> tuple[FactorPoint, SolveReport]:
-    """Solve the factorized relaxation and round; returns point and report.
+) -> tuple[np.ndarray, SolveReport]:
+    """Solve the factorized relaxation and round; returns the factor R,
+    with unit-norm rows so that X = R R^T has unit diagonal, and a report.
 
     Rows are initialized iid uniform on the unit sphere from ``rng``. The
     accepted-step objective sequence is nondecreasing; termination when the
-    Riemannian gradient norm drops below grad_tol * (1 + ||y||) or the
-    iteration cap is hit (the report is still returned, flagged
+    Riemannian gradient norm drops below GRAD_TOL * (1 + ||y||) or after
+    MAX_ITERS iterations (the report is still returned, flagged
     converged=False).
     """
     n = y.n
@@ -95,11 +82,9 @@ def bm_solve(
         k = default_rank(n)
     if k < 2:
         raise ValueError("rank k must be >= 2")
-    if grad_tol <= 0.0:
-        raise ValueError("grad_tol must be positive")
     a = y.array
     ynorm = spectral_norm(y)
-    scale = grad_tol * (1.0 + ynorm)
+    scale = GRAD_TOL * (1.0 + ynorm)
     # Half the inverse norm: the worst-case local curvature of the row-sphere
     # objective is 2||y||, and starting exactly at the 1/||y|| stability edge
     # makes near-rank-one instances ping-pong instead of contract.
@@ -111,7 +96,7 @@ def bm_solve(
     grad_norm = math.inf
     iters = 0
     converged = False
-    while iters < max_iters:
+    while iters < MAX_ITERS:
         # Riemannian gradient: project 2YR onto the row-sphere tangents.
         radial = np.sum(yr * r, axis=1, keepdims=True)
         grad = 2.0 * (yr - radial * r)
@@ -136,11 +121,10 @@ def bm_solve(
             # Step underflow: no ascent direction at float resolution.
             converged = grad_norm <= scale
             break
-    point = FactorPoint(r=r)
-    x = round_rank_one(point, y)
+    x = round_rank_one(r)
     rounded_obj = float(x @ (a @ x))
-    dual = verify_optimal(y, x, tau=tau)
-    return point, SolveReport(
+    dual = verify_optimal(y, x)
+    return r, SolveReport(
         objective=f,
         rounded_x=x,
         rounded_objective=rounded_obj,
@@ -152,14 +136,13 @@ def bm_solve(
     )
 
 
-def round_rank_one(pt: FactorPoint, y: SymmetricMatrix = None) -> np.ndarray:
+def round_rank_one(r: np.ndarray) -> np.ndarray:
     """Signs of the top eigenvector of R R^T; exact zeros round to +1.
 
     The top eigenvector is recovered from the k x k Gram matrix R^T R, so
     the cost is independent of n beyond one matrix-vector product. Ties in
     the small eigenproblem resolve by stable deflation order.
     """
-    r = pt.r
     gram = SymmetricMatrix(r.T @ r, symmetrize=True)
     spec = eigendecompose(gram, want_vectors=True)
     top = spec.eigenvectors[:, -1]

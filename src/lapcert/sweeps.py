@@ -50,7 +50,7 @@ from .ensembles import (
 from .errors import ConfigError, IoError, NonPositiveDiagonalMax
 from .laplacians import centered_laplacian, centered_partition_gap, laplacian_of, signed_adjacency
 from .sdp import bm_solve, default_rank
-from .tails import ThresholdQuery, threshold_margin
+from .tails import threshold_margin
 
 #: Grid axes each ratio ensemble reads.
 _RATIO_AXES = {
@@ -230,17 +230,13 @@ def _aggregate_certified(cfg: SweepConfig, cell: dict, records: list) -> dict:
     return out
 
 
-def _margin(model: str, **params) -> float:
-    return threshold_margin(ThresholdQuery(model, params))
-
-
 def _resolve_er(cfg: SweepConfig, cell: dict, logn: float) -> None:
     if cell["n"] < 2:
         raise ConfigError("er experiment needs n >= 2: rho = p n / log n divides by log n")
     _resolve_p(cell, logn, "er experiment")
     if "rho" not in cell:
         cell["rho"] = cell["p"] * cell["n"] / logn
-    cell["margin"] = _margin("er_connectivity", rho=cell["rho"])
+    cell["margin"] = threshold_margin("er_connectivity", {"rho": cell["rho"]})
 
 
 def _eval_er(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
@@ -268,7 +264,7 @@ def _resolve_z2gauss(cfg: SweepConfig, cell: dict, logn: float) -> None:
     else:
         raise ConfigError("z2gauss experiment needs a sigma or sigma_factor grid")
     cell["sigma_star"] = star
-    cell["margin"] = _margin("z2_gaussian", n=n, sigma=cell["sigma"])
+    cell["margin"] = threshold_margin("z2_gaussian", {"n": n, "sigma": cell["sigma"]})
 
 
 def _eval_z2gauss(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
@@ -283,7 +279,8 @@ def _resolve_z2er(cfg: SweepConfig, cell: dict, logn: float) -> None:
         raise ConfigError("z2er experiment needs an eps grid")
     if not 0.0 <= cell["eps"] < 0.5:
         raise ConfigError(f"eps={cell['eps']:.6g} outside [0, 1/2)")
-    cell["margin"] = _margin("z2_er", n=cell["n"], p=cell["p"], eps=cell["eps"])
+    cell["margin"] = threshold_margin(
+        "z2_er", {"n": cell["n"], "p": cell["p"], "eps": cell["eps"]})
 
 
 def _eval_z2er(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
@@ -305,16 +302,21 @@ def _resolve_sbm(cfg: SweepConfig, cell: dict, logn: float) -> None:
     else:
         raise ConfigError("sbm experiment needs (alpha, beta) or (p, q) grids")
     _check_resolved_probs(cell, ("p", "q"))
-    cell["margin"] = _margin("sbm", alpha=cell["alpha"], beta=cell["beta"])
+    cell["margin"] = threshold_margin("sbm", {"alpha": cell["alpha"], "beta": cell["beta"]})
 
 
 def _eval_sbm(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
     g = sample_sbm(cell["n"], cell["p"], cell["q"], rng)
     b, truth = signed_adjacency(g), g.labels.astype(np.float64)
-    rec = _certified(cfg, sid, rank_one_side(b, truth, _tau(cfg)), b, truth)
+    side = rank_one_side(b, truth, _tau(cfg))
+    rec = _certified(cfg, sid, side, b, truth)
     suff = sbm_sufficient_condition(g).holds
+    # The sufficient condition implies tightness at the package band
+    # TAU_POS, not at a --tau band: a violation is judged at TAU_POS.
+    if suff and cfg.tau is not None:
+        side = rank_one_side(b, truth)
     return {**rec, "block": flip_oracle_sbm(g).oracle_block, "suff": suff,
-            "viol": suff and not rec["tight"]}
+            "viol": suff and side != SIDE_ABOVE}
 
 
 def _aggregate_sbm(cfg: SweepConfig, cell: dict, records: list) -> dict:
@@ -350,7 +352,7 @@ def _eval_ratio(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
         l = centered_laplacian(sample_er(n, cell["p"], rng), cell["p"])
     else:  # centered-sbm: E[Gamma] - Gamma conjugated by the labels
         g = sample_sbm(n, cell["p"], cell["q"], rng)
-        dev = centered_partition_gap(g, cell["p"], cell["q"]).array
+        dev = centered_partition_gap(g, cell["p"], cell["q"])
         lab = g.labels.astype(np.float64)
         l = SymmetricMatrix(lab[:, None] * dev * lab[None, :])
     try:

@@ -8,7 +8,6 @@ hard guarantees rather than probabilistic ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Tuple
 
 import numpy as np
@@ -17,14 +16,6 @@ from .ensembles import RngStream
 from .errors import DomainError, InvalidProbability, UnequalRowSums
 
 MODELS = ("er_connectivity", "z2_gaussian", "z2_er", "sbm")
-
-
-@dataclass(frozen=True)
-class ThresholdQuery:
-    """Model name plus its parameters for a phase-threshold evaluation."""
-
-    model: str
-    params: Mapping[str, float]
 
 
 def chernoff_degree_bound(n: int, rho: float, t: float) -> float:
@@ -88,10 +79,17 @@ def bernoulli_diff_distribution(m: int, p: float, q: float) -> np.ndarray:
     return dist
 
 
+def _lattice_threshold(delta: float) -> int:
+    """ceil(delta), the least lattice value the tail event counts."""
+    if not math.isfinite(delta):
+        raise DomainError(f"delta must be finite, got {delta}")
+    return math.ceil(delta)
+
+
 def bernoulli_diff_tail(m: int, p: float, q: float, delta: float) -> float:
     """Exact P[sum (Z_i - W_i) >= delta]; real delta ceils to the lattice."""
+    thr = _lattice_threshold(delta)
     dist = bernoulli_diff_distribution(m, p, q)
-    thr = math.ceil(delta)
     if thr <= -m:
         return 1.0
     if thr > m:
@@ -106,16 +104,17 @@ def bernoulli_diff_tail_mc(
     if trials < 1:
         raise DomainError("trials must be >= 1")
     _step_probs(p, q)  # validate
+    thr = _lattice_threshold(delta)
     s = np.zeros(trials, dtype=np.int32)
     for _ in range(m):
         s += rng.bernoulli(q, trials)
         s -= rng.bernoulli(p, trials)
-    hits = float(np.mean(s >= math.ceil(delta)))
+    hits = float(np.mean(s >= thr))
     se = math.sqrt(hits * (1.0 - hits) / trials)
     return hits, se
 
 
-def threshold_margin(query: ThresholdQuery) -> float:
+def threshold_margin(model: str, params: Mapping[str, float]) -> float:
     """Signed distance to the model's predicted phase boundary.
 
     Positive means the asymptotic theory predicts success with high
@@ -123,9 +122,11 @@ def threshold_margin(query: ThresholdQuery) -> float:
     sqrt(beta) - sqrt(2); Gaussian synchronization sqrt(n / (2 log n)) -
     sigma; ER synchronization (n-1)p minus the Bernstein-derived rate with
     inputs (K, delta) defaulting to the asymptotic form K = delta = 0.
+    Every parameter must be finite.
     """
-    params = dict(query.params)
-    model = query.model
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if model == "er_connectivity":
         rho = float(params["rho"])
         if rho < 0.0:

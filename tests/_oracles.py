@@ -88,3 +88,19 @@ def sync_certificate(g_edges, h_edges):
     l_g = np.diag(g.sum(axis=1)) - g
     l_h = np.diag(h.sum(axis=1)) - h
     return l_g - 2.0 * l_h
+
+
+def z2sync_er_graphs(n, p, eps, rng):
+    """0/1 adjacency of the measurement graph G and its corrupted part H
+    from the draws ``sample_z2sync_er`` takes: a Bernoulli(p) mask over the
+    pairs i < j in row-major order, then a Bernoulli(eps) flip of each pair,
+    kept on the edges of G."""
+    iu = np.triu_indices(n, 1)
+    g_mask = rng.bernoulli(p, len(iu[0]))
+    flipped = rng.bernoulli(eps, len(iu[0]))[g_mask]
+    i, j = iu[0][g_mask], iu[1][g_mask]
+    a_g = np.zeros((n, n))
+    a_h = np.zeros((n, n))
+    a_g[i, j] = a_g[j, i] = 1.0
+    a_h[i[flipped], j[flipped]] = a_h[j[flipped], i[flipped]] = 1.0
+    return a_g, a_h

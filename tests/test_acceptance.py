@@ -259,7 +259,7 @@ def test_08_sdp_cross_check():
         g = sample_sbm(n, 0.4, 0.04, rng)
         sid += 10
         rep = certify_sbm(g)
-        if not rep.tight or rep.margin <= 1e-6 * n:
+        if not rep.tight or rep.lambda2 <= 1e-6 * n:
             continue
         from lapcert import signed_adjacency
 
@@ -271,7 +271,7 @@ def test_08_sdp_cross_check():
         inst = sample_z2sync_er(n, 0.4, 0.05, z, rng)
         sid += 10
         rep = certify_z2sync(inst)
-        if not rep.tight or rep.margin <= 1e-6 * n:
+        if not rep.tight or rep.lambda2 <= 1e-6 * n:
             continue
         attempted += 1
         recovered += check(inst.y, inst.z, sid)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import z2sync_er_graphs
 from lapcert import (
     SymmetricMatrix,
     centered_partition_gap,
@@ -30,7 +31,7 @@ from lapcert import (
 )
 from lapcert import certificates
 from lapcert.certificates import TAU_POS
-from lapcert.ensembles import GraphSample
+from lapcert.ensembles import GraphSample, SyncInstance
 from lapcert.errors import (
     MissingLabels,
     NonLaplacian,
@@ -72,7 +73,7 @@ class TestCertifyRankOne:
         assert rep.tight
         assert rep.lambda2 == pytest.approx(5.0, abs=1e-9)
         assert abs(rep.lambda1) <= 1e-9
-        assert rep.margin == rep.lambda2
+        assert rep.side == "above"
 
     def test_all_ones_wrong_signs_boundary(self):
         rep = certify_rank_one(sym(np.ones((2, 2))), np.array([1.0, -1.0]))
@@ -338,7 +339,8 @@ class TestSufficientCondition:
     def test_deterministic_instance(self):
         g = sample_sbm(4, 1.0, 0.0, derive_stream(0, 0))
         rep = sbm_sufficient_condition(g)
-        assert rep.lhs == pytest.approx(0.0, abs=1e-9)
+        lhs = eigenvalues_selected(SymmetricMatrix(centered_partition_gap(g, 1.0, 0.0)), (4,))
+        assert lhs[0] == pytest.approx(0.0, abs=1e-9)
         assert rep.rhs == pytest.approx(2.0)
         assert rep.holds
 
@@ -363,7 +365,8 @@ class TestSufficientCondition:
     def eigenvalue_rule(g):
         """The verdict from the spectrum: lhs < rhs - tau (1 + |lhs| + |rhs|)."""
         n, p, q = g.n, g.params.p, g.params.q
-        lhs = float(eigenvalues_selected(centered_partition_gap(g, p, q), (n,))[0])
+        dev = SymmetricMatrix(centered_partition_gap(g, p, q))
+        lhs = float(eigenvalues_selected(dev, (n,))[0])
         rhs = (n / 2) * (p - q)
         return lhs < rhs - TAU_POS * (1.0 + abs(lhs) + abs(rhs))
 
@@ -394,19 +397,8 @@ class TestSufficientCondition:
         logn = math.log(n)
         g = sample_sbm(n, 2.0 * logn / n, logn / n, derive_stream(64, 0))
         assert not self.eigenvalue_rule(g)
-        monkeypatch.setattr(certificates, "_centered_gap", no_build)
+        monkeypatch.setattr(certificates, "centered_partition_gap", no_build)
         assert not sbm_sufficient_condition(g).holds
-
-    def test_lhs_computed_only_when_read(self, monkeypatch):
-        def no_spectrum(*args):
-            raise AssertionError("eigenvalues computed")
-
-        g = sample_sbm(40, 0.9, 0.1, derive_stream(63, 0))
-        monkeypatch.setattr(certificates, "eigenvalues_selected", no_spectrum)
-        rep = sbm_sufficient_condition(g)
-        assert rep.holds
-        with pytest.raises(AssertionError, match="eigenvalues computed"):
-            rep.lhs
 
 
 class TestConnectivity:
@@ -464,11 +456,10 @@ class TestFlipOracles:
         assert verdict.min_stat >= 0
 
     def test_single_corrupted_edge(self):
+        # G = H = {(0, 1)}: the one measurement contradicts z
         base = sample_z2sync_er(2, 0.0, 0.0, np.ones(2), derive_stream(0, 0))
-        edge = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-        inst = type(base)(
-            n=2, y=base.y, z=base.z, g_edges=edge, h_edges=edge, params=base.params
-        )
+        y = sym(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        inst = SyncInstance(n=2, y=y, z=base.z, params=base.params)
         verdict = flip_oracle_z2(inst)
         assert verdict.min_stat == -1.0
         assert verdict.oracle_block
@@ -481,6 +472,19 @@ class TestFlipOracles:
         g = sample_sbm(8, 0.0, 1.0, derive_stream(0, 0))
         v = flip_oracle_sbm(g)
         assert v.min_stat == -4.0 and v.oracle_block
+
+    def test_z2_statistic_is_degree_gap_of_g_and_h(self):
+        # min_i deg_G(i) - 2 deg_H(i), with G and H replayed from the stream
+        rng = derive_stream(71, 0)
+        for trial in range(120):
+            n = int(rng.uniform() * 150) + 1
+            p, eps = rng.uniform(), 0.499 * rng.uniform()
+            z = np.where(rng.uniform(n) < 0.5, 1.0, -1.0)
+            stream = derive_stream(71, trial + 1)
+            a_g, a_h = z2sync_er_graphs(n, p, eps, stream.clone())
+            inst = sample_z2sync_er(n, p, eps, z, stream)
+            stat = a_g.sum(axis=1) - 2.0 * a_h.sum(axis=1)
+            assert flip_oracle_z2(inst).min_stat == stat.min()
 
     @pytest.mark.slow
     def test_z2_near_threshold_block_frequency(self):

@@ -125,17 +125,24 @@ class TestSyncLaplacian:
     def _instance(self, n, p, eps, seed):
         return sample_z2sync_er(n, p, eps, np.ones(n), derive_stream(seed, 0))
 
+    @staticmethod
+    def _graphs(inst):
+        """G and H of an instance with planted signs all +1: y is +1 on
+        clean edges and -1 on corrupted ones."""
+        y = inst.y.array
+        return (y != 0.0).astype(np.uint8), (y < 0.0).astype(np.uint8)
+
     def _hand_instance(self, g, h):
         # y = G - 2H: +1 on clean edges, -1 on corrupted ones
         y = sym(g.adjacency.astype(float) - 2.0 * h.adjacency)
-        return SyncInstance(n=g.n, y=y, z=np.ones(g.n), g_edges=g.adjacency,
-                            h_edges=h.adjacency,
+        return SyncInstance(n=g.n, y=y, z=np.ones(g.n),
                             params=EnsembleParams("z2-er", p=0.5, eps=0.25))
 
     def test_h_empty_equals_lg(self):
         inst = self._instance(20, 0.5, 0.0, 3)
-        ref = sync_certificate(inst.g_edges, inst.h_edges)
-        lg = graph_laplacian(GraphSample(20, inst.g_edges))
+        g_edges, h_edges = self._graphs(inst)
+        ref = sync_certificate(g_edges, h_edges)
+        lg = graph_laplacian(GraphSample(20, g_edges))
         assert np.array_equal(ref, lg.array)
         assert_certificate_is(certify_z2sync(inst), ref)
 
@@ -156,9 +163,10 @@ class TestSyncLaplacian:
     def test_consistency_with_laplacian_of(self):
         for seed in range(40):
             inst = self._instance(25, 0.4, 0.25, seed)
-            ref = sync_certificate(inst.g_edges, inst.h_edges)
+            g_edges, h_edges = self._graphs(inst)
+            ref = sync_certificate(g_edges, h_edges)
             via = laplacian_of(
-                sym(inst.g_edges.astype(float) - 2.0 * inst.h_edges.astype(float))
+                sym(g_edges.astype(float) - 2.0 * h_edges.astype(float))
             ).array
             assert np.array_equal(ref, via)
             assert_certificate_is(certify_z2sync(inst), ref)
@@ -173,7 +181,8 @@ class TestSyncLaplacian:
             assert rep.lambda2 == pytest.approx(lam[1], abs=1e-9)
 
     def test_rejects_gaussian(self):
-        # flip_oracle_z2 reads G and H directly, which a Gaussian instance lacks
+        # the flip statistic counts sign disagreements, which a Gaussian
+        # instance does not have
         from lapcert import sample_z2sync_gaussian
 
         inst = sample_z2sync_gaussian(4, 1.0, np.ones(4), derive_stream(0, 0))
@@ -240,13 +249,13 @@ class TestPartitionGap:
 class TestCenteredPartitionGap:
     def test_deterministic_blocks_have_no_deviation(self):
         g = sample_sbm(6, 1.0, 0.0, derive_stream(0, 0))
-        assert np.all(centered_partition_gap(g, 1.0, 0.0).array == 0.0)
+        assert np.all(centered_partition_gap(g, 1.0, 0.0) == 0.0)
 
     def test_conjugated_deviation_is_laplacian(self):
         # E[Gamma] - Gamma conjugated by the labels has vanishing row sums.
         for seed in range(20):
             g = sample_sbm(30, 0.5, 0.2, derive_stream(seed, 1))
-            dev = centered_partition_gap(g, 0.5, 0.2).array
+            dev = centered_partition_gap(g, 0.5, 0.2)
             lab = g.labels.astype(float)
             conj = lab[:, None] * dev * lab[None, :]
             assert np.max(np.abs(conj @ np.ones(30))) < 1e-9
@@ -263,7 +272,7 @@ class TestCenteredPartitionGap:
         mean = -np.where(np.equal.outer(lab, lab), p, q)
         np.fill_diagonal(mean, (n / 2 - 1) * p - (n / 2) * q)
         ref = mean - gamma
-        dev = centered_partition_gap(g, p, q).array
+        dev = centered_partition_gap(g, p, q)
         assert np.array_equal(dev, ref)
         assert np.array_equal(np.signbit(dev), np.signbit(ref))
 
@@ -309,5 +318,5 @@ class TestDegreeSplit:
         # deg_in - deg_out has the parity of the degree and lies within it
         assert np.all(np.abs(stat) <= deg) and np.all((deg - stat) % 2 == 0)
         assert flip_oracle_sbm(g).min_stat == stat.min()
-        dev = centered_partition_gap(g, p, q).array
+        dev = centered_partition_gap(g, p, q)
         assert np.array_equal(np.diag(dev), (n / 2 - 1) * p - (n / 2) * q - stat)

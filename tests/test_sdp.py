@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lapcert import (
-    FactorPoint,
     SymmetricMatrix,
     bm_solve,
     certify_sbm,
@@ -37,7 +36,7 @@ class TestBmSolve:
 
     def test_zero_matrix(self):
         y = sym(np.zeros((8, 8)))
-        pt, rep = bm_solve(y, derive_stream(0, 0), k=3)
+        r, rep = bm_solve(y, derive_stream(0, 0), k=3)
         assert rep.objective == 0.0
         assert rep.converged
         assert rep.iterations == 0
@@ -46,7 +45,7 @@ class TestBmSolve:
         # X_ii = 1 forces trace(YX) = n for Y = I at every feasible point
         n = 10
         y = sym(np.eye(n))
-        pt, rep = bm_solve(y, derive_stream(1, 0), k=3)
+        r, rep = bm_solve(y, derive_stream(1, 0), k=3)
         assert rep.objective == pytest.approx(n, rel=1e-12)
         assert rep.converged
 
@@ -54,8 +53,8 @@ class TestBmSolve:
         rng = derive_stream(21, 0)
         b = rng.normal((30, 30))
         y = sym(b + b.T)
-        pt, rep = bm_solve(y, derive_stream(21, 1))
-        norms = np.linalg.norm(pt.r, axis=1)
+        r, rep = bm_solve(y, derive_stream(21, 1))
+        norms = np.linalg.norm(r, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
         trace = np.asarray(rep.objective_trace)
         slack = 1e-12 * 30 * y.max_abs()
@@ -89,7 +88,7 @@ class TestRoundRankOne:
         z = np.array([1.0, -1.0, 1.0, -1.0])
         r = np.zeros((4, 2))
         r[:, 0] = z
-        x = round_rank_one(FactorPoint(r))
+        x = round_rank_one(r)
         assert np.array_equal(x, z) or np.array_equal(x, -z)
 
     def test_tie_break_deterministic(self):
@@ -97,8 +96,8 @@ class TestRoundRankOne:
         r = np.zeros((4, 2))
         r[:2, 0] = 1.0
         r[2:, 1] = 1.0
-        x1 = round_rank_one(FactorPoint(r))
-        x2 = round_rank_one(FactorPoint(r))
+        x1 = round_rank_one(r)
+        x2 = round_rank_one(r)
         assert np.array_equal(x1, x2)
         assert np.all(np.abs(x1) == 1.0)
 
@@ -149,7 +148,7 @@ class TestAgreementWithCertificates:
             rng = derive_stream(900 + seed, 0)
             g = sample_sbm(40, 0.6, 0.05, rng)
             rep = certify_sbm(g)
-            if not rep.tight or rep.margin <= 1e-6 * 40:
+            if not rep.tight or rep.lambda2 <= 1e-6 * 40:
                 continue
             y = signed_adjacency(g)
             truth = g.labels.astype(np.float64)
@@ -169,7 +168,7 @@ class TestAgreementWithCertificates:
             z = random_signs(rng, 30)
             inst = sample_z2sync_er(30, 0.6, 0.05, z, rng)
             rep = certify_z2sync(inst)
-            if not rep.tight or rep.margin <= 1e-6 * 30:
+            if not rep.tight or rep.lambda2 <= 1e-6 * 30:
                 continue
             _, solve = bm_solve(inst.y, derive_stream(950 + seed, 1))
             assert np.array_equal(solve.rounded_x, inst.z) or np.array_equal(

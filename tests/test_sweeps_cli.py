@@ -80,6 +80,15 @@ class TestRunSweep:
         slack = 3.0 * math.sqrt(0.25 / 30)
         assert all(b >= a - slack for a, b in zip(freqs, freqs[1:]))
 
+    def test_wide_tau_band_is_no_sufficiency_violation(self):
+        # a wider --tau band turns trials "boundary", but the sufficient
+        # condition implies tightness at the package band, where they hold
+        cfg = SweepConfig(experiment="sbm", n=[100], grids={"alpha": [7.0], "beta": [1.0]},
+                          trials=20, master_seed=3, tau=0.2)
+        cell = run_sweep(cfg).cells[0]
+        assert cell.freq_sufficient > 0.5 and cell.freq_certified < 0.5
+        assert cell.sufficiency_violations == 0
+
     def test_sbm_cross_check_counts(self):
         cfg = sbm_config(cross_check=True, trials=4)
         res = run_sweep(cfg)
@@ -589,6 +598,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and message in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--model", "er", "--n", "0", "--p", "0.5"],
+        ["certify", "--model", "er", "--n", "-3", "--p", "0.5"],
+        ["certify", "--model", "z2er", "--n", "0", "--p", "0.5", "--eps", "0.1"],
+        ["certify", "--model", "z2er", "--n", "-3", "--p", "0.5", "--eps", "0.1"],
+        ["certify", "--model", "z2gauss", "--n", "0", "--sigma", "1"],
+        ["certify", "--model", "z2gauss", "--n", "20", "--sigma", "nan"],
+        ["certify", "--model", "z2gauss", "--n", "20", "--sigma", "-1"],
+        ["tail", "--model", "sbm", "--alpha", "nan", "--beta", "1"],
+        ["tail", "--model", "er", "--rho", "nan"],
+        ["tail", "--model", "z2gauss", "--n", "100", "--sigma", "nan"],
+        ["tail", "--model", "z2er", "--n", "100", "--p", "0.5", "--eps", "0.1",
+         "--cap-k", "nan"],
+        ["tail", "--model", "z2er", "--n", "100", "--p", "0.5", "--eps", "0.1",
+         "--delta", "inf"],
+        ["tail", "--m", "2", "--p", "0.5", "--q", "0.5", "--delta", "0",
+         "--mc-trials", "0"],
+        ["tail", "--m", "2", "--p", "0.5", "--q", "0.5", "--delta", "nan"],
+        ["tail", "--m", "2", "--p", "0.5", "--q", "0.5", "--delta", "0",
+         "--model", "sbm", "--alpha", "nan", "--beta", "1"],
+    ])
+    def test_bad_certify_or_tail_input_exits_one(self, capsys, argv):
+        assert cli_main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error:") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("argv, axis", [
         (["--ensemble", "wigner-neg-laplacian", "--n", "20", "--p", "0.3"], "p"),

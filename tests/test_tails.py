@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapcert import (
-    ThresholdQuery,
     bernoulli_diff_tail,
     bernoulli_diff_tail_mc,
     bernstein_bound,
@@ -107,6 +106,13 @@ class TestExactTail:
             3, 0.2, 0.7, 1
         )
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(DomainError, match="delta must be finite"):
+            bernoulli_diff_tail(3, 0.2, 0.7, delta)
+        with pytest.raises(DomainError, match="delta must be finite"):
+            bernoulli_diff_tail_mc(3, 0.2, 0.7, delta, 10, derive_stream(0, 0))
+
     @settings(max_examples=60, deadline=None)
     @given(
         m=st.integers(min_value=0, max_value=12),
@@ -141,30 +147,42 @@ class TestMonteCarloTail:
 
 class TestThresholdMargin:
     def test_sbm_boundary(self):
-        q = ThresholdQuery("sbm", {"alpha": 2.0, "beta": 0.0})
-        assert threshold_margin(q) == pytest.approx(0.0, abs=1e-12)
+        margin = threshold_margin("sbm", {"alpha": 2.0, "beta": 0.0})
+        assert margin == pytest.approx(0.0, abs=1e-12)
 
     def test_sbm_value(self):
-        q = ThresholdQuery("sbm", {"alpha": 9.0, "beta": 1.0})
-        assert threshold_margin(q) == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-12)
+        margin = threshold_margin("sbm", {"alpha": 9.0, "beta": 1.0})
+        assert margin == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-12)
 
     def test_er_boundary(self):
-        assert threshold_margin(ThresholdQuery("er_connectivity", {"rho": 1.0})) == 0.0
+        assert threshold_margin("er_connectivity", {"rho": 1.0}) == 0.0
 
     def test_z2_gaussian(self):
-        q = ThresholdQuery("z2_gaussian", {"n": 400, "sigma": 1.0})
         want = math.sqrt(400 / (2 * math.log(400))) - 1.0
-        assert threshold_margin(q) == pytest.approx(want, rel=1e-12)
+        margin = threshold_margin("z2_gaussian", {"n": 400, "sigma": 1.0})
+        assert margin == pytest.approx(want, rel=1e-12)
 
     def test_z2_er_asymptotic_form(self):
         n, p, eps = 500, 0.5, 0.1
-        q = ThresholdQuery("z2_er", {"n": n, "p": p, "eps": eps})
         rate = (2 / (1 - 2 * eps) ** 2) * (1 + (5 / 3) * (1 - 2 * eps)) * math.log(n)
-        assert threshold_margin(q) == pytest.approx((n - 1) * p - rate, rel=1e-12)
+        margin = threshold_margin("z2_er", {"n": n, "p": p, "eps": eps})
+        assert margin == pytest.approx((n - 1) * p - rate, rel=1e-12)
 
     def test_unknown_model(self):
         with pytest.raises(DomainError):
-            threshold_margin(ThresholdQuery("percolation", {}))
+            threshold_margin("percolation", {})
+
+    @pytest.mark.parametrize("model, params", [
+        ("er_connectivity", {"rho": math.nan}),
+        ("sbm", {"alpha": math.nan, "beta": 1.0}),
+        ("sbm", {"alpha": 9.0, "beta": math.inf}),
+        ("z2_gaussian", {"n": 100, "sigma": math.nan}),
+        ("z2_er", {"n": 100, "p": 0.5, "eps": 0.1, "K": math.nan}),
+        ("z2_er", {"n": 100, "p": 0.5, "eps": 0.1, "delta": math.inf}),
+    ])
+    def test_rejects_non_finite_parameters(self, model, params):
+        with pytest.raises(DomainError, match="must be finite"):
+            threshold_margin(model, params)
 
 
 class TestGreedyHalfCut:
