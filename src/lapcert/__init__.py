@@ -12,7 +12,6 @@ from .eig import (
     spectral_norm,
 )
 from .ensembles import (
-    EnsembleParams,
     EnsembleProfile,
     GraphSample,
     RngStream,

@@ -28,10 +28,9 @@ from .eig import (
     is_positive_definite,
     spectral_norm,
 )
-from .ensembles import EnsembleProfile, GraphSample, SyncInstance
+from .ensembles import GraphSample, SyncInstance
 from .errors import (
     MissingLabels,
-    MissingParams,
     NonLaplacian,
     NonPositiveDiagonalMax,
     NonSignVector,
@@ -249,9 +248,9 @@ def certify_z2sync(inst: SyncInstance, tau: float = TAU_POS) -> CertificateRepor
     regime and a lower bound once the certificate has failed. Its verdicts
     agree with certify_rank_one.
     """
-    if inst.is_discrete or inst.params.sigma == 0.0:
+    if inst.is_discrete or inst.sigma == 0.0:
         return certify_rank_one(inst.y, inst.z, tau)
-    n, sigma, z = inst.n, inst.params.sigma, inst.z
+    n, sigma, z = inst.n, inst.sigma, inst.z
     # Conjugated noise: W' = diag(z) W diag(z), same distribution as W.
     wprime = (z[:, None] * inst.y.array * z[None, :] - 1.0) / sigma
     np.fill_diagonal(wprime, 0.0)
@@ -285,18 +284,15 @@ def certify_sbm(g: GraphSample, tau: float = TAU_POS) -> CertificateReport:
     return certify_rank_one(signed_adjacency(g), g.labels, tau)
 
 
-def sbm_sufficient_condition(g: GraphSample) -> SufficiencyReport:
+def sbm_sufficient_condition(g: GraphSample, p: float, q: float) -> SufficiencyReport:
     """Mean-deviation sufficient condition for SBM tightness.
 
-    With lhs = lambda_max(E[Gamma] - Gamma), where Gamma = D_+ - D_- - A,
-    and rhs = (n/2)(p - q), lhs < rhs implies the certificate holds. The
-    verdict takes at most one Cholesky factorization and no spectrum.
+    With lhs = lambda_max(E[Gamma] - Gamma), where Gamma = D_+ - D_- - A
+    and E[Gamma] is taken under SBM(n, p, q), and rhs = (n/2)(p - q),
+    lhs < rhs implies the certificate holds. The verdict takes at most one
+    Cholesky factorization and no spectrum.
     """
-    if g.labels is None:
-        raise MissingLabels("sample has no planted labels")
-    if g.params is None or g.params.p is None or g.params.q is None:
-        raise MissingParams("sample carries no (p, q) ensemble parameters")
-    n, p, q = g.n, g.params.p, g.params.q
+    n = g.n
     rhs = (n / 2) * (p - q)
     # Strict inequality with a dead band: exact ties (an empty graph hits
     # lhs == rhs analytically) only bound lambda_2 >= 0 and must not be
@@ -403,8 +399,8 @@ def spectral_diag_ratio(l: SymmetricMatrix) -> RatioReport:
     return RatioReport(ratio=lam_max / max_diag, max_diag=max_diag, lam_max=lam_max)
 
 
-def norm_bound_check(x: SymmetricMatrix, profile: EnsembleProfile, t: float) -> bool:
-    """Whether ||X|| <= 3 sigma_row + t for the ensemble's row scale."""
+def norm_bound_check(x: SymmetricMatrix, sigma: float, t: float) -> bool:
+    """Whether ||X|| <= 3 sigma + t for the ensemble's row scale sigma."""
     if t < 0.0 or math.isnan(t):
         raise ValueError("t must be >= 0")
-    return spectral_norm(x) <= 3.0 * profile.sigma + t
+    return spectral_norm(x) <= 3.0 * sigma + t

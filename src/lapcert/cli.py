@@ -226,14 +226,24 @@ def _print_report(kind: str, report, extra: str = "") -> None:
         print(extra)
 
 
+#: The model flags each ``certify`` model reads; it needs all of them.
+_CERTIFY_FLAGS = {"er": ("p",), "sbm": ("p", "q"), "z2er": ("p", "eps"),
+                  "z2gauss": ("sigma",)}
+
+
 def _cmd_certify(args: argparse.Namespace) -> int:
     rng = derive_stream(args.seed, 0)
     n = args.n
     if n < 1:
         raise ConfigError(f"--n must be >= 1, got {n}")
+    reads = _CERTIFY_FLAGS[args.model]
+    for flag in ("p", "q", "sigma", "eps"):
+        given = getattr(args, flag) is not None
+        if flag in reads and not given:
+            raise ConfigError(f"--{flag} is required for {args.model}")
+        if given and flag not in reads:
+            raise ConfigError(f"--{flag} is not read by --model {args.model}")
     if args.model == "er":
-        if args.p is None:
-            raise ConfigError("--p is required for er")
         g = sample_er(n, args.p, rng)
         spectral = connectivity_spectral(g)
         exact = connectivity_unionfind(g)
@@ -241,8 +251,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         print(f"connected_unionfind {int(exact)}")
         return EXIT_OK
     if args.model == "sbm":
-        if args.p is None or args.q is None:
-            raise ConfigError("--p and --q are required for sbm")
         g = sample_sbm(n, args.p, args.q, rng)
         rep = certify_sbm(g)
         verdict = flip_oracle_sbm(g)
@@ -250,15 +258,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         return EXIT_OK
     z = np.ones(n)
     if args.model == "z2er":
-        if args.p is None or args.eps is None:
-            raise ConfigError("--p and --eps are required for z2er")
         inst = sample_z2sync_er(n, args.p, args.eps, z, rng)
         rep = certify_z2sync(inst)
         verdict = flip_oracle_z2(inst)
         _print_report("z2er", rep, f"oracle_min_stat {verdict.min_stat:.9g}")
         return EXIT_OK
-    if args.sigma is None:
-        raise ConfigError("--sigma is required for z2gauss")
     inst = sample_z2sync_gaussian(n, args.sigma, z, rng)
     rep = certify_z2sync(inst)
     _print_report("z2gauss", rep)
@@ -326,15 +330,15 @@ def _tail_query(args: argparse.Namespace) -> tuple:
     if args.model == "er":
         if args.rho is None:
             raise ConfigError("--rho is required for er")
-        return "er_connectivity", {"rho": args.rho}
+        return args.model, {"rho": args.rho}
     if args.model == "sbm":
         if args.alpha is None or args.beta is None:
             raise ConfigError("--alpha and --beta are required for sbm")
-        return "sbm", {"alpha": args.alpha, "beta": args.beta}
+        return args.model, {"alpha": args.alpha, "beta": args.beta}
     if args.model == "z2gauss":
         if args.n is None or args.sigma is None:
             raise ConfigError("--n and --sigma are required for z2gauss")
-        return "z2_gaussian", {"n": args.n, "sigma": args.sigma}
+        return args.model, {"n": args.n, "sigma": args.sigma}
     if args.n is None or args.p is None or args.eps is None:
         raise ConfigError("--n, --p, and --eps are required for z2er")
     params = {"n": args.n, "p": args.p, "eps": args.eps}
@@ -342,7 +346,7 @@ def _tail_query(args: argparse.Namespace) -> tuple:
         params["K"] = args.cap_k
     if args.delta is not None:
         params["delta"] = args.delta
-    return "z2_er", params
+    return args.model, params
 
 
 def cli_main(argv) -> int:

@@ -104,49 +104,44 @@ def derive_stream(master_seed: int, stream_id: int) -> RngStream:
 
 
 @dataclass(frozen=True)
-class EnsembleParams:
-    """Name plus the scalar parameters of the generating model."""
-
-    name: str
-    p: Optional[float] = None
-    q: Optional[float] = None
-    eps: Optional[float] = None
-    sigma: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class GraphSample:
     """Simple graph with optional planted balanced labels.
 
     ``adjacency`` is a read-only symmetric 0/1 uint8 array with zero
     diagonal; ``labels`` (when present) is a +-1 vector with exactly n/2
-    positive entries, +1 on the first half by construction.
+    positive entries, +1 on the first half by construction. The model
+    parameters that drew it are not stored: callers pass them.
     """
 
-    n: int
     adjacency: np.ndarray
     labels: Optional[np.ndarray] = None
-    params: Optional[EnsembleParams] = None
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
 
 
 @dataclass(frozen=True)
 class SyncInstance:
     """Pairwise sign measurements with ground truth.
 
-    Discrete variant: y_ij = z_i z_j on clean edges of the measurement
-    graph G, -z_i z_j on the corrupted subgraph H, zero off G and on the
-    diagonal; G and H are read off y and z. Gaussian variant:
+    Sign-flip variant (``sigma is None``): y_ij = z_i z_j on clean edges of
+    the measurement graph G, -z_i z_j on the corrupted subgraph H, zero off
+    G and on the diagonal; G and H are read off y and z. Gaussian variant:
     y = z z^T + sigma * W.
     """
 
-    n: int
     y: SymmetricMatrix
     z: np.ndarray
-    params: EnsembleParams
+    sigma: Optional[float] = None
+
+    @property
+    def n(self) -> int:
+        return self.y.n
 
     @property
     def is_discrete(self) -> bool:
-        return self.params.name == "z2-er"
+        return self.sigma is None
 
 
 @dataclass(frozen=True)
@@ -159,7 +154,6 @@ class EnsembleProfile:
 
     sigma: float
     sigma_inf: float
-    n: int
 
 
 def _check_count(n: int) -> None:
@@ -220,7 +214,7 @@ def sample_er(n: int, p: float, rng: RngStream) -> GraphSample:
     p = _check_prob(p, "p")
     mask = rng.bernoulli(p, n * (n - 1) // 2)
     adj = _adjacency_from_pairs(n, *_edge_pairs(n, mask))
-    return GraphSample(n, adj, labels=None, params=EnsembleParams("er", p=p))
+    return GraphSample(adj)
 
 
 def sample_sbm(n: int, p: float, q: float, rng: RngStream) -> GraphSample:
@@ -245,7 +239,7 @@ def sample_sbm(n: int, p: float, q: float, rng: RngStream) -> GraphSample:
     thresholds = np.repeat(np.append(np.tile([p, q], h), p), runs)
     mask = rng.uniform(len(thresholds)) < thresholds
     adj = _adjacency_from_pairs(n, *_edge_pairs(n, mask))
-    return GraphSample(n, adj, labels=labels, params=EnsembleParams("sbm", p=p, q=q))
+    return GraphSample(adj, labels)
 
 
 def sample_z2sync_er(
@@ -270,12 +264,7 @@ def sample_z2sync_er(
     y = np.zeros((n, n))
     y[i, j] = signs
     y[j, i] = signs
-    return SyncInstance(
-        n=n,
-        y=SymmetricMatrix(y),
-        z=z,
-        params=EnsembleParams("z2-er", p=p, eps=eps),
-    )
+    return SyncInstance(SymmetricMatrix(y), z)
 
 
 def sample_z2sync_gaussian(
@@ -289,12 +278,7 @@ def sample_z2sync_gaussian(
     z = _check_sign_vector(z, n)
     w = sample_wigner(n, rng)
     y = np.outer(z, z) + sigma * w.array
-    return SyncInstance(
-        n=n,
-        y=SymmetricMatrix(y),
-        z=z,
-        params=EnsembleParams("z2-gaussian", sigma=sigma),
-    )
+    return SyncInstance(SymmetricMatrix(y), z, sigma)
 
 
 def _centered_atoms(name: str, p=None, q=None, eps=None):
@@ -332,7 +316,7 @@ def ensemble_profile(
     """
     _check_count(n)
     if name == "wigner":
-        return EnsembleProfile(sigma=math.sqrt(max(n - 1, 0)), sigma_inf=math.inf, n=n)
+        return EnsembleProfile(sigma=math.sqrt(max(n - 1, 0)), sigma_inf=math.inf)
     atom_sets = _centered_atoms(name, p=p, q=q, eps=eps)
     sigma_inf = 0.0
     for atoms in atom_sets:
@@ -348,4 +332,4 @@ def ensemble_profile(
     else:
         var = sum(prob * value * value for value, prob in atom_sets[0])
         sigma2 = (n - 1) * var
-    return EnsembleProfile(sigma=math.sqrt(max(sigma2, 0.0)), sigma_inf=sigma_inf, n=n)
+    return EnsembleProfile(sigma=math.sqrt(max(sigma2, 0.0)), sigma_inf=sigma_inf)

@@ -33,10 +33,6 @@ class MissingLabels(LapcertError, ValueError):
     """Graph sample carries no planted labels."""
 
 
-class MissingParams(LapcertError, ValueError):
-    """Graph sample carries no ensemble parameters."""
-
-
 class RequiresDiscreteInstance(LapcertError, ValueError):
     """Operation is defined only for sign-flip (non-Gaussian) instances."""
 

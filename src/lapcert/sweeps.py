@@ -236,7 +236,7 @@ def _resolve_er(cfg: SweepConfig, cell: dict, logn: float) -> None:
     _resolve_p(cell, logn, "er experiment")
     if "rho" not in cell:
         cell["rho"] = cell["p"] * cell["n"] / logn
-    cell["margin"] = threshold_margin("er_connectivity", {"rho": cell["rho"]})
+    cell["margin"] = threshold_margin(cfg.experiment, {"rho": cell["rho"]})
 
 
 def _eval_er(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
@@ -264,7 +264,7 @@ def _resolve_z2gauss(cfg: SweepConfig, cell: dict, logn: float) -> None:
     else:
         raise ConfigError("z2gauss experiment needs a sigma or sigma_factor grid")
     cell["sigma_star"] = star
-    cell["margin"] = threshold_margin("z2_gaussian", {"n": n, "sigma": cell["sigma"]})
+    cell["margin"] = threshold_margin(cfg.experiment, {"n": n, "sigma": cell["sigma"]})
 
 
 def _eval_z2gauss(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
@@ -280,7 +280,7 @@ def _resolve_z2er(cfg: SweepConfig, cell: dict, logn: float) -> None:
     if not 0.0 <= cell["eps"] < 0.5:
         raise ConfigError(f"eps={cell['eps']:.6g} outside [0, 1/2)")
     cell["margin"] = threshold_margin(
-        "z2_er", {"n": cell["n"], "p": cell["p"], "eps": cell["eps"]})
+        cfg.experiment, {"n": cell["n"], "p": cell["p"], "eps": cell["eps"]})
 
 
 def _eval_z2er(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
@@ -302,7 +302,8 @@ def _resolve_sbm(cfg: SweepConfig, cell: dict, logn: float) -> None:
     else:
         raise ConfigError("sbm experiment needs (alpha, beta) or (p, q) grids")
     _check_resolved_probs(cell, ("p", "q"))
-    cell["margin"] = threshold_margin("sbm", {"alpha": cell["alpha"], "beta": cell["beta"]})
+    cell["margin"] = threshold_margin(cfg.experiment,
+                                      {"alpha": cell["alpha"], "beta": cell["beta"]})
 
 
 def _eval_sbm(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
@@ -310,7 +311,7 @@ def _eval_sbm(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
     b, truth = signed_adjacency(g), g.labels.astype(np.float64)
     side = rank_one_side(b, truth, _tau(cfg))
     rec = _certified(cfg, sid, side, b, truth)
-    suff = sbm_sufficient_condition(g).holds
+    suff = sbm_sufficient_condition(g, cell["p"], cell["q"]).holds
     # The sufficient condition implies tightness at the package band
     # TAU_POS, not at a --tau band: a violation is judged at TAU_POS.
     if suff and cfg.tau is not None:
@@ -392,8 +393,7 @@ def _eval_normbound(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
     n, p = cell["n"], cell["p"]
     g = sample_er(n, p, rng)
     x = g.adjacency - p * (1.0 - np.eye(n))
-    prof = ensemble_profile("centered-er", n, p=p)
-    return {"holds": norm_bound_check(SymmetricMatrix(x), prof, cell["t_value"])}
+    return {"holds": norm_bound_check(SymmetricMatrix(x), cell["sigma"], cell["t_value"])}
 
 
 def _aggregate_normbound(cfg: SweepConfig, cell: dict, records: list) -> dict:
@@ -458,6 +458,17 @@ def _validate(cfg: SweepConfig) -> None:
         raise ConfigError(f"tau must be a finite number >= 0, got {cfg.tau!r}")
     if cfg.rank_k is not None and cfg.rank_k < 2:
         raise ConfigError(f"rank-k must be an integer >= 2, got {cfg.rank_k}")
+    # --ensemble names the ratio ensemble; --tau, --rank-k and --cross-check
+    # steer certificate trials, whose experiments count bm_disagreements.
+    columns = _EXPERIMENTS[cfg.experiment].columns
+    unread = [flag for flag, given, column in (
+        ("ensemble", cfg.ensemble is not None, "ensemble"),
+        ("tau", cfg.tau is not None, "bm_disagreements"),
+        ("rank-k", cfg.rank_k is not None, "bm_disagreements"),
+        ("cross-check", cfg.cross_check, "bm_disagreements"),
+    ) if given and column not in columns]
+    if unread:
+        raise ConfigError(f"--{unread[0]} is not read by the {cfg.experiment} experiment")
 
 
 def _openblas_entries(verb: str):

@@ -15,9 +15,6 @@ import numpy as np
 from .ensembles import RngStream
 from .errors import DomainError, InvalidProbability, UnequalRowSums
 
-MODELS = ("er_connectivity", "z2_gaussian", "z2_er", "sbm")
-
-
 def chernoff_degree_bound(n: int, rho: float, t: float) -> float:
     """Chernoff upper bound on P[deg(i) < t * E deg(i)] for ER(n, rho log n / n).
 
@@ -118,16 +115,16 @@ def threshold_margin(model: str, params: Mapping[str, float]) -> float:
     """Signed distance to the model's predicted phase boundary.
 
     Positive means the asymptotic theory predicts success with high
-    probability. Margins: ER connectivity rho - 1; SBM sqrt(alpha) -
-    sqrt(beta) - sqrt(2); Gaussian synchronization sqrt(n / (2 log n)) -
-    sigma; ER synchronization (n-1)p minus the Bernstein-derived rate with
-    inputs (K, delta) defaulting to the asymptotic form K = delta = 0.
-    Every parameter must be finite.
+    probability. Models carry the CLI and experiment names. Margins:
+    ``er`` (connectivity) rho - 1; ``sbm`` sqrt(alpha) - sqrt(beta) -
+    sqrt(2); ``z2gauss`` sqrt(n / (2 log n)) - sigma; ``z2er`` (n-1)p minus
+    the Bernstein-derived rate with inputs K >= 0 and delta > -1 defaulting
+    to the asymptotic form K = delta = 0. Every parameter must be finite.
     """
     for name, value in params.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
-    if model == "er_connectivity":
+    if model == "er":
         rho = float(params["rho"])
         if rho < 0.0:
             raise DomainError("rho must be >= 0")
@@ -137,14 +134,14 @@ def threshold_margin(model: str, params: Mapping[str, float]) -> float:
         if alpha < 0.0 or beta < 0.0:
             raise DomainError("alpha and beta must be >= 0")
         return math.sqrt(alpha) - math.sqrt(beta) - math.sqrt(2.0)
-    if model == "z2_gaussian":
+    if model == "z2gauss":
         n, sigma = int(params["n"]), float(params["sigma"])
         if n < 2:
             raise DomainError("n must be >= 2")
         if sigma < 0.0:
             raise DomainError("sigma must be >= 0")
         return math.sqrt(n / (2.0 * math.log(n))) - sigma
-    if model == "z2_er":
+    if model == "z2er":
         n = int(params["n"])
         p = float(params["p"])
         eps = float(params["eps"])
@@ -156,6 +153,10 @@ def threshold_margin(model: str, params: Mapping[str, float]) -> float:
             raise InvalidProbability(f"p={p} outside [0, 1]")
         if not 0.0 <= eps < 0.5:
             raise InvalidProbability(f"eps={eps} outside [0, 1/2)")
+        if cap < 0.0:
+            raise DomainError(f"K must be >= 0, got {cap}")
+        if delta <= -1.0:
+            raise DomainError(f"delta must be > -1, got {delta}")
         logn = math.log(n)
         rate = (
             (1.0 + delta)

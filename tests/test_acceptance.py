@@ -71,7 +71,7 @@ def test_01_connectivity_oracle_equivalence():
         for b, (i, j) in enumerate(pairs):
             if bits >> b & 1:
                 a[i, j] = a[j, i] = 1
-        g = GraphSample(4, a)
+        g = GraphSample(a)
         mismatches += connectivity_spectral(g) != connectivity_unionfind(g)
     n = 200
     sid = 0
@@ -193,7 +193,7 @@ def test_06_norm_bound_check():
     for seed in range(100):
         g = sample_er(n, p, derive_stream(SEED, seed))
         x = g.adjacency - p * (np.ones((n, n)) - np.eye(n))
-        holds += norm_bound_check(SymmetricMatrix(x), prof, t)
+        holds += norm_bound_check(SymmetricMatrix(x), prof.sigma, t)
     elapsed = time.monotonic() - start
     report(
         "06 spectral-norm-bound",

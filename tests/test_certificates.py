@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -161,6 +162,70 @@ class TestCertifyZ2Sync:
                 )
 
 
+class TestHandBuiltSamples:
+    """A sample is its arrays: one built by hand from a sampler's arrays
+    gives the sampler's results, and its size is read off those arrays."""
+
+    def test_samples_hold_only_arrays(self):
+        assert [f.name for f in dataclasses.fields(GraphSample)] == ["adjacency", "labels"]
+        assert [f.name for f in dataclasses.fields(SyncInstance)] == ["y", "z", "sigma"]
+        assert GraphSample(np.zeros((7, 7), dtype=np.uint8)).n == 7
+        inst = SyncInstance(sym(np.zeros((3, 3))), np.ones(3))
+        assert inst.n == 3 and inst.is_discrete
+        assert not SyncInstance(sym(np.eye(3)), np.ones(3), 0.5).is_discrete
+
+    def test_partition_gap_and_sufficiency(self):
+        held = set()
+        for seed, (n, p, q) in enumerate([(30, 0.6, 0.1), (40, 0.9, 0.05),
+                                          (40, 0.3, 0.25), (4, 1.0, 0.0)]):
+            g = sample_sbm(n, p, q, derive_stream(70, seed))
+            hand = GraphSample(g.adjacency.copy(), labels=g.labels.copy())
+            assert hand.n == n
+            assert np.array_equal(centered_partition_gap(hand, p, q),
+                                  centered_partition_gap(g, p, q))
+            rep = sbm_sufficient_condition(hand, p, q)
+            assert rep == sbm_sufficient_condition(g, p, q)
+            held.add(rep.holds)
+        assert held == {False, True}
+
+    def test_gaussian_certificate(self):
+        rng = derive_stream(71, 0)
+        for n, sigma in [(4, 0.3), (20, 0.5), (20, 3.0), (35, 1.0)]:
+            z = random_signs(rng, n)
+            inst = sample_z2sync_gaussian(n, sigma, z, rng)
+            hand = SyncInstance(sym(inst.y.array.copy()), z.copy(), sigma)
+            a, b = certify_z2sync(inst), certify_z2sync(hand)
+            assert (a.lambda1, a.lambda2, a.band, a.residual_null) == \
+                (b.lambda1, b.lambda2, b.band, b.residual_null)
+            assert np.array_equal(a.d_diag, b.d_diag)
+
+    def test_gaussian_size_is_the_matrix_size(self):
+        # lambda2 = n - sigma lambda_max reads n off y: a 4 x 4 instance
+        # is certified on the 4 x 4 scale
+        rng = derive_stream(72, 0)
+        inst = sample_z2sync_gaussian(4, 0.3, np.ones(4), rng)
+        rep = certify_z2sync(SyncInstance(inst.y, inst.z, 0.3))
+        assert rep.tight and rep.lambda2 < 4.0
+        assert rep.lambda2 == pytest.approx(certify_rank_one(inst.y, inst.z).lambda2,
+                                            abs=1e-9)
+
+    def test_union_find_connectivity(self):
+        seen = set()
+        for seed in range(12):
+            n = 10 + 5 * seed
+            g = sample_er(n, 1.2 * math.log(n) / n, derive_stream(73, seed))
+            hand = GraphSample(g.adjacency.copy())
+            assert hand.n == n
+            assert connectivity_unionfind(hand) == connectivity_unionfind(g) \
+                == connectivity_spectral(g)
+            seen.add(connectivity_unionfind(hand))
+        assert seen == {False, True}
+        # a 10-node path is connected
+        a = np.zeros((10, 10), dtype=np.uint8)
+        a[np.arange(9), np.arange(1, 10)] = a[np.arange(1, 10), np.arange(9)] = 1
+        assert connectivity_unionfind(GraphSample(a))
+
+
 class TestRankOneSide:
     """rank_one_side decides certify_rank_one's side; a Cholesky factorization
     or the blocked nodes' spectrum settles the clear cases."""
@@ -250,7 +315,7 @@ class TestRankOneSide:
         np.fill_diagonal(a, 0)
         a[0, :6] = a[:6, 0] = 0
         a[0, 6:] = a[6:, 0] = 1
-        b, x = signed_adjacency(GraphSample(12, a, labels=labels)), labels
+        b, x = signed_adjacency(GraphSample(a, labels=labels)), labels
         rep = certify_rank_one(b, x)
         assert rep.d_diag[0] < 0 and np.count_nonzero(rep.d_diag < 0) == 1
         sizes = self.spy_eigvalsh(monkeypatch)
@@ -309,7 +374,6 @@ class TestCertifySbm:
 
     def test_empty_graph_boundary(self):
         g = GraphSample(
-            4,
             np.zeros((4, 4), dtype=np.uint8),
             labels=np.array([1, 1, -1, -1], dtype=np.int8),
         )
@@ -330,7 +394,7 @@ class TestCertifySbm:
             assert a.lambda2 == pytest.approx(b.lambda2, abs=1e-8 * (1 + n))
 
     def test_missing_labels(self):
-        g = GraphSample(4, np.zeros((4, 4), dtype=np.uint8))
+        g = GraphSample(np.zeros((4, 4), dtype=np.uint8))
         with pytest.raises(MissingLabels):
             certify_sbm(g)
 
@@ -338,7 +402,7 @@ class TestCertifySbm:
 class TestSufficientCondition:
     def test_deterministic_instance(self):
         g = sample_sbm(4, 1.0, 0.0, derive_stream(0, 0))
-        rep = sbm_sufficient_condition(g)
+        rep = sbm_sufficient_condition(g, 1.0, 0.0)
         lhs = eigenvalues_selected(SymmetricMatrix(centered_partition_gap(g, 1.0, 0.0)), (4,))
         assert lhs[0] == pytest.approx(0.0, abs=1e-9)
         assert rep.rhs == pytest.approx(2.0)
@@ -346,7 +410,7 @@ class TestSufficientCondition:
 
     def test_equal_probabilities_never_hold(self):
         g = sample_sbm(10, 0.3, 0.3, derive_stream(1, 0))
-        rep = sbm_sufficient_condition(g)
+        rep = sbm_sufficient_condition(g, 0.3, 0.3)
         assert rep.rhs == 0.0
         assert not rep.holds
 
@@ -357,14 +421,14 @@ class TestSufficientCondition:
             p = 0.05 + 0.4 * rng.uniform()
             q = rng.uniform() * p
             g = sample_sbm(n, p, q, rng)
-            rep = sbm_sufficient_condition(g)
+            rep = sbm_sufficient_condition(g, p, q)
             if rep.holds:
                 assert certify_sbm(g).tight
 
     @staticmethod
-    def eigenvalue_rule(g):
+    def eigenvalue_rule(g, p, q):
         """The verdict from the spectrum: lhs < rhs - tau (1 + |lhs| + |rhs|)."""
-        n, p, q = g.n, g.params.p, g.params.q
+        n = g.n
         dev = SymmetricMatrix(centered_partition_gap(g, p, q))
         lhs = float(eigenvalues_selected(dev, (n,))[0])
         rhs = (n / 2) * (p - q)
@@ -376,15 +440,16 @@ class TestSufficientCondition:
         for _ in range(300):
             n = 2 * (int(rng.uniform() * 40) + 2)
             p = 0.05 + 0.9 * rng.uniform()
-            samples.append(sample_sbm(n, p, rng.uniform() * p, rng))
+            q = rng.uniform() * p
+            samples.append((sample_sbm(n, p, q, rng), p, q))
         # n=300 near sqrt(alpha) - sqrt(beta) = sqrt(2), where lhs - rhs is a
         # few units either side of zero
         logn = math.log(300)
         for i, alpha in enumerate(np.linspace(5.0, 7.0, 12)):
-            samples.append(sample_sbm(300, alpha * logn / 300, logn / 300,
-                                      derive_stream(62, i)))
-        verdicts = [sbm_sufficient_condition(g).holds for g in samples]
-        assert verdicts == [self.eigenvalue_rule(g) for g in samples]
+            p, q = alpha * logn / 300, logn / 300
+            samples.append((sample_sbm(300, p, q, derive_stream(62, i)), p, q))
+        verdicts = [sbm_sufficient_condition(*s).holds for s in samples]
+        assert verdicts == [self.eigenvalue_rule(*s) for s in samples]
         assert len(set(verdicts[:300])) == len(set(verdicts[300:])) == 2
 
     def test_non_positive_diagonal_builds_no_matrix(self, monkeypatch):
@@ -395,24 +460,25 @@ class TestSufficientCondition:
 
         n = 200
         logn = math.log(n)
-        g = sample_sbm(n, 2.0 * logn / n, logn / n, derive_stream(64, 0))
-        assert not self.eigenvalue_rule(g)
+        p, q = 2.0 * logn / n, logn / n
+        g = sample_sbm(n, p, q, derive_stream(64, 0))
+        assert not self.eigenvalue_rule(g, p, q)
         monkeypatch.setattr(certificates, "centered_partition_gap", no_build)
-        assert not sbm_sufficient_condition(g).holds
+        assert not sbm_sufficient_condition(g, p, q).holds
 
 
 class TestConnectivity:
     def test_path_connected(self):
         a = np.zeros((3, 3), dtype=np.uint8)
         a[0, 1] = a[1, 0] = a[1, 2] = a[2, 1] = 1
-        g = GraphSample(3, a)
+        g = GraphSample(a)
         assert connectivity_spectral(g)
         assert connectivity_unionfind(g)
 
     def test_two_disjoint_edges(self):
         a = np.zeros((4, 4), dtype=np.uint8)
         a[0, 1] = a[1, 0] = a[2, 3] = a[3, 2] = 1
-        g = GraphSample(4, a)
+        g = GraphSample(a)
         assert not connectivity_spectral(g)
         assert not connectivity_unionfind(g)
 
@@ -423,7 +489,7 @@ class TestConnectivity:
             for b, (i, j) in enumerate(pairs):
                 if bits >> b & 1:
                     a[i, j] = a[j, i] = 1
-            g = GraphSample(4, a)
+            g = GraphSample(a)
             assert connectivity_spectral(g) == connectivity_unionfind(g)
 
 
@@ -432,9 +498,9 @@ class TestConnectivity:
         a = np.zeros((5, 5), dtype=dtype)
         for i, j in [(0, 1), (1, 2), (3, 4)]:
             a[i, j] = a[j, i] = 1
-        assert not connectivity_unionfind(GraphSample(5, a))
+        assert not connectivity_unionfind(GraphSample(a))
         a[2, 3] = a[3, 2] = 1
-        assert connectivity_unionfind(GraphSample(5, a))
+        assert connectivity_unionfind(GraphSample(a))
 
     def test_unionfind_agrees_with_spectral_near_threshold(self):
         n = 120
@@ -457,9 +523,8 @@ class TestFlipOracles:
 
     def test_single_corrupted_edge(self):
         # G = H = {(0, 1)}: the one measurement contradicts z
-        base = sample_z2sync_er(2, 0.0, 0.0, np.ones(2), derive_stream(0, 0))
         y = sym(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-        inst = SyncInstance(n=2, y=y, z=base.z, params=base.params)
+        inst = SyncInstance(y, np.ones(2))
         verdict = flip_oracle_z2(inst)
         assert verdict.min_stat == -1.0
         assert verdict.oracle_block
@@ -531,8 +596,8 @@ class TestSpectralDiagRatio:
 class TestNormBoundCheck:
     def test_zero_matrix(self):
         prof = ensemble_profile("centered-er", 10, p=0.3)
-        assert norm_bound_check(sym(np.zeros((10, 10))), prof, 0.0)
-        assert norm_bound_check(sym(np.zeros((10, 10))), prof, 5.0)
+        assert norm_bound_check(sym(np.zeros((10, 10))), prof.sigma, 0.0)
+        assert norm_bound_check(sym(np.zeros((10, 10))), prof.sigma, 5.0)
 
     def test_adversarial_matrix_fails(self):
         n = 12
@@ -540,7 +605,7 @@ class TestNormBoundCheck:
         x[0, 1] = x[1, 0] = float(n) * 10
         prof = ensemble_profile("centered-er", n, p=0.1)
         t = 3 * prof.sigma_inf * math.sqrt(math.log(n))
-        assert not norm_bound_check(sym(x), prof, t)
+        assert not norm_bound_check(sym(x), prof.sigma, t)
 
     def test_centered_er_holds(self):
         n, p = 150, 0.2
@@ -549,4 +614,4 @@ class TestNormBoundCheck:
         for seed in range(10):
             g = sample_er(n, p, derive_stream(seed, 0))
             x = g.adjacency - p * (np.ones((n, n)) - np.eye(n))
-            assert norm_bound_check(sym(x), prof, t)
+            assert norm_bound_check(sym(x), prof.sigma, t)

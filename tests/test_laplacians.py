@@ -20,7 +20,7 @@ from lapcert import (
     sample_z2sync_er,
     signed_adjacency,
 )
-from lapcert.ensembles import EnsembleParams, GraphSample, SyncInstance
+from lapcert.ensembles import GraphSample, SyncInstance
 from lapcert.errors import MissingLabels, RequiresDiscreteInstance
 
 
@@ -33,7 +33,7 @@ def graph_from_edges(n, edges):
     for i, j in edges:
         a[i, j] = a[j, i] = 1
     a.setflags(write=False)
-    return GraphSample(n, a)
+    return GraphSample(a)
 
 
 def assert_certificate_is(rep, ref):
@@ -135,14 +135,13 @@ class TestSyncLaplacian:
     def _hand_instance(self, g, h):
         # y = G - 2H: +1 on clean edges, -1 on corrupted ones
         y = sym(g.adjacency.astype(float) - 2.0 * h.adjacency)
-        return SyncInstance(n=g.n, y=y, z=np.ones(g.n),
-                            params=EnsembleParams("z2-er", p=0.5, eps=0.25))
+        return SyncInstance(y, np.ones(g.n))
 
     def test_h_empty_equals_lg(self):
         inst = self._instance(20, 0.5, 0.0, 3)
         g_edges, h_edges = self._graphs(inst)
         ref = sync_certificate(g_edges, h_edges)
-        lg = graph_laplacian(GraphSample(20, g_edges))
+        lg = graph_laplacian(GraphSample(g_edges))
         assert np.array_equal(ref, lg.array)
         assert_certificate_is(certify_z2sync(inst), ref)
 
@@ -202,7 +201,7 @@ class TestPartitionGap:
         assert_certificate_is(certify_sbm(g), ref)
 
     def test_empty_graph(self):
-        g = GraphSample(4, np.zeros((4, 4), dtype=np.uint8),
+        g = GraphSample(np.zeros((4, 4), dtype=np.uint8),
                         labels=np.array([1, 1, -1, -1], dtype=np.int8))
         ref = partition_gap_certificate(g.adjacency, g.labels)
         assert np.all(ref == 1.0)  # Gamma = 0

@@ -23,3 +23,51 @@ def test_no_module_imports_a_private_name_from_another():
                 if _is_private(alias.name):
                     found.append(f"{path.name}:{node.lineno} imports {alias.name}")
     assert found == []
+
+
+def _definitions(tree):
+    """(name, node) of each module-level def, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def _references(tree):
+    """(name, line) of each name read, attribute read, or identifier
+    string (as monkeypatch.setattr and getattr take them). Imports are
+    not references."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value, node.lineno
+
+
+def test_every_public_name_is_referenced():
+    # a public name that nothing in src/, tests/ or bench/ reads is dead;
+    # re-exporting it from __init__ does not count as a use
+    root = SRC.parents[1]
+    files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((root / "tests").rglob("*.py")) + sorted((root / "bench").rglob("*.py"))
+    refs = {path: list(_references(ast.parse(path.read_text(encoding="utf-8"))))
+            for path in files}
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for name, node in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            if name.startswith("_"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(ref == name and not (other == path and line in own)
+                       for other, pairs in refs.items() for ref, line in pairs):
+                dead.append(f"{path.stem}.{name}")
+    assert dead == []

@@ -361,6 +361,58 @@ class TestSweepDigests:
         assert hashlib.sha256(data).hexdigest() == digest
 
 
+_CERTIFY_ARGV = {
+    "er": ["--n", "30", "--p", "0.15"],
+    "sbm": ["--n", "30", "--p", "0.6", "--q", "0.1"],
+    "z2er": ["--n", "30", "--p", "0.5", "--eps", "0.1"],
+    "z2gauss": ["--n", "30", "--sigma", "1.5"],
+}
+
+
+class TestCliDigests:
+    """stdout of ``certify`` and ``tail`` pinned byte for byte, so a change
+    in how a sample or a query is carried cannot change what is printed."""
+
+    @pytest.mark.parametrize("model, seed, digest", [
+        ("er", 1, "17a2308912ffcc6be2dd0bd66b0c1eadc292e75a3d2f7396541d776dc79bc39a"),
+        ("er", 2, "3e0e0568017b52ecd0ff34f1cd1ea6a865f380b84df4a264f8a7b5469e2d8edd"),
+        ("er", 3, "3e0e0568017b52ecd0ff34f1cd1ea6a865f380b84df4a264f8a7b5469e2d8edd"),
+        ("sbm", 1, "27e6565f954ebfeaab1bb84d3f4973d48f5874ae38e4344fbca8feb081d8f03f"),
+        ("sbm", 2, "e370ea7ed297f376a3eb3f5f0cce793d57f6772969e92c8823b381885760ea90"),
+        ("sbm", 3, "d0bb51566b37b8f0233a50ae91b6b3271ca2816a5316005dcc351c9b6496332c"),
+        ("z2er", 1, "c20ecbe36e02235cdf60962929d8d2c97c97e1e508dd62bcbfd8b55dafbaa412"),
+        ("z2er", 2, "a1185654ca32ad3702d953ef7acfa5a8be51ba211e1d8d71f14cab749593c664"),
+        ("z2er", 3, "02ff8259d8f7dd830dafb26ac08961531b901bfea06eaa0a83e5e07c43a58914"),
+        ("z2gauss", 1, "6b17603e74a755a392dccfc72964849d385033811c3c0c544b9c276d2ec07626"),
+        ("z2gauss", 2, "7ecc5b5da579f58e6383b7df901512ceb98de84cdae0870e0499a245a05cb67e"),
+        ("z2gauss", 3, "c3d5d77c2cdd868a8db726ab76f7c833582732caf4f7edd1f57436d23d7682f6"),
+    ])
+    def test_certify(self, capsys, model, seed, digest):
+        argv = ["certify", "--model", model, *_CERTIFY_ARGV[model], "--seed", str(seed)]
+        assert cli_main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--model", "er", "--rho", "1.5"],
+         "92580429741a4b5a319cc177f97f79fd90f1b93d165b66196c375e7051df6948"),
+        (["--model", "sbm", "--alpha", "9", "--beta", "1"],
+         "406243aed587c335dd2438d2410c4c457cacf0534faddd70c3d16668b06c6a88"),
+        (["--model", "z2er", "--n", "100", "--p", "0.5", "--eps", "0.1",
+          "--cap-k", "1", "--delta", "0.25"],
+         "33a82aab7fb2b05c6cad2f6fbdebddc0cad179dfaeeb6269b9f32943472b2c83"),
+        (["--model", "z2gauss", "--n", "400", "--sigma", "1"],
+         "d3a51ba125db24d7caa9773ab0a8d19e612fa87d9b5b8ce98481b439b7a493cd"),
+        (["--m", "20", "--p", "0.5", "--q", "0.3", "--delta", "2"],
+         "ec8ff4c7458c72d476408a7493e04b70702bc1ce77f7a8704e3b690b83fd22ae"),
+        (["--m", "20", "--p", "0.5", "--q", "0.3", "--delta", "2",
+          "--mc-trials", "500", "--seed", "3"],
+         "c895802e0dea37c8406871f7e612e69efcc34bfe3805296dbc48f874dcb2c5b6"),
+    ], ids=["er", "sbm", "z2er", "z2gauss", "m", "m-mc"])
+    def test_tail(self, capsys, argv, digest):
+        assert cli_main(["tail", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 class TestGridParsing:
     def test_single_value(self):
         assert _parse_grid("0.5") == [0.5]
@@ -549,14 +601,36 @@ class TestCli:
          "sigma"),
         (["sweep", "--experiment", "z2gauss", "--n", "20", "--sigma", "1",
           "--t-factor", "2"], "t-factor"),
+        (["sweep", "--experiment", "er", "--n", "10", "--rho", "1", "--ensemble", "foo",
+          "--tau", "0.1", "--rank-k", "3", "--cross-check"], "ensemble"),
+        (["sweep", "--experiment", "sbm", "--n", "20", "--alpha", "6", "--beta", "1",
+          "--ensemble", "centered-sbm"], "ensemble"),
+        (["sweep", "--experiment", "er", "--n", "10", "--rho", "1", "--tau", "0.1"], "tau"),
+        (["sweep", "--experiment", "normbound", "--n", "20", "--p", "0.3",
+          "--rank-k", "3"], "rank-k"),
+        (["sweep", "--experiment", "ratio", "--ensemble", "wigner-neg-laplacian",
+          "--n", "20", "--cross-check"], "cross-check"),
+        (["certify", "--model", "sbm", "--n", "20", "--p", "0.6", "--q", "0.1",
+          "--sigma", "3"], "sigma"),
+        (["certify", "--model", "er", "--n", "20", "--p", "0.3", "--q", "0.3"], "q"),
+        (["certify", "--model", "z2gauss", "--n", "20", "--sigma", "1", "--eps", "0.1"],
+         "eps"),
+        (["certify", "--model", "z2er", "--n", "20", "--p", "0.5", "--eps", "0.1",
+          "--q", "0.2"], "q"),
     ])
-    def test_axis_the_experiment_does_not_read_exits_one(self, tmp_path, capsys,
-                                                          argv, axis):
+    def test_axis_the_experiment_does_not_read_exits_one(self, tmp_path, monkeypatch,
+                                                          capsys, argv, axis):
+        def no_trials(args):
+            raise AssertionError("a trial ran before the flags were checked")
+
+        monkeypatch.setattr(sweeps, "_eval_trial", no_trials)
         out = tmp_path / "out.csv"
-        assert cli_main([*argv, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("error:") == 1 and axis in err
-        assert not out.exists()
+        extra = ["--out", str(out)] if argv[0] == "sweep" else []
+        assert cli_main([*argv, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1 and f"--{axis} is not" in captured.err
+        assert not out.exists() and not (tmp_path / "out.meta.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--experiment", "z2gauss", "--n", "1", "--sigma", "1"],
@@ -619,6 +693,10 @@ class TestCli:
         ["tail", "--m", "2", "--p", "0.5", "--q", "0.5", "--delta", "nan"],
         ["tail", "--m", "2", "--p", "0.5", "--q", "0.5", "--delta", "0",
          "--model", "sbm", "--alpha", "nan", "--beta", "1"],
+        ["tail", "--model", "z2er", "--n", "100", "--p", "0.5", "--eps", "0.1",
+         "--delta", "-5"],
+        ["tail", "--model", "z2er", "--n", "100", "--p", "0.5", "--eps", "0.1",
+         "--cap-k", "-100"],
     ])
     def test_bad_certify_or_tail_input_exits_one(self, capsys, argv):
         assert cli_main(argv) == 1

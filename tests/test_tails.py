@@ -155,17 +155,17 @@ class TestThresholdMargin:
         assert margin == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-12)
 
     def test_er_boundary(self):
-        assert threshold_margin("er_connectivity", {"rho": 1.0}) == 0.0
+        assert threshold_margin("er", {"rho": 1.0}) == 0.0
 
     def test_z2_gaussian(self):
         want = math.sqrt(400 / (2 * math.log(400))) - 1.0
-        margin = threshold_margin("z2_gaussian", {"n": 400, "sigma": 1.0})
+        margin = threshold_margin("z2gauss", {"n": 400, "sigma": 1.0})
         assert margin == pytest.approx(want, rel=1e-12)
 
     def test_z2_er_asymptotic_form(self):
         n, p, eps = 500, 0.5, 0.1
         rate = (2 / (1 - 2 * eps) ** 2) * (1 + (5 / 3) * (1 - 2 * eps)) * math.log(n)
-        margin = threshold_margin("z2_er", {"n": n, "p": p, "eps": eps})
+        margin = threshold_margin("z2er", {"n": n, "p": p, "eps": eps})
         assert margin == pytest.approx((n - 1) * p - rate, rel=1e-12)
 
     def test_unknown_model(self):
@@ -173,16 +173,38 @@ class TestThresholdMargin:
             threshold_margin("percolation", {})
 
     @pytest.mark.parametrize("model, params", [
-        ("er_connectivity", {"rho": math.nan}),
+        ("er", {"rho": math.nan}),
         ("sbm", {"alpha": math.nan, "beta": 1.0}),
         ("sbm", {"alpha": 9.0, "beta": math.inf}),
-        ("z2_gaussian", {"n": 100, "sigma": math.nan}),
-        ("z2_er", {"n": 100, "p": 0.5, "eps": 0.1, "K": math.nan}),
-        ("z2_er", {"n": 100, "p": 0.5, "eps": 0.1, "delta": math.inf}),
+        ("z2gauss", {"n": 100, "sigma": math.nan}),
+        ("z2er", {"n": 100, "p": 0.5, "eps": 0.1, "K": math.nan}),
+        ("z2er", {"n": 100, "p": 0.5, "eps": 0.1, "delta": math.inf}),
     ])
     def test_rejects_non_finite_parameters(self, model, params):
         with pytest.raises(DomainError, match="must be finite"):
             threshold_margin(model, params)
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"delta": -1.0}, "delta must be > -1"),
+        ({"delta": -5.0}, "delta must be > -1"),
+        ({"K": -100.0}, "K must be >= 0"),
+        ({"K": -1e-9}, "K must be >= 0"),
+    ])
+    def test_z2er_rejects_delta_at_most_minus_one_and_negative_k(self, extra, message):
+        # (1 + delta) <= 0 would flip or zero the rate; K < 0 has no meaning
+        with pytest.raises(DomainError, match=message):
+            threshold_margin("z2er", {"n": 100, "p": 0.5, "eps": 0.1, **extra})
+
+    def test_z2er_accepts_k_zero_and_delta_above_minus_one(self):
+        base = {"n": 100, "p": 0.5, "eps": 0.1}
+        assert threshold_margin("z2er", {**base, "K": 0.0, "delta": 0.0}) == \
+            threshold_margin("z2er", base)
+        assert math.isfinite(threshold_margin("z2er", {**base, "delta": -0.999}))
+
+    @pytest.mark.parametrize("old", ["er_connectivity", "z2_er", "z2_gaussian"])
+    def test_one_name_per_model(self, old):
+        with pytest.raises(DomainError, match="unknown threshold model"):
+            threshold_margin(old, {})
 
 
 class TestGreedyHalfCut:
