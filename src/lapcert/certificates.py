@@ -28,12 +28,11 @@ from .eig import (
     is_positive_definite,
     spectral_norm,
 )
-from .ensembles import GraphSample, SyncInstance
+from .ensembles import GraphSample, SyncInstance, as_sign_vector
 from .errors import (
     MissingLabels,
     NonLaplacian,
     NonPositiveDiagonalMax,
-    NonSignVector,
     RequiresDiscreteInstance,
 )
 from .laplacians import (
@@ -111,23 +110,16 @@ class SufficiencyReport:
     holds: bool
 
 
-def _as_sign_vector(x, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n,) or not np.all(np.abs(x) == 1.0):
-        raise NonSignVector("x must be a length-n vector of +-1")
-    return x
-
-
 def dual_diagonal(y: SymmetricMatrix, x) -> np.ndarray:
     """Candidate dual diagonal D_ii = sum_j Y_ij x_i x_j."""
-    x = _as_sign_vector(x, y.n)
+    x = as_sign_vector(x, y.n)
     return x * (y.array @ x)
 
 
 def _certificate(y: SymmetricMatrix, x):
     """(x, D, D - Y): the one builder of the discrete certificate matrix."""
-    x = _as_sign_vector(x, y.n)
-    d = dual_diagonal(y, x)
+    d = dual_diagonal(y, x)  # checks x, once
+    x = np.asarray(x, dtype=np.float64)
     # diag(d) - Y, not -Y + diag(d): -Y would put -0.0 where Y is zero.
     cert = np.diag(d)
     cert -= y.array
@@ -136,7 +128,7 @@ def _certificate(y: SymmetricMatrix, x):
 
 def _report(x: np.ndarray, d: np.ndarray, cert: np.ndarray,
             tau: float) -> CertificateReport:
-    sm = SymmetricMatrix(cert)
+    sm = SymmetricMatrix._owning(cert)
     # (lambda_1, lambda_2, lambda_n) from one decomposition
     lam = [cert[0, 0]] * 3 if sm.n == 1 else eigenvalues_selected(sm, (1, 2, sm.n))
     lam1, lam2, lamn = (float(v) for v in lam)
@@ -186,7 +178,7 @@ def rank_one_side(y: SymmetricMatrix, x, tau: float = TAU_POS) -> str:
         t = 2.0 * (tau + n * _EPS) * (1.0 + float(np.linalg.norm(cert, np.inf)))
         blocked = np.flatnonzero(np.diagonal(cert) < 0.0)
         if len(blocked) >= 2:
-            sub = SymmetricMatrix(cert[np.ix_(blocked, blocked)])
+            sub = SymmetricMatrix._owning(cert[np.ix_(blocked, blocked)])
             if eigenvalue_k(sub, 2) < -t:
                 return SIDE_BELOW
         elif (not len(blocked) and _weak_node_ritz(cert, x) > t
@@ -223,7 +215,7 @@ def _weak_node_ritz(cert: np.ndarray, x: np.ndarray) -> float:
         q_prev, q = q, w / b
     k = len(alpha)
     off = np.diag(beta[1:k], 1)
-    return eigenvalue_k(SymmetricMatrix(np.diag(alpha) + off + off.T), 1)
+    return eigenvalue_k(SymmetricMatrix._owning(np.diag(alpha) + off + off.T), 1)
 
 
 def _positive_definite_shift(cert: np.ndarray, x: np.ndarray, t: float) -> bool:
@@ -232,9 +224,7 @@ def _positive_definite_shift(cert: np.ndarray, x: np.ndarray, t: float) -> bool:
     shifted = np.outer(x, x * ((t + 1.0) / n))
     shifted += cert
     shifted.flat[:: n + 1] -= t
-    m = SymmetricMatrix(shifted)
-    del shifted  # released before potrf allocates its factor: peak memory
-    return is_positive_definite(m)
+    return is_positive_definite(SymmetricMatrix._owning(shifted))
 
 
 def certify_z2sync(inst: SyncInstance, tau: float = TAU_POS) -> CertificateReport:
@@ -254,7 +244,7 @@ def certify_z2sync(inst: SyncInstance, tau: float = TAU_POS) -> CertificateRepor
     # Conjugated noise: W' = diag(z) W diag(z), same distribution as W.
     wprime = (z[:, None] * inst.y.array * z[None, :] - 1.0) / sigma
     np.fill_diagonal(wprime, 0.0)
-    lneg = laplacian_of(SymmetricMatrix(-wprime))
+    lneg = laplacian_of(SymmetricMatrix._owning(np.negative(wprime, out=wprime)))
     lam = eigenvalues_selected(lneg, (1, lneg.n))
     mu1, mun = float(lam[0]), float(lam[1])
     lam2 = n - sigma * mun
@@ -311,9 +301,7 @@ def sbm_sufficient_condition(g: GraphSample, p: float, q: float) -> SufficiencyR
     shifted = centered_partition_gap(g, p, q)
     np.negative(shifted, out=shifted)
     shifted.flat[:: n + 1] += s
-    m = SymmetricMatrix(shifted)
-    del shifted  # released before potrf allocates its factor: peak memory
-    holds = is_positive_definite(m)
+    holds = is_positive_definite(SymmetricMatrix._owning(shifted))
     return SufficiencyReport(rhs=rhs, holds=holds)
 
 

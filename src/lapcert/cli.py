@@ -226,9 +226,28 @@ def _print_report(kind: str, report, extra: str = "") -> None:
         print(extra)
 
 
-#: The model flags each ``certify`` model reads; it needs all of them.
-_CERTIFY_FLAGS = {"er": ("p",), "sbm": ("p", "q"), "z2er": ("p", "eps"),
-                  "z2gauss": ("sigma",)}
+#: The flags each query reads: those it needs, then those it may take.
+_CERTIFY_FLAGS = {"er": (("p",), ()), "sbm": (("p", "q"), ()),
+                  "z2er": (("p", "eps"), ()), "z2gauss": (("sigma",), ())}
+_TAIL_FLAGS = {"er": (("rho",), ()), "sbm": (("alpha", "beta"), ()),
+               "z2er": (("n", "p", "eps"), ("cap_k", "delta")),
+               "z2gauss": (("n", "sigma"), ()), "--m": (("p", "q", "delta"), ("mc_trials",))}
+
+
+def _check_flags(args: argparse.Namespace, table: dict, queries: list) -> None:
+    """Every flag a query needs is given, and every flag of the table that
+    is given is read by one of the queries."""
+    read = set()
+    for query in queries:
+        needs, takes = table[query]
+        for flag in needs:
+            if getattr(args, flag) is None:
+                raise ConfigError(f"--{flag} is required for {query}")
+        read.update(needs + takes)
+    unread = sorted(flag for needs, takes in table.values() for flag in needs + takes
+                    if flag not in read and getattr(args, flag) is not None)
+    if unread:
+        raise ConfigError(f"--{unread[0].replace('_', '-')} is not read by {' or '.join(queries)}")
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -236,13 +255,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise ConfigError(f"--n must be >= 1, got {n}")
-    reads = _CERTIFY_FLAGS[args.model]
-    for flag in ("p", "q", "sigma", "eps"):
-        given = getattr(args, flag) is not None
-        if flag in reads and not given:
-            raise ConfigError(f"--{flag} is required for {args.model}")
-        if given and flag not in reads:
-            raise ConfigError(f"--{flag} is not read by --model {args.model}")
+    _check_flags(args, _CERTIFY_FLAGS, [args.model])
     if args.model == "er":
         g = sample_er(n, args.p, rng)
         spectral = connectivity_spectral(g)
@@ -291,7 +304,7 @@ def _read_matrix(path: str) -> SymmetricMatrix:
     if asym > 1e-9:
         print(f"warning: asymmetry {asym:.3g} exceeds 1e-9; averaging with "
               "the transpose", file=sys.stderr)
-    return SymmetricMatrix(a, symmetrize=True)
+    return SymmetricMatrix((a + a.T) / 2.0)
 
 
 def _cmd_eig(args: argparse.Namespace) -> int:
@@ -305,10 +318,12 @@ def _cmd_eig(args: argparse.Namespace) -> int:
 
 
 def _cmd_tail(args: argparse.Namespace) -> int:
+    queries = [q for q in (args.model, "--m" if args.m is not None else None) if q]
+    if not queries:
+        raise ConfigError("tail needs --model and/or --m")
+    _check_flags(args, _TAIL_FLAGS, queries)
     lines = []  # printed only once every value is computed
     if args.m is not None:
-        if args.p is None or args.q is None or args.delta is None:
-            raise ConfigError("--m needs --p, --q, and --delta")
         exact = bernoulli_diff_tail(args.m, args.p, args.q, args.delta)
         lines.append(f"t_exact {exact:.12g}")
         if args.mc_trials is not None:
@@ -318,35 +333,12 @@ def _cmd_tail(args: argparse.Namespace) -> int:
             )
             lines += [f"t_mc {est:.9g}", f"t_mc_se {se:.3g}"]
     if args.model is not None:
-        lines.append(f"margin {threshold_margin(*_tail_query(args)):.9g}")
-    if not lines:
-        raise ConfigError("tail needs --model and/or --m")
+        needs, takes = _TAIL_FLAGS[args.model]
+        params = {"K" if flag == "cap_k" else flag: getattr(args, flag)
+                  for flag in needs + takes if getattr(args, flag) is not None}
+        lines.append(f"margin {threshold_margin(args.model, params):.9g}")
     print("\n".join(lines))
     return EXIT_OK
-
-
-def _tail_query(args: argparse.Namespace) -> tuple:
-    """The (model, params) arguments of threshold_margin."""
-    if args.model == "er":
-        if args.rho is None:
-            raise ConfigError("--rho is required for er")
-        return args.model, {"rho": args.rho}
-    if args.model == "sbm":
-        if args.alpha is None or args.beta is None:
-            raise ConfigError("--alpha and --beta are required for sbm")
-        return args.model, {"alpha": args.alpha, "beta": args.beta}
-    if args.model == "z2gauss":
-        if args.n is None or args.sigma is None:
-            raise ConfigError("--n and --sigma are required for z2gauss")
-        return args.model, {"n": args.n, "sigma": args.sigma}
-    if args.n is None or args.p is None or args.eps is None:
-        raise ConfigError("--n, --p, and --eps are required for z2er")
-    params = {"n": args.n, "p": args.p, "eps": args.eps}
-    if args.cap_k is not None:
-        params["K"] = args.cap_k
-    if args.delta is not None:
-        params["delta"] = args.delta
-    return args.model, params
 
 
 def cli_main(argv) -> int:

@@ -22,40 +22,33 @@ class SymmetricMatrix:
 
     Entries (i, j) and (j, i) compare equal by construction and the backing
     array is read-only, so instances can be shared across threads. NaN and
-    infinite entries are rejected.
+    infinite entries are rejected from outside the package; its builders
+    hand over the fresh array they filled through ``_owning``, unchecked.
     """
 
     __slots__ = ("_a",)
 
-    def __init__(self, array, *, symmetrize: bool = False):
+    def __init__(self, array):
         a = np.array(array, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square 2-d array")
         if a.shape[0] == 0:
             raise ValueError("empty matrix")
-        if symmetrize:
-            a = (a + a.T) / 2.0
-        elif not np.array_equal(a, a.T):
-            raise ValueError(
-                "array is not symmetric; pass symmetrize=True to average with "
-                "its transpose"
-            )
+        if not np.array_equal(a, a.T):
+            raise ValueError("array is not symmetric")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
         a.setflags(write=False)
         self._a = a
 
     @classmethod
-    def from_upper(cls, n: int, values) -> "SymmetricMatrix":
-        """Build from the upper triangle (row-major, diagonal included)."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (n * (n + 1) // 2,):
-            raise ValueError("upper triangle needs n*(n+1)/2 values")
-        a = np.zeros((n, n), dtype=np.float64)
-        iu = np.triu_indices(n)
-        a[iu] = values
-        a[(iu[1], iu[0])] = values
-        return cls(a)
+    def _owning(cls, a: np.ndarray) -> "SymmetricMatrix":
+        """Wrap, without a copy or a check, a fresh finite float64 array that
+        is exactly symmetric by construction."""
+        a.setflags(write=False)
+        m = object.__new__(cls)
+        m._a = a
+        return m
 
     @property
     def array(self) -> np.ndarray:

@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .eig import SymmetricMatrix
-from .errors import DomainError, InvalidProbability, OddDimension, UnknownEnsemble
+from .errors import (DomainError, InvalidAdjacency, InvalidProbability, NonSignVector,
+                     OddDimension, UnknownEnsemble)
 
 _MASK64 = (1 << 64) - 1
 _STREAM_TWEAK = 0xD2B74407B1CE6E93
@@ -103,18 +104,43 @@ def derive_stream(master_seed: int, stream_id: int) -> RngStream:
     return RngStream(master_seed, stream_id)
 
 
+def as_sign_vector(x, n: int) -> np.ndarray:
+    """x as a float64 vector, checked to hold n entries, each +1 or -1."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (n,) or not np.all(np.abs(x) == 1.0):
+        raise NonSignVector(f"expected a length-{n} vector of +-1")
+    return x
+
+
 @dataclass(frozen=True)
 class GraphSample:
     """Simple graph with optional planted balanced labels.
 
-    ``adjacency`` is a read-only symmetric 0/1 uint8 array with zero
-    diagonal; ``labels`` (when present) is a +-1 vector with exactly n/2
-    positive entries, +1 on the first half by construction. The model
-    parameters that drew it are not stored: callers pass them.
+    ``adjacency`` is a square symmetric 0/1 array with zero diagonal and
+    ``labels`` (when present) a length-n +-1 vector, checked here; the
+    samplers' samples are valid by construction and built by ``_owning``.
+    The model parameters that drew a sample are not stored: callers pass
+    them.
     """
 
     adjacency: np.ndarray
     labels: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        a = np.asarray(self.adjacency)
+        if not (a.ndim == 2 and a.shape[0] == a.shape[1] and np.all((a == 0) | (a == 1))
+                and not np.diagonal(a).any() and np.array_equal(a, a.T)):
+            raise InvalidAdjacency("adjacency must be a square symmetric 0/1 array "
+                                   "with a zero diagonal")
+        if self.labels is not None:
+            as_sign_vector(self.labels, a.shape[0])
+
+    @classmethod
+    def _owning(cls, adjacency: np.ndarray, labels=None) -> "GraphSample":
+        """A sample of arrays that are valid by construction, unchecked."""
+        g = object.__new__(cls)
+        g.__dict__.update(adjacency=adjacency, labels=labels)
+        return g
 
     @property
     def n(self) -> int:
@@ -168,15 +194,6 @@ def _check_prob(value: float, name: str) -> float:
     return value
 
 
-def _check_sign_vector(z, n: int) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (n,) or not np.all(np.abs(z) == 1.0):
-        from .errors import NonSignVector
-
-        raise NonSignVector("z must be a length-n vector of +-1")
-    return z
-
-
 def _edge_pairs(n: int, mask: np.ndarray):
     """Row-major (i, j), i < j, of the set entries of a mask over the
     upper triangle, laid out as ``np.triu_indices(n, 1)`` lays it out.
@@ -203,9 +220,12 @@ def sample_wigner(n: int, rng: RngStream) -> SymmetricMatrix:
     """Symmetric matrix with iid N(0,1) entries on and above the diagonal."""
     _check_count(n)
     vals = rng.normal(n * (n + 1) // 2)
-    if n == 1:
-        vals = np.atleast_1d(vals)
-    return SymmetricMatrix.from_upper(n, vals)
+    a = np.empty((n, n))
+    start = 0
+    for i in range(n):
+        a[i, i:] = a[i:, i] = vals[start:start + n - i]
+        start += n - i
+    return SymmetricMatrix._owning(a)
 
 
 def sample_er(n: int, p: float, rng: RngStream) -> GraphSample:
@@ -214,7 +234,7 @@ def sample_er(n: int, p: float, rng: RngStream) -> GraphSample:
     p = _check_prob(p, "p")
     mask = rng.bernoulli(p, n * (n - 1) // 2)
     adj = _adjacency_from_pairs(n, *_edge_pairs(n, mask))
-    return GraphSample(adj)
+    return GraphSample._owning(adj)
 
 
 def sample_sbm(n: int, p: float, q: float, rng: RngStream) -> GraphSample:
@@ -239,7 +259,7 @@ def sample_sbm(n: int, p: float, q: float, rng: RngStream) -> GraphSample:
     thresholds = np.repeat(np.append(np.tile([p, q], h), p), runs)
     mask = rng.uniform(len(thresholds)) < thresholds
     adj = _adjacency_from_pairs(n, *_edge_pairs(n, mask))
-    return GraphSample(adj, labels)
+    return GraphSample._owning(adj, labels)
 
 
 def sample_z2sync_er(
@@ -255,7 +275,7 @@ def sample_z2sync_er(
     eps = float(eps)
     if not 0.0 <= eps < 0.5:
         raise InvalidProbability(f"eps={eps} outside [0, 1/2)")
-    z = _check_sign_vector(z, n)
+    z = as_sign_vector(z, n)
     npairs = n * (n - 1) // 2
     g_mask = rng.bernoulli(p, npairs)
     flipped = rng.bernoulli(eps, npairs)[g_mask]
@@ -264,7 +284,7 @@ def sample_z2sync_er(
     y = np.zeros((n, n))
     y[i, j] = signs
     y[j, i] = signs
-    return SyncInstance(SymmetricMatrix(y), z)
+    return SyncInstance(SymmetricMatrix._owning(y), z)
 
 
 def sample_z2sync_gaussian(
@@ -275,10 +295,10 @@ def sample_z2sync_gaussian(
     sigma = float(sigma)
     if not 0.0 <= sigma < math.inf:
         raise DomainError(f"sigma must be a finite number >= 0, got {sigma}")
-    z = _check_sign_vector(z, n)
+    z = as_sign_vector(z, n)
     w = sample_wigner(n, rng)
     y = np.outer(z, z) + sigma * w.array
-    return SyncInstance(SymmetricMatrix(y), z, sigma)
+    return SyncInstance(SymmetricMatrix._owning(y), z, sigma)
 
 
 def _centered_atoms(name: str, p=None, q=None, eps=None):

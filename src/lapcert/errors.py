@@ -29,6 +29,10 @@ class NonSignVector(LapcertError, ValueError):
     """Vector has entries other than +1/-1."""
 
 
+class InvalidAdjacency(LapcertError, ValueError):
+    """Array is not a square symmetric 0/1 matrix with zero diagonal."""
+
+
 class MissingLabels(LapcertError, ValueError):
     """Graph sample carries no planted labels."""
 

@@ -19,26 +19,29 @@ from .ensembles import GraphSample
 from .errors import MissingLabels
 
 
+def _into_laplacian(x: np.ndarray) -> SymmetricMatrix:
+    """Overwrite a fresh C-ordered symmetric x with L_X and hand it over."""
+    np.fill_diagonal(x, 0.0)
+    deg = x.sum(axis=1)
+    np.negative(x, out=x)
+    np.fill_diagonal(x, deg)
+    return SymmetricMatrix._owning(x)
+
+
 def laplacian_of(x: SymmetricMatrix) -> SymmetricMatrix:
     """L_X = D_X - X with (D_X)_ii = sum_{j != i} x_ij.
 
     The diagonal of x never enters, so L is bit-identical for x and
     x + diag(d); row sums vanish up to accumulated rounding.
     """
-    b = x.array.copy()
-    np.fill_diagonal(b, 0.0)
-    l = -b
-    np.fill_diagonal(l, b.sum(axis=1))
-    return SymmetricMatrix(l)
+    return _into_laplacian(x.array.copy())
 
 
 def graph_laplacian(g: GraphSample) -> SymmetricMatrix:
     """Standard graph Laplacian D - A; positive semidefinite, L1 = 0."""
-    a = g.adjacency.astype(np.float64)
-    deg = g.adjacency.sum(axis=1, dtype=np.int64)
-    l = -a
-    np.fill_diagonal(l, deg.astype(np.float64))
-    return SymmetricMatrix(l)
+    l = np.negative(g.adjacency, dtype=np.float64)
+    np.fill_diagonal(l, g.adjacency.sum(axis=1, dtype=np.int64))
+    return SymmetricMatrix._owning(l)
 
 
 def centered_laplacian(g: GraphSample, p: float) -> SymmetricMatrix:
@@ -46,11 +49,10 @@ def centered_laplacian(g: GraphSample, p: float) -> SymmetricMatrix:
 
     Row sums vanish; the diagonal entries are (n-1)p - deg(i).
     """
-    n = g.n
-    x = np.full((n, n), float(p))
+    x = np.full((g.n, g.n), float(p))
     np.fill_diagonal(x, 0.0)
     x -= g.adjacency
-    return laplacian_of(SymmetricMatrix(x))
+    return _into_laplacian(x)
 
 
 def degree_gap(g: GraphSample) -> np.ndarray:
@@ -80,4 +82,4 @@ def signed_adjacency(g: GraphSample) -> SymmetricMatrix:
     """B = 2A - (11^T - I): +1 for edges, -1 for non-edges, zero diagonal."""
     b = 2.0 * g.adjacency - 1.0
     np.fill_diagonal(b, 0.0)
-    return SymmetricMatrix(b)
+    return SymmetricMatrix._owning(b)

@@ -143,7 +143,7 @@ def round_rank_one(r: np.ndarray) -> np.ndarray:
     the cost is independent of n beyond one matrix-vector product. Ties in
     the small eigenproblem resolve by stable deflation order.
     """
-    gram = SymmetricMatrix(r.T @ r, symmetrize=True)
+    gram = SymmetricMatrix._owning(r.T @ r)
     spec = eigendecompose(gram, want_vectors=True)
     top = spec.eigenvectors[:, -1]
     v = r @ top

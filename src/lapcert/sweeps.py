@@ -348,14 +348,15 @@ def _resolve_ratio(cfg: SweepConfig, cell: dict, logn: float) -> None:
 def _eval_ratio(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
     n = cell["n"]
     if cfg.ensemble == "wigner-neg-laplacian":
-        l = laplacian_of(SymmetricMatrix(-sample_wigner(n, rng).array))
+        l = laplacian_of(SymmetricMatrix._owning(-sample_wigner(n, rng).array))
     elif cfg.ensemble == "centered-er":
         l = centered_laplacian(sample_er(n, cell["p"], rng), cell["p"])
     else:  # centered-sbm: E[Gamma] - Gamma conjugated by the labels
         g = sample_sbm(n, cell["p"], cell["q"], rng)
         dev = centered_partition_gap(g, cell["p"], cell["q"])
-        lab = g.labels.astype(np.float64)
-        l = SymmetricMatrix(lab[:, None] * dev * lab[None, :])
+        dev *= g.labels[:, None]
+        dev *= g.labels
+        l = SymmetricMatrix._owning(dev)
     try:
         return {"ratio": spectral_diag_ratio(l).ratio}
     except NonPositiveDiagonalMax:
@@ -390,10 +391,10 @@ def _resolve_normbound(cfg: SweepConfig, cell: dict, logn: float) -> None:
 
 
 def _eval_normbound(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
-    n, p = cell["n"], cell["p"]
-    g = sample_er(n, p, rng)
-    x = g.adjacency - p * (1.0 - np.eye(n))
-    return {"holds": norm_bound_check(SymmetricMatrix(x), cell["sigma"], cell["t_value"])}
+    p = cell["p"]
+    x = np.subtract(sample_er(cell["n"], p, rng).adjacency, p, dtype=np.float64)
+    np.fill_diagonal(x, 0.0)
+    return {"holds": norm_bound_check(SymmetricMatrix._owning(x), cell["sigma"], cell["t_value"])}
 
 
 def _aggregate_normbound(cfg: SweepConfig, cell: dict, records: list) -> dict:

@@ -20,6 +20,7 @@ from lapcert import (
     ensemble_profile,
     flip_oracle_sbm,
     flip_oracle_z2,
+    graph_laplacian,
     laplacian_of,
     norm_bound_check,
     sample_er,
@@ -34,6 +35,8 @@ from lapcert import certificates
 from lapcert.certificates import TAU_POS
 from lapcert.ensembles import GraphSample, SyncInstance
 from lapcert.errors import (
+    InvalidAdjacency,
+    LapcertError,
     MissingLabels,
     NonLaplacian,
     NonPositiveDiagonalMax,
@@ -43,6 +46,13 @@ from lapcert.errors import (
 
 def sym(a):
     return SymmetricMatrix(np.asarray(a, dtype=np.float64))
+
+
+def one_edge(value, dtype=np.uint8):
+    """A 4-node adjacency whose one edge (0, 1) holds ``value``."""
+    a = np.zeros((4, 4), dtype=dtype)
+    a[0, 1] = a[1, 0] = value
+    return a
 
 
 def random_signs(rng, n):
@@ -224,6 +234,56 @@ class TestHandBuiltSamples:
         a = np.zeros((10, 10), dtype=np.uint8)
         a[np.arange(9), np.arange(1, 10)] = a[np.arange(1, 10), np.arange(9)] = 1
         assert connectivity_unionfind(GraphSample(a))
+
+    @pytest.mark.parametrize("adjacency", [
+        np.triu(one_edge(value=1), 1),
+        np.triu(np.ones((4, 4), dtype=np.uint8), 1),
+        one_edge(value=2),
+        one_edge(value=-1, dtype=np.int64),
+        one_edge(value=0.5, dtype=np.float64),
+        one_edge(value=np.nan, dtype=np.float64),
+        np.eye(4, dtype=np.uint8),
+        np.zeros((4, 5), dtype=np.uint8),
+        np.zeros(4, dtype=np.uint8),
+    ], ids=["one-sided-edge", "upper-triangle", "two", "minus-one", "half", "nan",
+            "diagonal", "non-square", "one-d"])
+    def test_invalid_adjacency_fails_at_construction(self, adjacency):
+        # unchecked, a one-sided edge made certify_sbm fail with a bare
+        # "array is not symmetric" and flip_oracle_sbm return 0, and an
+        # entry of 2 made certify_sbm read "boundary"
+        with pytest.raises(InvalidAdjacency, match="symmetric 0/1") as info:
+            GraphSample(adjacency, labels=np.array([1, 1, -1, -1], dtype=np.int8))
+        assert isinstance(info.value, LapcertError) and isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("labels", [
+        np.array([1, 1, -1, -1, 1, -1]), np.array([1, -1, 1]),
+        np.array([1, 0, -1, -1]), np.array([1.0, 1.0, -1.0, np.nan]),
+        np.array([[1, 1, -1, -1]]),
+    ], ids=["six", "three", "zero", "nan", "two-d"])
+    def test_invalid_labels_fail_at_construction(self, labels):
+        # six labels on a 4 x 4 adjacency reached flip_oracle_sbm and died
+        # there in a bare numpy matmul error
+        with pytest.raises(NonSignVector):
+            GraphSample(np.zeros((4, 4), dtype=np.uint8), labels=labels)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.float64])
+    def test_valid_adjacency_of_any_dtype_behaves_as_sampled(self, dtype):
+        for seed, (n, p, q) in enumerate([(20, 0.6, 0.1), (30, 0.3, 0.25)]):
+            g = sample_sbm(n, p, q, derive_stream(74, seed))
+            hand = GraphSample(g.adjacency.astype(dtype), labels=g.labels.astype(np.float64))
+            assert hand.adjacency.dtype == dtype and hand.n == n
+            a, b = certify_sbm(hand), certify_sbm(g)
+            assert np.array_equal(a.d_diag, b.d_diag)
+            assert (a.lambda1, a.lambda2, a.band, a.residual_null) == \
+                (b.lambda1, b.lambda2, b.band, b.residual_null)
+            assert flip_oracle_sbm(hand) == flip_oracle_sbm(g)
+            assert sbm_sufficient_condition(hand, p, q) == sbm_sufficient_condition(g, p, q)
+            assert np.array_equal(centered_partition_gap(hand, p, q),
+                                  centered_partition_gap(g, p, q))
+            for build in (graph_laplacian, signed_adjacency):
+                assert build(hand).array.tobytes() == build(g).array.tobytes()
+            assert connectivity_unionfind(hand) == connectivity_unionfind(g) \
+                == connectivity_spectral(hand)
 
 
 class TestRankOneSide:

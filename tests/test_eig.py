@@ -42,10 +42,6 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError):
             SymmetricMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
-    def test_symmetrize_averages(self):
-        m = SymmetricMatrix(np.array([[0.0, 1.0], [3.0, 0.0]]), symmetrize=True)
-        assert m.array[0, 1] == m.array[1, 0] == 2.0
-
     def test_rejects_nan_and_inf(self):
         with pytest.raises(ValueError):
             SymmetricMatrix(np.array([[np.nan]]))
@@ -57,11 +53,17 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError):
             m.array[0, 0] = 5.0
 
-    def test_from_upper_round_trip(self):
-        vals = np.arange(6, dtype=float)
-        m = SymmetricMatrix.from_upper(3, vals)
-        assert m.array[0, 2] == m.array[2, 0] == 2.0
-        assert m.array[1, 1] == 3.0
+    def test_constructor_copies_what_it_checks(self):
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        m = SymmetricMatrix(a)
+        a[0, 1] = 5.0  # the caller's array stays theirs
+        assert m.array[0, 1] == 2.0 and a.flags.writeable
+
+    def test_owning_wraps_without_a_copy(self):
+        # the package's builders hand over the buffer they filled
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        m = SymmetricMatrix._owning(a)
+        assert m.array is a and not a.flags.writeable
 
 
 class TestEigendecompose:

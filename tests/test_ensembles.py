@@ -190,6 +190,27 @@ class TestSampleDigests:
         inst = sample_z2sync_er(n, p, eps, z, derive_stream(seed, 9))
         assert _sha256(inst.y.array) == y
 
+    @pytest.mark.parametrize("n, seed, digest", [
+        (1, 0, "b7ad88165f9ce9a9dcf52d961d114e0a2a9171bf8813dc4f79ccc5ce06b29d81"),
+        (2, 1, "21666c8303af3b9b4064c7611eb8ba2773d777c8309445019b46823dc2ee2a71"),
+        (7, 3, "29280c6ae079aeaa536a33e6dc83258859f9222d1f0ef55e0ad2dc8fbcedbaf8"),
+        (64, 5, "d49176844b2ddcbffdf578dad12688f8a5eab1ca9ea757fd8ccd1aac784182a5"),
+        (257, 11, "8984133dcaf8fff34740b853ccdb14829250ddfdc2ad4660dfc6c4543ab41649"),
+    ])
+    def test_wigner(self, n, seed, digest):
+        w = sample_wigner(n, derive_stream(seed, 9))
+        assert _sha256(w.array) == digest
+
+    @pytest.mark.parametrize("n, sigma, seed, y", [
+        (1, 0.5, 0, "5d6ee90afc316a70b6a562691272f5f7b26aec1ed9cdedb187aab5485085d4a8"),
+        (9, 1.3, 6, "1de9542263a41a6018a256668f4400148d9040ce1115c620d781d7b421d834ab"),
+        (120, 2.0, 42, "321ffea0d80422baa5f85c3acc93495065fdbbbd89ae105bec1e1eb1a2126e35"),
+    ])
+    def test_z2sync_gaussian(self, n, sigma, seed, y):
+        z = np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
+        inst = sample_z2sync_gaussian(n, sigma, z, derive_stream(seed, 9))
+        assert _sha256(inst.y.array) == y
+
 
 class TestSbm:
     def test_deterministic_limits(self):

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from _oracles import partition_gap_certificate, sync_certificate
 from lapcert import (
+    SweepConfig,
     SymmetricMatrix,
     centered_laplacian,
     centered_partition_gap,
@@ -17,9 +20,11 @@ from lapcert import (
     laplacian_of,
     sample_er,
     sample_sbm,
+    sample_wigner,
     sample_z2sync_er,
     signed_adjacency,
 )
+from lapcert import sweeps
 from lapcert.ensembles import GraphSample, SyncInstance
 from lapcert.errors import MissingLabels, RequiresDiscreteInstance
 
@@ -319,3 +324,90 @@ class TestDegreeSplit:
         assert flip_oracle_sbm(g).min_stat == stat.min()
         dev = centered_partition_gap(g, p, q)
         assert np.array_equal(np.diag(dev), (n / 2 - 1) * p - (n / 2) * q - stat)
+
+
+def _sha256(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def _rounded_wigner(n, seed):
+    """A Wigner sample rounded to halves: +0.0 and -0.0 entries, and rows
+    whose off-diagonal sum cancels to zero."""
+    return sym(np.round(2.0 * sample_wigner(n, derive_stream(seed, 9)).array) / 2.0)
+
+
+class TestBuilderDigests:
+    """Every matrix builder pinned bit for bit, signed zeros included, so a
+    change in how a matrix is assembled cannot change a single entry."""
+
+    @pytest.mark.parametrize("x, digest", [
+        (lambda: sample_wigner(12, derive_stream(2, 9)),
+         "23ffd5ac0275f1c43c9d50b6933e736612b6649518a168e2b3ce6a37ee2ceb63"),
+        (lambda: sample_wigner(64, derive_stream(5, 9)),
+         "31df248541a3408b0aaa483e7436aedb8ec9cbb9ae305e7016c47fce33da14d2"),
+        (lambda: _rounded_wigner(1, 0),
+         "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+        (lambda: _rounded_wigner(12, 2),
+         "dd124ae5d834b89d8c62a01a32411296eba44c3e8e9396b0450e434c4195da53"),
+        (lambda: _rounded_wigner(64, 5),
+         "fbf2c14c4cd99d4be99fbfc4a6e2f0a6530e29cd01014a22d128457fe0298930"),
+        (lambda: sym([[5.0, -0.0, 1.0, -1.0], [-0.0, 0.0, 0.0, -0.0],
+                      [1.0, 0.0, -2.0, 0.5], [-1.0, -0.0, 0.5, -0.0]]),
+         "c9b2415e309a6fb2ae21fa956cc9b4fd7130f11fd306298ce6da29724d29585b"),
+        (lambda: sym(np.zeros((5, 5))),
+         "4aafdf1ea3781214849d6cc26e516b05227624e0c5cec252c9d0715d1c853677"),
+    ], ids=["wigner-12", "wigner-64", "rounded-1", "rounded-12", "rounded-64", "hand",
+            "zeros"])
+    def test_laplacian_of(self, x, digest):
+        assert _sha256(laplacian_of(x()).array) == digest
+
+    @pytest.mark.parametrize("n, p, seed, graph, centered", [
+        (1, 0.5, 0, "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+         "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+        (30, 0.3, 4, "ac0162c86bbe3584402a578a9e780d04583e2a7454a40095f190f984e438bf79",
+         "5f950a5de4dbcc063a22ed7c069ec02e697018e358eb639adb53d5fd38453bc1"),
+        (64, 0.1, 5, "8fd31f186311b68e6573fa3725a20afb04b8594eca7bb56c94841127df3fd9f5",
+         "28b0e4f3622182ff8fc65966a87a9b54fce13c44247f563d7427b167b853b00d"),
+    ])
+    def test_graph_and_centered_laplacian(self, n, p, seed, graph, centered):
+        g = sample_er(n, p, derive_stream(seed, 9))
+        assert _sha256(graph_laplacian(g).array) == graph
+        assert _sha256(centered_laplacian(g, p).array) == centered
+
+    @pytest.mark.parametrize("n, p, q, seed, signed, gap", [
+        (2, 1.0, 0.0, 2, "24cc908a4ef61eb71d1f811b447b0defc382d05c4d7c327a0436b1f6faf9326b",
+         "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925"),
+        (30, 0.6, 0.1, 4, "a5052521fefb3bc02a53a8ea4668bff9d4b56bb4c74bd0a5829a259f84e0e00c",
+         "e11a01508c297fab746488b3a79a90d4e2c83fcafdc53e860bcb85d1d88a8996"),
+        (40, 0.3, 0.3, 8, "9e8ec273787cda29b5316b3a0975d11a75508f0018ea3a77c61b6d8cb856e1bb",
+         "91e07037ef7bf358a038c125a6dd8746979479523e686a848ea5a0fc70566881"),
+    ])
+    def test_signed_adjacency_and_partition_gap(self, n, p, q, seed, signed, gap):
+        g = sample_sbm(n, p, q, derive_stream(seed, 9))
+        assert _sha256(signed_adjacency(g).array) == signed
+        assert _sha256(centered_partition_gap(g, p, q)) == gap
+
+    @pytest.mark.parametrize("ensemble, cell, digest, ratio", [
+        ("wigner-neg-laplacian", {"n": 30},
+         "1f5501e9c69685180bbdac2f3f511bb36f34a4736626f69e8b2978216870253f",
+         1.2696097949534648),
+        ("centered-er", {"n": 30, "p": 0.2},
+         "0bf3ea2ac7f3144ae27d46c0fe7a214b4c18766188744e19ea6034b4f00aa2af",
+         1.169607197031085),
+        ("centered-sbm", {"n": 30, "p": 0.5, "q": 0.1},
+         "f459ccbc05a461cea643b677bd629dd5a271ad13acdf59a65f838074fa5129ca",
+         1.1838846613634944),
+    ])
+    def test_ratio_trial_laplacian(self, monkeypatch, ensemble, cell, digest, ratio):
+        seen = []
+        ratio_of = sweeps.spectral_diag_ratio
+
+        def capture(l):
+            seen.append(l.array.copy())
+            return ratio_of(l)
+
+        monkeypatch.setattr(sweeps, "spectral_diag_ratio", capture)
+        cfg = SweepConfig(experiment="ratio", n=[cell["n"]], grids={}, trials=1,
+                          master_seed=7, ensemble=ensemble)
+        assert sweeps._eval_ratio(cfg, cell, derive_stream(7, 3), 3) == {"ratio": ratio}
+        assert _sha256(seen[0]) == digest

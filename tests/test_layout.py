@@ -25,6 +25,29 @@ def test_no_module_imports_a_private_name_from_another():
     assert found == []
 
 
+def _calls(tree, name: str):
+    """Line numbers of the calls of ``name``, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == name) or \
+                    (isinstance(func, ast.Attribute) and func.attr == name):
+                yield node.lineno
+
+
+def test_arrays_are_validated_only_where_they_enter():
+    # SymmetricMatrix(...) copies and checks an array from outside the
+    # package, and GraphSample(...) checks a hand-built sample; a matrix or
+    # a sample the package builds itself goes through the owning path
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, allowed in (("SymmetricMatrix", {"cli.py"}), ("GraphSample", set())):
+            if path.name not in allowed:
+                found += [f"{path.name}:{line} calls {name}" for line in _calls(tree, name)]
+    assert found == []
+
+
 def _definitions(tree):
     """(name, node) of each module-level def, class and assigned name."""
     for node in tree.body:
