@@ -313,27 +313,23 @@ def connectivity_spectral(g: GraphSample) -> bool:
 
 
 def connectivity_unionfind(g: GraphSample) -> bool:
-    """Exact connectivity by disjoint-set union over the edge list."""
+    """Exact connectivity by breadth-first search from node 0.
+
+    Each level is one reduction: the nodes adjacent to the frontier, OR-ed
+    over the frontier's adjacency rows, less the nodes already reached.
+    """
+    a = g.adjacency
     n = g.n
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]  # path halving
-            i = parent[i]
-        return i
-
-    components = n
-    rows, cols = np.divmod(np.flatnonzero(np.asarray(g.adjacency) != 0), n)
-    upper = rows < cols
-    for a, b in zip(rows[upper].tolist(), cols[upper].tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-            components -= 1
-            if components == 1:
-                return True
-    return components == 1
+    reached = np.zeros(n, dtype=bool)
+    reached[:1] = True
+    frontier = np.flatnonzero(reached)
+    count = frontier.size
+    while frontier.size and count < n:
+        new = np.logical_or.reduce(a[frontier], axis=0) & ~reached
+        reached |= new
+        frontier = np.flatnonzero(new)
+        count += frontier.size
+    return 0 < count == n
 
 
 def _oracle_verdict(min_stat: int) -> RecoveryVerdict:

@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .eig import SymmetricMatrix
-from .errors import (DomainError, InvalidAdjacency, InvalidProbability, NonSignVector,
-                     OddDimension, UnknownEnsemble)
+from .errors import (DomainError, InvalidAdjacency, InvalidMeasurements, InvalidProbability,
+                     NonSignVector, OddDimension, UnknownEnsemble)
 
 _MASK64 = (1 << 64) - 1
 _STREAM_TWEAK = 0xD2B74407B1CE6E93
@@ -154,12 +154,34 @@ class SyncInstance:
     Sign-flip variant (``sigma is None``): y_ij = z_i z_j on clean edges of
     the measurement graph G, -z_i z_j on the corrupted subgraph H, zero off
     G and on the diagonal; G and H are read off y and z. Gaussian variant:
-    y = z z^T + sigma * W.
+    y = z z^T + sigma * W. A hand-built instance is checked here: y holds
+    entries in {-1, 0, 1} with a zero diagonal (sign-flip), z is n signs and
+    sigma is finite and >= 0; the samplers' instances are built by
+    ``_owning``.
     """
 
     y: SymmetricMatrix
     z: np.ndarray
     sigma: Optional[float] = None
+
+    def __post_init__(self):
+        if not isinstance(self.y, SymmetricMatrix):
+            raise TypeError("y must be a SymmetricMatrix")
+        as_sign_vector(self.z, self.y.n)
+        if self.sigma is not None:
+            _check_sigma(self.sigma)
+            return
+        a = self.y.array
+        if not (np.all((a == 0) | (np.abs(a) == 1)) and not np.diagonal(a).any()):
+            raise InvalidMeasurements("sign-flip measurements must be -1, 0 or 1 "
+                                      "with a zero diagonal")
+
+    @classmethod
+    def _owning(cls, y: SymmetricMatrix, z: np.ndarray, sigma=None) -> "SyncInstance":
+        """An instance of arrays that are valid by construction, unchecked."""
+        inst = object.__new__(cls)
+        inst.__dict__.update(y=y, z=z, sigma=sigma)
+        return inst
 
     @property
     def n(self) -> int:
@@ -187,6 +209,13 @@ def _check_count(n: int) -> None:
         raise DomainError(f"n must be >= 1, got {n}")
 
 
+def _check_sigma(sigma: float) -> float:
+    sigma = float(sigma)
+    if not 0.0 <= sigma < math.inf:
+        raise DomainError(f"sigma must be a finite number >= 0, got {sigma}")
+    return sigma
+
+
 def _check_prob(value: float, name: str) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0 or math.isnan(value):
@@ -194,14 +223,33 @@ def _check_prob(value: float, name: str) -> float:
     return value
 
 
-def _edge_pairs(n: int, mask: np.ndarray):
-    """Row-major (i, j), i < j, of the set entries of a mask over the
-    upper triangle, laid out as ``np.triu_indices(n, 1)`` lays it out.
+#: Uniforms per chunk of a Bernoulli draw over the vertex pairs (512 KB).
+_DRAW_CHUNK = 1 << 16
 
-    Row i starts at flat index i(2n - i - 1)/2, so each set index is
-    placed by a search over the n row starts, never over all n^2 pairs.
+
+def _bernoulli_indices(rng: RngStream, p, size: int) -> np.ndarray:
+    """Sorted flat indices k < size with u_k < p, where u is what one
+    ``rng.uniform(size)`` call returns; p is a scalar or a length-size
+    array of per-index thresholds.
+
+    The uniforms are drawn in chunks of ``_DRAW_CHUNK``, the same numbers
+    in the same order, so no size-long array of uniforms is held.
     """
-    k = np.flatnonzero(mask)
+    hits = [np.empty(0, dtype=np.int64)]
+    for start in range(0, size, _DRAW_CHUNK):
+        u = rng.uniform(min(_DRAW_CHUNK, size - start))
+        below = u < (p if np.ndim(p) == 0 else p[start:start + u.size])
+        hits.append(np.flatnonzero(below) + start)
+    return np.concatenate(hits)
+
+
+def _edge_pairs(n: int, k: np.ndarray):
+    """Row-major (i, j), i < j, of the sorted flat indices k into the upper
+    triangle, laid out as ``np.triu_indices(n, 1)`` lays it out.
+
+    Row i starts at flat index i(2n - i - 1)/2, so each index is placed by
+    a search over the n row starts, never over all n^2 pairs.
+    """
     rows = np.arange(n, dtype=np.int64)
     start = rows * (2 * n - rows - 1) // 2
     i = np.searchsorted(start, k, side="right") - 1
@@ -232,8 +280,8 @@ def sample_er(n: int, p: float, rng: RngStream) -> GraphSample:
     """Erdos-Renyi graph: each of the (n choose 2) edges present w.p. p."""
     _check_count(n)
     p = _check_prob(p, "p")
-    mask = rng.bernoulli(p, n * (n - 1) // 2)
-    adj = _adjacency_from_pairs(n, *_edge_pairs(n, mask))
+    k = _bernoulli_indices(rng, p, n * (n - 1) // 2)
+    adj = _adjacency_from_pairs(n, *_edge_pairs(n, k))
     return GraphSample._owning(adj)
 
 
@@ -257,8 +305,8 @@ def sample_sbm(n: int, p: float, q: float, rng: RngStream) -> GraphSample:
     h = n // 2
     runs = np.append(np.column_stack((h - 1 - np.arange(h), np.full(h, h))), h * (h - 1) // 2)
     thresholds = np.repeat(np.append(np.tile([p, q], h), p), runs)
-    mask = rng.uniform(len(thresholds)) < thresholds
-    adj = _adjacency_from_pairs(n, *_edge_pairs(n, mask))
+    k = _bernoulli_indices(rng, thresholds, len(thresholds))
+    adj = _adjacency_from_pairs(n, *_edge_pairs(n, k))
     return GraphSample._owning(adj, labels)
 
 
@@ -277,14 +325,15 @@ def sample_z2sync_er(
         raise InvalidProbability(f"eps={eps} outside [0, 1/2)")
     z = as_sign_vector(z, n)
     npairs = n * (n - 1) // 2
-    g_mask = rng.bernoulli(p, npairs)
-    flipped = rng.bernoulli(eps, npairs)[g_mask]
-    i, j = _edge_pairs(n, g_mask)
+    k = _bernoulli_indices(rng, p, npairs)
+    # the flips are a second pass over all pairs, read at the G-edges
+    flipped = np.isin(k, _bernoulli_indices(rng, eps, npairs))
+    i, j = _edge_pairs(n, k)
     signs = z[i] * z[j] * (1.0 - 2.0 * flipped)
     y = np.zeros((n, n))
     y[i, j] = signs
     y[j, i] = signs
-    return SyncInstance(SymmetricMatrix._owning(y), z)
+    return SyncInstance._owning(SymmetricMatrix._owning(y), z)
 
 
 def sample_z2sync_gaussian(
@@ -292,13 +341,11 @@ def sample_z2sync_gaussian(
 ) -> SyncInstance:
     """Gaussian-noise synchronization: y = z z^T + sigma * W."""
     _check_count(n)
-    sigma = float(sigma)
-    if not 0.0 <= sigma < math.inf:
-        raise DomainError(f"sigma must be a finite number >= 0, got {sigma}")
+    sigma = _check_sigma(sigma)
     z = as_sign_vector(z, n)
     w = sample_wigner(n, rng)
     y = np.outer(z, z) + sigma * w.array
-    return SyncInstance(SymmetricMatrix._owning(y), z, sigma)
+    return SyncInstance._owning(SymmetricMatrix._owning(y), z, sigma)
 
 
 def _centered_atoms(name: str, p=None, q=None, eps=None):

@@ -33,6 +33,10 @@ class InvalidAdjacency(LapcertError, ValueError):
     """Array is not a square symmetric 0/1 matrix with zero diagonal."""
 
 
+class InvalidMeasurements(LapcertError, ValueError):
+    """Sign-flip measurements are not -1/0/1 with a zero diagonal."""
+
+
 class MissingLabels(LapcertError, ValueError):
     """Graph sample carries no planted labels."""
 

@@ -241,10 +241,9 @@ def _resolve_er(cfg: SweepConfig, cell: dict, logn: float) -> None:
 
 def _eval_er(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
     g = sample_er(cell["n"], cell["p"], rng)
-    return {
-        "connected": connectivity_unionfind(g),
-        "isolated": not g.adjacency.any(axis=1).all(),
-    }
+    # n >= 2 (_resolve_er), so an isolated node answers "disconnected"
+    isolated = not g.adjacency.any(axis=1).all()
+    return {"connected": not isolated and connectivity_unionfind(g), "isolated": isolated}
 
 
 def _aggregate_er(cfg: SweepConfig, cell: dict, records: list) -> dict:

@@ -35,7 +35,9 @@ from lapcert import certificates
 from lapcert.certificates import TAU_POS
 from lapcert.ensembles import GraphSample, SyncInstance
 from lapcert.errors import (
+    DomainError,
     InvalidAdjacency,
+    InvalidMeasurements,
     LapcertError,
     MissingLabels,
     NonLaplacian,
@@ -265,6 +267,29 @@ class TestHandBuiltSamples:
         # there in a bare numpy matmul error
         with pytest.raises(NonSignVector):
             GraphSample(np.zeros((4, 4), dtype=np.uint8), labels=labels)
+
+    @pytest.mark.parametrize("y, z, sigma, error", [
+        ([[0, 0.5], [0.5, 0]], [1, 1], None, InvalidMeasurements),
+        ([[0, 2], [2, 0]], [1, 1], None, InvalidMeasurements),
+        ([[1, 1], [1, 0]], [1, 1], None, InvalidMeasurements),
+        ([[0, 1], [1, 0]], [1, 1, 1], None, NonSignVector),
+        ([[0, 1], [1, 0]], [1, 0], None, NonSignVector),
+        ([[1, 0.5], [0.5, 1]], [1, 0], 0.5, NonSignVector),
+        ([[1, 0.5], [0.5, 1]], [1, 1], -1.0, DomainError),
+        ([[1, 0.5], [0.5, 1]], [1, 1], math.inf, DomainError),
+        ([[1, 0.5], [0.5, 1]], [1, 1], math.nan, DomainError),
+    ], ids=["half", "two", "diagonal", "three-signs", "zero-sign", "gaussian-zero-sign",
+            "negative-sigma", "infinite-sigma", "nan-sigma"])
+    def test_invalid_sync_instance_fails_at_construction(self, y, z, sigma, error):
+        # unchecked, y = [[0, .5], [.5, 0]] read "boundary" from
+        # flip_oracle_z2 and "above" from certify_z2sync
+        with pytest.raises(error) as info:
+            SyncInstance(sym(y), np.array(z, dtype=np.float64), sigma)
+        assert isinstance(info.value, LapcertError) and isinstance(info.value, ValueError)
+
+    def test_sync_instance_needs_a_symmetric_matrix(self):
+        with pytest.raises(TypeError, match="SymmetricMatrix"):
+            SyncInstance(np.zeros((2, 2)), np.ones(2))
 
     @pytest.mark.parametrize("dtype", [bool, np.int64, np.float64])
     def test_valid_adjacency_of_any_dtype_behaves_as_sampled(self, dtype):
@@ -527,6 +552,19 @@ class TestSufficientCondition:
         assert not sbm_sufficient_condition(g, p, q).holds
 
 
+def _two_cliques():
+    a = np.zeros((10, 10), dtype=np.uint8)
+    a[:4, :4] = a[4:, 4:] = 1
+    np.fill_diagonal(a, 0)
+    return a
+
+
+def _path(n):
+    a = np.zeros((n, n), dtype=np.uint8)
+    a[np.arange(n - 1), np.arange(1, n)] = a[np.arange(1, n), np.arange(n - 1)] = 1
+    return a
+
+
 class TestConnectivity:
     def test_path_connected(self):
         a = np.zeros((3, 3), dtype=np.uint8)
@@ -561,6 +599,15 @@ class TestConnectivity:
         assert not connectivity_unionfind(GraphSample(a))
         a[2, 3] = a[3, 2] = 1
         assert connectivity_unionfind(GraphSample(a))
+
+    @pytest.mark.parametrize("adjacency, connected", [
+        (_two_cliques(), False),  # no isolated node, two components
+        (_path(2000), True),  # the search from node 0 is n levels deep
+        (np.zeros((1, 1), dtype=np.uint8), True),
+    ], ids=["two-cliques", "path-2000", "one-node"])
+    def test_search_agrees_with_spectral(self, adjacency, connected):
+        g = GraphSample(adjacency)
+        assert connectivity_unionfind(g) == connectivity_spectral(g) == connected
 
     def test_unionfind_agrees_with_spectral_near_threshold(self):
         n = 120

@@ -15,7 +15,7 @@ from lapcert import (
     sample_z2sync_gaussian,
     spectral_norm,
 )
-from lapcert.ensembles import _edge_pairs
+from lapcert.ensembles import _DRAW_CHUNK, _bernoulli_indices, _edge_pairs
 from lapcert.errors import (
     DomainError,
     InvalidProbability,
@@ -141,10 +141,31 @@ class TestEdgePairs:
         else:
             mask = np.random.default_rng(n).random(npairs) < 0.3
         iu, ju = np.triu_indices(n, 1)
-        i, j = _edge_pairs(n, mask)
+        i, j = _edge_pairs(n, np.flatnonzero(mask))
         assert i.dtype == j.dtype == np.int64
         np.testing.assert_array_equal(i, iu[mask])
         np.testing.assert_array_equal(j, ju[mask])
+
+
+class TestBernoulliIndices:
+    """The chunked draw returns what one full-length draw would, across
+    chunk boundaries, and leaves the stream where that draw leaves it."""
+
+    size = 3 * _DRAW_CHUNK + 5
+
+    @pytest.mark.parametrize("p", [
+        0.3,
+        np.random.default_rng(5).random(3 * _DRAW_CHUNK + 5),
+        0.0,
+        1.0,
+    ], ids=["scalar", "per-pair", "zero", "one"])
+    def test_matches_one_full_draw(self, p):
+        rng = derive_stream(11, 2)
+        ref = rng.clone()
+        k = _bernoulli_indices(rng, p, self.size)
+        assert k.dtype == np.int64
+        np.testing.assert_array_equal(k, np.flatnonzero(ref.uniform(self.size) < p))
+        assert rng.u64() == ref.u64()
 
 
 def _sha256(a) -> str:

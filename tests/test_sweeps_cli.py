@@ -12,7 +12,7 @@ import pytest
 from lapcert import SweepConfig, SymmetricMatrix, derive_stream, run_sweep, write_csv
 from lapcert import sweeps
 from lapcert.cli import MAX_GRID_VALUES, cli_main, _parse_grid
-from lapcert.ensembles import GraphSample
+from lapcert.ensembles import GraphSample, SyncInstance
 from lapcert.errors import ConfigError, IoError
 from lapcert.sweeps import SweepResult, _openblas_entries
 
@@ -37,6 +37,24 @@ class TestRunSweep:
         res = run_sweep(cfg)
         assert [c.freq_connected for c in res.cells] == [0.0, 1.0]
         assert [c.freq_isolated for c in res.cells] == [1.0, 0.0]
+
+    def test_er_isolated_node_skips_the_oracle(self, monkeypatch):
+        cfg = SweepConfig(experiment="er", n=[30], grids={"rho": [0.5, 1.0, 1.5]},
+                          trials=20, master_seed=3)
+        expected = run_sweep(cfg).cells
+        oracle = sweeps.connectivity_unionfind
+        searched = []
+
+        def no_isolated_node(g):
+            if not g.adjacency.any(axis=1).all():
+                raise AssertionError("the oracle ran on a graph with an isolated node")
+            searched.append(g)
+            return oracle(g)
+
+        monkeypatch.setattr(sweeps, "connectivity_unionfind", no_isolated_node)
+        assert run_sweep(cfg).cells == expected
+        isolated = sum(round(c.freq_isolated * 20) for c in expected)
+        assert 0 < isolated < 60 and len(searched) == 60 - isolated
 
     def test_cell_order_lexicographic(self):
         cfg = SweepConfig(
@@ -230,13 +248,14 @@ class TestRunSweep:
             pytest.skip("no OpenBLAS get_num_threads symbol in this process")
         before = [get() for get in getters]
 
-        # Runs inside the forked workers in place of the union-find oracle:
+        # Runs inside the forked workers in place of the connectivity oracle:
         # a trial counts as "connected" when its worker has one BLAS thread.
+        # At p = 1 no node is isolated, so every trial calls the oracle.
         def one_thread(g):
             return all(get() == 1 for get in _openblas_entries("get"))
 
         monkeypatch.setattr(sweeps, "connectivity_unionfind", one_thread)
-        cfg = SweepConfig(experiment="er", n=[8], grids={"p": [0.5]}, trials=8,
+        cfg = SweepConfig(experiment="er", n=[8], grids={"p": [1.0]}, trials=8,
                           master_seed=1, workers=2)
         assert run_sweep(cfg).cells[0].freq_connected == 1.0
         assert [get() for get in getters] == before
@@ -465,10 +484,15 @@ class TestOwningPath:
             owned.append(cls)
             return GraphSample(adjacency, labels)
 
+        def validated_instance(cls, y, z, sigma=None):
+            owned.append(cls)
+            return SyncInstance(y, z, sigma)
+
         monkeypatch.setattr(SymmetricMatrix, "_owning", classmethod(validated_matrix))
         monkeypatch.setattr(GraphSample, "_owning", classmethod(validated_sample))
+        monkeypatch.setattr(SyncInstance, "_owning", classmethod(validated_instance))
         assert self._outputs(capsys) == expected
-        assert {SymmetricMatrix, GraphSample} <= set(owned)
+        assert {SymmetricMatrix, GraphSample, SyncInstance} <= set(owned)
 
 
 class TestRatioTrialMemory:
