@@ -16,8 +16,8 @@ from .ensembles import (
     GraphSample,
     RngStream,
     SyncInstance,
+    centered_er_profile,
     derive_stream,
-    ensemble_profile,
     sample_er,
     sample_sbm,
     sample_wigner,
@@ -25,6 +25,7 @@ from .ensembles import (
     sample_z2sync_gaussian,
 )
 from .laplacians import (
+    centered_gap_diagonal,
     centered_laplacian,
     centered_partition_gap,
     degree_gap,
@@ -59,7 +60,6 @@ from .sdp import (
 from .tails import (
     bernoulli_diff_tail,
     bernoulli_diff_tail_mc,
-    bernstein_bound,
     build_variance_sets,
     chernoff_degree_bound,
     greedy_half_cut,

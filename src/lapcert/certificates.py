@@ -6,11 +6,12 @@ diagonal D with D_ii = sum_j Y_ij x_i x_j. Then trace(D) = x^T Y x and
 is the unique optimum of max trace(YX) over {X >= 0, X_ii = 1}, and the
 corresponding combinatorial problem is solved exactly by the relaxation.
 
-Every discrete certificate is this D - Y: the per-model certifiers only
-choose (Y, x), the sign measurements and planted signs for synchronization
-and the signed adjacency and labels for two communities. Conjugated by
-diag(x) the matrix is a Laplacian (L_G - 2 L_H, resp. 2 Gamma + 11^T), and
-the condition is positivity of its second-smallest eigenvalue.
+Every certificate is this D - Y: the per-model certifiers only choose
+(Y, x), the sign measurements and planted signs for synchronization and
+the signed adjacency and labels for two communities. Conjugated by
+diag(x) the discrete matrices are Laplacians (L_G - 2 L_H, resp.
+2 Gamma + 11^T), and the condition is positivity of the second-smallest
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from .errors import (
     RequiresDiscreteInstance,
 )
 from .laplacians import (
+    centered_gap_diagonal,
     centered_partition_gap,
     degree_gap,
     graph_laplacian,
-    laplacian_of,
     signed_adjacency,
 )
 
@@ -91,23 +92,12 @@ class RecoveryVerdict:
 
     oracle_block: bool
     min_stat: float
-    threshold_side: str
 
 
 class RatioReport(NamedTuple):
     ratio: float
     max_diag: float
     lam_max: float
-
-
-@dataclass(frozen=True)
-class SufficiencyReport:
-    """Mean-deviation sufficient condition for one labeled SBM sample:
-    ``holds`` is lambda_max(E[Gamma] - Gamma) < ``rhs``, decided without a
-    spectrum."""
-
-    rhs: float
-    holds: bool
 
 
 def dual_diagonal(y: SymmetricMatrix, x) -> np.ndarray:
@@ -232,33 +222,29 @@ def certify_z2sync(inst: SyncInstance, tau: float = TAU_POS) -> CertificateRepor
 
     Discrete instances (and sigma = 0): ``certify_rank_one(y, z)``, whose
     matrix D - Y conjugated by diag(z) is L_G - 2 L_H. Gaussian instances:
-    tightness is equivalent to lambda_max of the Laplacian of -W staying
-    below n / sigma; the report is stated on the D - Y scale, where the
-    reported lambda2 = n - sigma * lambda_max is exact in the feasible
-    regime and a lower bound once the certificate has failed. Its verdicts
-    agree with certify_rank_one.
+    the same D - Y, with z z^T added. That moves the null eigenvalue on z
+    to n and keeps the rest of the spectrum, so lambda2 = lambda_1(D - Y +
+    z z^T) is exact while the certificate holds and a lower bound once it
+    has failed; lambda1 = min(0, lambda2). ``tight`` agrees with
+    certify_rank_one, but the side of a failed certificate need not: where
+    D - Y has exactly one negative eigenvalue, this report reads "below"
+    and certify_rank_one, whose lambda2 is then the null eigenvalue 0,
+    reads "boundary".
     """
     if inst.is_discrete or inst.sigma == 0.0:
         return certify_rank_one(inst.y, inst.z, tau)
-    n, sigma, z = inst.n, inst.sigma, inst.z
-    # Conjugated noise: W' = diag(z) W diag(z), same distribution as W.
-    wprime = (z[:, None] * inst.y.array * z[None, :] - 1.0) / sigma
-    np.fill_diagonal(wprime, 0.0)
-    lneg = laplacian_of(SymmetricMatrix._owning(np.negative(wprime, out=wprime)))
-    lam = eigenvalues_selected(lneg, (1, lneg.n))
-    mu1, mun = float(lam[0]), float(lam[1])
-    lam2 = n - sigma * mun
+    z, d, cert = _certificate(inst.y, inst.z)
+    residual = float(np.linalg.norm(cert @ z))
+    cert += np.outer(z, z)
+    lam = eigenvalues_selected(SymmetricMatrix._owning(cert), (1, inst.n))
+    lam2, lamn = float(lam[0]), float(lam[1])
     lam1 = min(0.0, lam2)
-    norm = max(abs(min(0.0, n - sigma * mun)), max(0.0, n - sigma * mu1))
-    band = tau * (1.0 + norm)
-    d = dual_diagonal(inst.y, z)
-    cert_apply = d * z - inst.y.array @ z
     return CertificateReport(
         d_diag=d,
         lambda1=lam1,
         lambda2=lam2,
-        residual_null=float(np.linalg.norm(cert_apply)),
-        band=band,
+        residual_null=residual,
+        band=tau * (1.0 + max(abs(lam1), lamn)),
     )
 
 
@@ -274,13 +260,14 @@ def certify_sbm(g: GraphSample, tau: float = TAU_POS) -> CertificateReport:
     return certify_rank_one(signed_adjacency(g), g.labels, tau)
 
 
-def sbm_sufficient_condition(g: GraphSample, p: float, q: float) -> SufficiencyReport:
+def sbm_sufficient_condition(g: GraphSample, p: float, q: float) -> bool:
     """Mean-deviation sufficient condition for SBM tightness.
 
     With lhs = lambda_max(E[Gamma] - Gamma), where Gamma = D_+ - D_- - A
     and E[Gamma] is taken under SBM(n, p, q), and rhs = (n/2)(p - q),
     lhs < rhs implies the certificate holds. The verdict takes at most one
-    Cholesky factorization and no spectrum.
+    Cholesky factorization and no spectrum. Unbalanced labels raise
+    DomainError.
     """
     n = g.n
     rhs = (n / 2) * (p - q)
@@ -295,14 +282,12 @@ def sbm_sufficient_condition(g: GraphSample, p: float, q: float) -> SufficiencyR
     # Its diagonal, in the bits of the matrix below, is known from
     # deg_in - deg_out alone: an entry <= 0 answers "no" before the n x n
     # build, as is_positive_definite would after it.
-    e_diag = (n / 2 - 1) * p - (n / 2) * q
-    if not (s - (e_diag - degree_gap(g))).min() > 0.0:
-        return SufficiencyReport(rhs=rhs, holds=False)
+    if not (s - centered_gap_diagonal(g, p, q)).min() > 0.0:
+        return False
     shifted = centered_partition_gap(g, p, q)
     np.negative(shifted, out=shifted)
     shifted.flat[:: n + 1] += s
-    holds = is_positive_definite(SymmetricMatrix._owning(shifted))
-    return SufficiencyReport(rhs=rhs, holds=holds)
+    return is_positive_definite(SymmetricMatrix._owning(shifted))
 
 
 def connectivity_spectral(g: GraphSample) -> bool:
@@ -333,17 +318,7 @@ def connectivity_unionfind(g: GraphSample) -> bool:
 
 
 def _oracle_verdict(min_stat: int) -> RecoveryVerdict:
-    if min_stat > 0:
-        side = SIDE_ABOVE
-    elif min_stat < 0:
-        side = SIDE_BELOW
-    else:
-        side = SIDE_BOUNDARY
-    return RecoveryVerdict(
-        oracle_block=min_stat < 0,
-        min_stat=float(min_stat),
-        threshold_side=side,
-    )
+    return RecoveryVerdict(oracle_block=min_stat < 0, min_stat=float(min_stat))
 
 
 def flip_oracle_z2(inst: SyncInstance) -> RecoveryVerdict:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .eig import SymmetricMatrix
 from .errors import (DomainError, InvalidAdjacency, InvalidMeasurements, InvalidProbability,
-                     NonSignVector, OddDimension, UnknownEnsemble)
+                     NonSignVector, OddDimension)
 
 _MASK64 = (1 << 64) - 1
 _STREAM_TWEAK = 0xD2B74407B1CE6E93
@@ -60,10 +60,6 @@ class RngStream:
         other._bg.state = self._bg.state
         other._gen = np.random.Generator(other._bg)
         return other
-
-    def u64(self, size=None):
-        """Raw 64-bit uniform words."""
-        return self._gen.integers(0, 1 << 64, size=size, dtype=np.uint64)
 
     def uniform(self, size=None):
         """Uniform float64 in [0, 1)."""
@@ -348,55 +344,14 @@ def sample_z2sync_gaussian(
     return SyncInstance._owning(SymmetricMatrix._owning(y), z, sigma)
 
 
-def _centered_atoms(name: str, p=None, q=None, eps=None):
-    """Per-entry (value, probability) atoms of the centered off-diagonals."""
-    if name == "centered-er":
-        p = _check_prob(p, "p")
-        return [[(1.0 - p, p), (-p, 1.0 - p)]]
-    if name == "centered-sbm":
-        p = _check_prob(p, "p")
-        q = _check_prob(q, "q")
-        return [[(1.0 - p, p), (-p, 1.0 - p)], [(1.0 - q, q), (-q, 1.0 - q)]]
-    if name == "centered-z2er":
-        p = _check_prob(p, "p")
-        eps = float(eps)
-        if not 0.0 <= eps < 0.5:
-            raise InvalidProbability(f"eps={eps} outside [0, 1/2)")
-        c = p * (1.0 - 2.0 * eps)
-        return [[(-1.0 + c, p * (1.0 - eps)), (1.0 + c, p * eps), (c, 1.0 - p)]]
-    raise UnknownEnsemble(name)
-
-
-def ensemble_profile(
-    name: str,
-    n: int,
-    *,
-    p: Optional[float] = None,
-    q: Optional[float] = None,
-    eps: Optional[float] = None,
-) -> EnsembleProfile:
-    """Exact analytic (sigma, sigma_inf) of a recognized centered ensemble.
-
-    Recognized names: ``wigner`` (sigma_inf unbounded), ``centered-er``,
-    ``centered-sbm`` and ``centered-z2er``. Degenerate parameters (a.s.
-    constant entries) yield sigma_inf = 0 rather than the formal bound.
-    """
+def centered_er_profile(n: int, p: float) -> EnsembleProfile:
+    """Exact (sigma, sigma_inf) of the centered ER(n, p) adjacency, whose
+    off-diagonal entries are 1 - p w.p. p and -p w.p. 1 - p. Degenerate p
+    (a.s. constant entries) yields sigma_inf = 0 rather than the formal
+    bound."""
     _check_count(n)
-    if name == "wigner":
-        return EnsembleProfile(sigma=math.sqrt(max(n - 1, 0)), sigma_inf=math.inf)
-    atom_sets = _centered_atoms(name, p=p, q=q, eps=eps)
-    sigma_inf = 0.0
-    for atoms in atom_sets:
-        for value, prob in atoms:
-            if prob > 0.0:
-                sigma_inf = max(sigma_inf, abs(value))
-    if name == "centered-sbm":
-        if n % 2 != 0:
-            raise OddDimension("centered-sbm profile requires even n")
-        var_p = sum(prob * value * value for value, prob in atom_sets[0])
-        var_q = sum(prob * value * value for value, prob in atom_sets[1])
-        sigma2 = (n / 2 - 1) * var_p + (n / 2) * var_q
-    else:
-        var = sum(prob * value * value for value, prob in atom_sets[0])
-        sigma2 = (n - 1) * var
-    return EnsembleProfile(sigma=math.sqrt(max(sigma2, 0.0)), sigma_inf=sigma_inf)
+    p = _check_prob(p, "p")
+    # the per-atom sum of prob * value^2, in those bits
+    var = p * (1.0 - p) * (1.0 - p) + (1.0 - p) * -p * -p
+    sigma_inf = max(1.0 - p, p) if 0.0 < p < 1.0 else 0.0
+    return EnsembleProfile(sigma=math.sqrt(max((n - 1) * var, 0.0)), sigma_inf=sigma_inf)

@@ -21,10 +21,6 @@ class OddDimension(LapcertError, ValueError):
     """An even node count is required (balanced two-community models)."""
 
 
-class UnknownEnsemble(LapcertError, ValueError):
-    """Ensemble name not recognized."""
-
-
 class NonSignVector(LapcertError, ValueError):
     """Vector has entries other than +1/-1."""
 

@@ -4,10 +4,11 @@ A Laplacian here is any symmetric matrix with vanishing row sums (not
 necessarily positive semidefinite): L_X = D_X - X where (D_X)_ii is the
 off-diagonal row sum of X.
 
-The certificate matrices themselves are not built here: every discrete
+The certificate matrices themselves are not built here: every
 certificate is ``certificates.certify_rank_one``'s D - Y for the model's
 coefficient matrix Y (``signed_adjacency`` for SBM, the sign measurements
-for synchronization) and planted signs x.
+for synchronization) and planted signs x. The SBM mean E[Gamma] is
+spelled out once, in ``centered_gap_diagonal``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .eig import SymmetricMatrix
 from .ensembles import GraphSample
-from .errors import MissingLabels
+from .errors import DomainError, MissingLabels
 
 
 def _into_laplacian(x: np.ndarray) -> SymmetricMatrix:
@@ -61,20 +62,30 @@ def degree_gap(g: GraphSample) -> np.ndarray:
     statistic the SBM flip oracle reads."""
     if g.labels is None:
         raise MissingLabels("sample has no planted labels")
-    labels = g.labels.astype(np.int64)
+    labels = np.asarray(g.labels, dtype=np.int64)
     return labels * (g.adjacency @ labels)
+
+
+def centered_gap_diagonal(g: GraphSample, p: float, q: float) -> np.ndarray:
+    """The diagonal of E[Gamma] - Gamma for an SBM(n, p, q) sample:
+    E[Gamma]_ii = (n/2 - 1) p - (n/2) q, the balanced mean, less
+    deg_in - deg_out. Labels that do not sum to 0 raise DomainError."""
+    stat = degree_gap(g)
+    if np.sum(g.labels) != 0:
+        raise DomainError("labels must be balanced: as many +1 as -1")
+    n = g.n
+    return ((n / 2 - 1) * p - (n / 2) * q) - stat
 
 
 def centered_partition_gap(g: GraphSample, p: float, q: float) -> np.ndarray:
     """A fresh array E[Gamma] - Gamma: the deviation of the partition gap
     matrix Gamma = diag(deg_in - deg_out) - A of an SBM(n, p, q) sample
     from its mean."""
-    stat = degree_gap(g)
-    n = g.n
+    diag = centered_gap_diagonal(g, p, q)
     dev = np.where(np.equal.outer(g.labels, g.labels), p, q)
     np.negative(dev, out=dev)
     dev += g.adjacency  # -E[Gamma] - (-A) off the diagonal, in those bits
-    np.fill_diagonal(dev, ((n / 2 - 1) * p - (n / 2) * q) - stat)
+    np.fill_diagonal(dev, diag)
     return dev
 
 

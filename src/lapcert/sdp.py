@@ -41,7 +41,6 @@ class SolveReport:
     objective: float
     rounded_x: np.ndarray
     rounded_objective: float
-    grad_norm: float
     iterations: int
     converged: bool
     dual: DualCheck
@@ -93,19 +92,18 @@ def bm_solve(
     r = _normalize_rows(rng.normal((n, k)))
     f, yr = _objective(a, r)
     trace = [f]
-    grad_norm = math.inf
     iters = 0
     converged = False
     while iters < MAX_ITERS:
         # Riemannian gradient: project 2YR onto the row-sphere tangents.
         radial = np.sum(yr * r, axis=1, keepdims=True)
         grad = 2.0 * (yr - radial * r)
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= scale:
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= scale:
             converged = True
             break
         step = step0
-        g2 = grad_norm * grad_norm
+        g2 = gnorm * gnorm
         accepted = False
         for _ in range(60):
             cand = _normalize_rows(r + step * grad)
@@ -119,7 +117,7 @@ def bm_solve(
         trace.append(f)
         if not accepted:
             # Step underflow: no ascent direction at float resolution.
-            converged = grad_norm <= scale
+            converged = gnorm <= scale
             break
     x = round_rank_one(r)
     rounded_obj = float(x @ (a @ x))
@@ -128,7 +126,6 @@ def bm_solve(
         objective=f,
         rounded_x=x,
         rounded_objective=rounded_obj,
-        grad_norm=grad_norm,
         iterations=iters,
         converged=converged,
         dual=dual,

@@ -31,22 +31,6 @@ def chernoff_degree_bound(n: int, rho: float, t: float) -> float:
     return math.exp(-exponent)
 
 
-def bernstein_bound(t: float, m: int, var_each: float, linf_each: float) -> float:
-    """Bernstein tail bound exp(-(t^2/2) / (m var + (t/3) linf)).
-
-    Upper-bounds P[sum of m iid centered variables > t] given a per-term
-    variance and sup bound.
-    """
-    if t < 0.0 or m < 0 or var_each < 0.0 or linf_each < 0.0:
-        raise DomainError("arguments must be nonnegative")
-    if t == 0.0:
-        return 1.0
-    denom = m * var_each + (t / 3.0) * linf_each
-    if denom == 0.0:
-        return 0.0
-    return math.exp(-(t * t / 2.0) / denom)
-
-
 def _step_probs(p: float, q: float) -> Tuple[float, float, float]:
     if not 0.0 <= p <= 1.0:
         raise InvalidProbability(f"p={p} outside [0, 1]")

@@ -4,7 +4,9 @@ These deliberately avoid LAPACK's symmetric eigensolver, which the package
 itself calls: the characteristic polynomial oracle only uses LU
 determinants, and the spectral norm comes from power iteration. The two
 certificate-matrix builders use the per-model formulas in plain numpy,
-not the package's D - Y construction they are compared against.
+not the package's D - Y construction they are compared against. The
+Gaussian synchronization reference does call the eigensolver, but on a
+different matrix: the Laplacian of the conjugated noise.
 """
 
 import numpy as np
@@ -104,3 +106,29 @@ def z2sync_er_graphs(n, p, eps, rng):
     a_g[i, j] = a_g[j, i] = 1.0
     a_h[i[flipped], j[flipped]] = a_h[j[flipped], i[flipped]] = 1.0
     return a_g, a_h
+
+
+def z2sync_gaussian_report(y, z, sigma, tau):
+    """(lambda1, lambda2, band, residual_null, d_diag) of the Gaussian
+    synchronization certificate for y = z z^T + sigma W, read off the
+    Laplacian of the conjugated noise.
+
+    With W' = diag(z) W diag(z) off the diagonal, D - Y conjugated by
+    diag(z) is n I - 1 1^T - sigma L(-W'), so lambda2 = n - sigma mu_n for
+    the extremes mu_1 <= mu_n of L(-W'), exact while the certificate holds;
+    the band is tau (1 + max(|min(0, lambda2)|, n - sigma mu_1)). The dual
+    diagonal and the null residual ||(D - Y) z|| are those of D - Y.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    n = len(z)
+    wprime = (z[:, None] * y * z[None, :] - 1.0) / sigma
+    np.fill_diagonal(wprime, 0.0)
+    lneg = np.diag(-wprime.sum(axis=1)) + wprime
+    mu = np.linalg.eigvalsh(lneg)
+    lam2 = n - sigma * mu[-1]
+    lam1 = min(0.0, lam2)
+    band = tau * (1.0 + max(abs(lam1), max(0.0, n - sigma * mu[0])))
+    d = z * (y @ z)
+    residual = float(np.linalg.norm((np.diag(d) - y) @ z))
+    return lam1, lam2, band, residual, d

@@ -19,6 +19,7 @@ from lapcert import (
     bernoulli_diff_tail_mc,
     bm_solve,
     build_variance_sets,
+    centered_er_profile,
     certify_rank_one,
     certify_sbm,
     certify_z2sync,
@@ -26,7 +27,6 @@ from lapcert import (
     connectivity_unionfind,
     derive_stream,
     eigendecompose,
-    ensemble_profile,
     greedy_half_cut,
     norm_bound_check,
     run_sweep,
@@ -187,7 +187,7 @@ def test_05_ratio_experiment():
 def test_06_norm_bound_check():
     start = time.monotonic()
     n, p = 500, 0.05
-    prof = ensemble_profile("centered-er", n, p=p)
+    prof = centered_er_profile(n, p)
     t = 3.0 * prof.sigma_inf * math.sqrt(math.log(n))
     holds = 0
     for seed in range(100):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import z2sync_er_graphs
+from _oracles import z2sync_er_graphs, z2sync_gaussian_report
 from lapcert import (
     SymmetricMatrix,
+    centered_er_profile,
     centered_partition_gap,
     certify_rank_one,
     certify_sbm,
@@ -17,7 +18,6 @@ from lapcert import (
     derive_stream,
     dual_diagonal,
     eigenvalues_selected,
-    ensemble_profile,
     flip_oracle_sbm,
     flip_oracle_z2,
     graph_laplacian,
@@ -174,6 +174,48 @@ class TestCertifyZ2Sync:
                 )
 
 
+    def test_gaussian_matches_conjugated_noise_reference(self):
+        # D - Y + z z^T against n - sigma mu of the Laplacian of the
+        # conjugated noise, over sigma from 0.05 to 4 times sqrt(n / (2 log n))
+        rng = derive_stream(57, 0)
+        sides = set()
+        for trial in range(240):
+            n = int(rng.uniform() * 57) + 4
+            sigma = (0.05 + 3.95 * rng.uniform()) * math.sqrt(n / (2.0 * math.log(n)))
+            z = random_signs(rng, n)
+            inst = sample_z2sync_gaussian(n, sigma, z, rng)
+            rep = certify_z2sync(inst)
+            lam1, lam2, band, residual, d = z2sync_gaussian_report(inst.y.array, z, sigma,
+                                                                   TAU_POS)
+            ref = certificates.CertificateReport(d, lam1, lam2, residual, band)
+            assert (rep.side, rep.tight) == (ref.side, ref.tight)
+            tol = 1e-10 * (1 + n)
+            assert abs(rep.lambda1 - lam1) <= tol
+            assert abs(rep.lambda2 - lam2) <= tol
+            assert abs(rep.band - band) <= tol
+            assert rep.residual_null == residual
+            assert np.array_equal(rep.d_diag, d)
+            sides.add(rep.side)
+        assert sides == {"above", "below"}
+
+    def test_gaussian_side_of_a_failed_certificate_differs_from_rank_one(self):
+        # Where D - Y has exactly one negative eigenvalue, lambda_2(D - Y)
+        # is the null eigenvalue on z: certify_rank_one reads "boundary",
+        # the Gaussian report lambda_1(D - Y + z z^T) < 0 reads "below".
+        n = 30
+        sigma = 1.15 * math.sqrt(n / (2.0 * math.log(n)))
+        pairs = []
+        for seed in range(200):
+            inst = sample_z2sync_gaussian(n, sigma, np.ones(n), derive_stream(seed, 0))
+            a, b = certify_z2sync(inst), certify_rank_one(inst.y, inst.z)
+            assert a.tight == b.tight
+            pairs.append((a.side, b.side))
+            if seed == 0:
+                assert a.lambda2 == pytest.approx(-3.7628, abs=1e-4)
+                assert abs(b.lambda2) < 1e-12 and b.lambda1 < -b.band
+        assert pairs.count(("below", "boundary")) == 83
+        assert all(a == b for a, b in pairs if (a, b) != ("below", "boundary"))
+
 class TestHandBuiltSamples:
     """A sample is its arrays: one built by hand from a sampler's arrays
     gives the sampler's results, and its size is read off those arrays."""
@@ -195,10 +237,17 @@ class TestHandBuiltSamples:
             assert hand.n == n
             assert np.array_equal(centered_partition_gap(hand, p, q),
                                   centered_partition_gap(g, p, q))
-            rep = sbm_sufficient_condition(hand, p, q)
-            assert rep == sbm_sufficient_condition(g, p, q)
-            held.add(rep.holds)
+            holds = sbm_sufficient_condition(hand, p, q)
+            assert holds is sbm_sufficient_condition(g, p, q)
+            held.add(holds)
         assert held == {False, True}
+
+    @pytest.mark.parametrize("fn", [centered_partition_gap, sbm_sufficient_condition])
+    def test_unbalanced_labels_are_refused(self, fn):
+        # the balanced mean (n/2 - 1) p - (n/2) q is not E[Gamma] here
+        g = GraphSample(np.zeros((6, 6), np.uint8), labels=[1, 1, 1, 1, -1, -1])
+        with pytest.raises(DomainError, match="balanced"):
+            fn(g, 0.5, 0.2)
 
     def test_gaussian_certificate(self):
         rng = derive_stream(71, 0)
@@ -487,17 +536,13 @@ class TestCertifySbm:
 class TestSufficientCondition:
     def test_deterministic_instance(self):
         g = sample_sbm(4, 1.0, 0.0, derive_stream(0, 0))
-        rep = sbm_sufficient_condition(g, 1.0, 0.0)
         lhs = eigenvalues_selected(SymmetricMatrix(centered_partition_gap(g, 1.0, 0.0)), (4,))
         assert lhs[0] == pytest.approx(0.0, abs=1e-9)
-        assert rep.rhs == pytest.approx(2.0)
-        assert rep.holds
+        assert sbm_sufficient_condition(g, 1.0, 0.0) is True
 
     def test_equal_probabilities_never_hold(self):
         g = sample_sbm(10, 0.3, 0.3, derive_stream(1, 0))
-        rep = sbm_sufficient_condition(g, 0.3, 0.3)
-        assert rep.rhs == 0.0
-        assert not rep.holds
+        assert sbm_sufficient_condition(g, 0.3, 0.3) is False
 
     def test_implies_tightness(self):
         rng = derive_stream(58, 0)
@@ -506,8 +551,7 @@ class TestSufficientCondition:
             p = 0.05 + 0.4 * rng.uniform()
             q = rng.uniform() * p
             g = sample_sbm(n, p, q, rng)
-            rep = sbm_sufficient_condition(g, p, q)
-            if rep.holds:
+            if sbm_sufficient_condition(g, p, q):
                 assert certify_sbm(g).tight
 
     @staticmethod
@@ -533,7 +577,7 @@ class TestSufficientCondition:
         for i, alpha in enumerate(np.linspace(5.0, 7.0, 12)):
             p, q = alpha * logn / 300, logn / 300
             samples.append((sample_sbm(300, p, q, derive_stream(62, i)), p, q))
-        verdicts = [sbm_sufficient_condition(*s).holds for s in samples]
+        verdicts = [sbm_sufficient_condition(*s) for s in samples]
         assert verdicts == [self.eigenvalue_rule(*s) for s in samples]
         assert len(set(verdicts[:300])) == len(set(verdicts[300:])) == 2
 
@@ -549,7 +593,7 @@ class TestSufficientCondition:
         g = sample_sbm(n, p, q, derive_stream(64, 0))
         assert not self.eigenvalue_rule(g, p, q)
         monkeypatch.setattr(certificates, "centered_partition_gap", no_build)
-        assert not sbm_sufficient_condition(g, p, q).holds
+        assert sbm_sufficient_condition(g, p, q) is False
 
 
 def _two_cliques():
@@ -635,7 +679,7 @@ class TestFlipOracles:
         verdict = flip_oracle_z2(inst)
         assert verdict.min_stat == -1.0
         assert verdict.oracle_block
-        assert verdict.threshold_side == "below"
+        assert verdict.min_stat < 0
 
     def test_sbm_extremes(self):
         g = sample_sbm(8, 1.0, 0.0, derive_stream(0, 0))
@@ -702,7 +746,7 @@ class TestSpectralDiagRatio:
 
 class TestNormBoundCheck:
     def test_zero_matrix(self):
-        prof = ensemble_profile("centered-er", 10, p=0.3)
+        prof = centered_er_profile(10, 0.3)
         assert norm_bound_check(sym(np.zeros((10, 10))), prof.sigma, 0.0)
         assert norm_bound_check(sym(np.zeros((10, 10))), prof.sigma, 5.0)
 
@@ -710,13 +754,13 @@ class TestNormBoundCheck:
         n = 12
         x = np.zeros((n, n))
         x[0, 1] = x[1, 0] = float(n) * 10
-        prof = ensemble_profile("centered-er", n, p=0.1)
+        prof = centered_er_profile(n, 0.1)
         t = 3 * prof.sigma_inf * math.sqrt(math.log(n))
         assert not norm_bound_check(sym(x), prof.sigma, t)
 
     def test_centered_er_holds(self):
         n, p = 150, 0.2
-        prof = ensemble_profile("centered-er", n, p=p)
+        prof = centered_er_profile(n, p)
         t = 3 * prof.sigma_inf * math.sqrt(math.log(n))
         for seed in range(10):
             g = sample_er(n, p, derive_stream(seed, 0))

@@ -6,8 +6,8 @@ import pytest
 
 from _oracles import z2sync_er_graphs
 from lapcert import (
+    centered_er_profile,
     derive_stream,
-    ensemble_profile,
     sample_er,
     sample_sbm,
     sample_wigner,
@@ -21,23 +21,22 @@ from lapcert.errors import (
     InvalidProbability,
     NonSignVector,
     OddDimension,
-    UnknownEnsemble,
 )
 
 
 class TestStreams:
     def test_same_address_same_words(self):
-        a = derive_stream(42, 0).u64(10)
-        b = derive_stream(42, 0).u64(10)
+        a = derive_stream(42, 0).uniform(10)
+        b = derive_stream(42, 0).uniform(10)
         assert np.array_equal(a, b)
 
     def test_distinct_ids_differ(self):
-        a = derive_stream(42, 0).u64(1)
-        b = derive_stream(42, 1).u64(1)
+        a = derive_stream(42, 0).uniform(1)
+        b = derive_stream(42, 1).uniform(1)
         assert a[0] != b[0]
 
     def test_distinct_seeds_differ(self):
-        assert derive_stream(42, 3).u64(1)[0] != derive_stream(43, 3).u64(1)[0]
+        assert derive_stream(42, 3).uniform(1)[0] != derive_stream(43, 3).uniform(1)[0]
 
     def test_clone_resamples_bit_exactly(self):
         rng = derive_stream(42, 7)
@@ -165,7 +164,7 @@ class TestBernoulliIndices:
         k = _bernoulli_indices(rng, p, self.size)
         assert k.dtype == np.int64
         np.testing.assert_array_equal(k, np.flatnonzero(ref.uniform(self.size) < p))
-        assert rng.u64() == ref.u64()
+        assert rng.uniform() == ref.uniform()
 
 
 def _sha256(a) -> str:
@@ -387,45 +386,17 @@ class TestZ2SyncGaussian:
 
 class TestProfiles:
     def test_centered_er_exact(self):
-        prof = ensemble_profile("centered-er", 101, p=0.5)
+        prof = centered_er_profile(101, 0.5)
         assert prof.sigma**2 == pytest.approx(25.0, rel=1e-12)
         assert prof.sigma_inf == 0.5
 
     def test_p_zero_degenerate(self):
-        prof = ensemble_profile("centered-er", 10, p=0.0)
+        prof = centered_er_profile(10, 0.0)
         assert prof.sigma == 0.0
         assert prof.sigma_inf == 0.0
 
-    def test_centered_sbm_degenerate_instance(self):
-        # (n/2 - 1) p (1 - p) + (n/2) q (1 - q) vanishes at p=1, q=0
-        prof = ensemble_profile("centered-sbm", 4, p=1.0, q=0.0)
-        assert prof.sigma == 0.0
-
-    def test_centered_sbm_formula(self):
-        n, p, q = 10, 0.3, 0.1
-        prof = ensemble_profile("centered-sbm", n, p=p, q=q)
-        want = (n / 2 - 1) * p * (1 - p) + (n / 2) * q * (1 - q)
-        assert prof.sigma**2 == pytest.approx(want, rel=1e-12)
-        assert prof.sigma_inf == 0.9
-
-    def test_wigner_unbounded(self):
-        prof = ensemble_profile("wigner", 10)
-        assert prof.sigma == pytest.approx(3.0)
-        assert math.isinf(prof.sigma_inf)
-
-    def test_z2er_matches_simulation_moments(self):
-        n, p, eps = 2, 0.3, 0.2
-        prof = ensemble_profile("centered-z2er", n, p=p, eps=eps)
-        c = p * (1 - 2 * eps)
-        var = p * (1 - eps) * (-1 + c) ** 2 + p * eps * (1 + c) ** 2 + (1 - p) * c**2
-        assert prof.sigma**2 == pytest.approx((n - 1) * var, rel=1e-12)
-        assert prof.sigma_inf == pytest.approx(1 + c)
-
     def test_bounded_ensembles_satisfy_row_bound(self):
         for p in (0.1, 0.4, 0.9):
-            prof = ensemble_profile("centered-er", 30, p=p)
+            prof = centered_er_profile(30, p)
             assert prof.sigma <= prof.sigma_inf * math.sqrt(29) + 1e-12
 
-    def test_unknown_ensemble(self):
-        with pytest.raises(UnknownEnsemble):
-            ensemble_profile("levy", 10, p=0.5)

@@ -7,6 +7,7 @@ from _oracles import partition_gap_certificate, sync_certificate
 from lapcert import (
     SweepConfig,
     SymmetricMatrix,
+    centered_gap_diagonal,
     centered_laplacian,
     centered_partition_gap,
     certify_rank_one,
@@ -279,6 +280,14 @@ class TestCenteredPartitionGap:
         dev = centered_partition_gap(g, p, q)
         assert np.array_equal(dev, ref)
         assert np.array_equal(np.signbit(dev), np.signbit(ref))
+
+    @pytest.mark.parametrize("p, q", [(0.5, 0.2), (1.0, 0.0), (0.3, 0.3)])
+    def test_gap_diagonal_is_the_matrix_diagonal(self, p, q):
+        g = sample_sbm(24, p, q, derive_stream(4, 0))
+        diag = centered_gap_diagonal(g, p, q)
+        assert diag.tobytes() == np.diagonal(centered_partition_gap(g, p, q)).tobytes()
+        with pytest.raises(MissingLabels):
+            centered_gap_diagonal(GraphSample(g.adjacency), p, q)
 
 
 class TestSignedAdjacency:

@@ -96,3 +96,38 @@ def test_every_public_name_is_referenced():
                        for other, pairs in refs.items() for ref, line in pairs):
                 dead.append(f"{path.stem}.{name}")
     assert dead == []
+
+
+def _fields(tree):
+    """(Class.field, field) of each annotated field in a class body."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def _field_reads(tree):
+    """Each attribute read and identifier string; a constructor keyword,
+    which only writes a field, is neither."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value
+
+
+def test_every_class_field_is_read():
+    # a field that is computed and stored but read by nothing in src/,
+    # tests/ or bench/ is dead
+    root = SRC.parents[1]
+    files = sorted(SRC.glob("*.py")) + sorted((root / "tests").rglob("*.py")) \
+        + sorted((root / "bench").rglob("*.py"))
+    reads = set()
+    for path in files:
+        reads.update(_field_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    unread = [qualified for path in sorted(SRC.glob("*.py"))
+              for qualified, name in _fields(ast.parse(path.read_text(encoding="utf-8")))
+              if name not in reads]
+    assert unread == []

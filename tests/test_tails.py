@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lapcert import (
     bernoulli_diff_tail,
     bernoulli_diff_tail_mc,
-    bernstein_bound,
     build_variance_sets,
     chernoff_degree_bound,
     derive_stream,
@@ -49,34 +48,6 @@ class TestChernoffDegreeBound:
         for t in (0.01, 0.3, 0.7, 1.0):
             b = chernoff_degree_bound(500, 1.5, t)
             assert 0.0 < b <= 1.0
-
-
-class TestBernsteinBound:
-    def test_t_zero(self):
-        assert bernstein_bound(0.0, 100, 0.25, 2.0) == 1.0
-
-    def test_hand_value(self):
-        want = math.exp(-50.0 / (25.0 + 20.0 / 3.0))
-        assert bernstein_bound(10.0, 100, 0.25, 2.0) == pytest.approx(want, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            bernstein_bound(-1.0, 10, 0.1, 1.0)
-
-    def test_upper_bounds_monte_carlo_sync_noise(self):
-        # centered per-edge noise of the sign-flip model
-        n, p, eps = 500, 0.1, 0.2
-        c = p * (1 - 2 * eps)
-        atoms = np.array([-1.0 + c, 1.0 + c, c])
-        probs = np.array([p * (1 - eps), p * eps, 1 - p])
-        var = float(np.sum(probs * atoms**2))
-        linf = float(np.max(np.abs(atoms)))
-        rng = np.random.default_rng(1)
-        draws = rng.choice(atoms, p=probs, size=(100_000, n - 1)).sum(axis=1)
-        for t in (5.0, 10.0, 20.0):
-            freq = float(np.mean(draws > t))
-            se = math.sqrt(max(freq * (1 - freq), 1e-12) / 100_000)
-            assert freq <= bernstein_bound(t, n - 1, var, linf) + 3 * se
 
 
 class TestExactTail:
