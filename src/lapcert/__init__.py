@@ -36,7 +36,6 @@ from .laplacians import (
 from .certificates import (
     CertificateReport,
     RatioReport,
-    RecoveryVerdict,
     certify_rank_one,
     certify_sbm,
     certify_z2sync,
@@ -51,11 +50,9 @@ from .certificates import (
     spectral_diag_ratio,
 )
 from .sdp import (
-    DualCheck,
     SolveReport,
     bm_solve,
     round_rank_one,
-    verify_optimal,
 )
 from .tails import (
     bernoulli_diff_tail,
@@ -63,10 +60,10 @@ from .tails import (
     build_variance_sets,
     chernoff_degree_bound,
     greedy_half_cut,
+    sigma_star,
     threshold_margin,
 )
 from .sweeps import (
-    PhaseCell,
     SweepConfig,
     SweepResult,
     run_sweep,

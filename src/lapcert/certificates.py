@@ -31,6 +31,7 @@ from .eig import (
 )
 from .ensembles import GraphSample, SyncInstance, as_sign_vector
 from .errors import (
+    DomainError,
     MissingLabels,
     NonLaplacian,
     NonPositiveDiagonalMax,
@@ -64,7 +65,8 @@ class CertificateReport:
 
     ``band`` is the positivity dead band tau * (1 + ||D - Y||) against
     which ``lambda2`` is compared, and ``tight`` is true exactly when
-    lambda2 > band.
+    lambda2 > band. ``feasible`` (lambda1 >= -band) makes D the dual that
+    certifies x x^T optimal, unique or not.
     """
 
     d_diag: np.ndarray
@@ -78,20 +80,16 @@ class CertificateReport:
         return self.side == SIDE_ABOVE
 
     @property
+    def feasible(self) -> bool:
+        return self.lambda1 >= -self.band
+
+    @property
     def side(self) -> str:
         if self.lambda2 > self.band:
             return SIDE_ABOVE
         if self.lambda2 < -self.band:
             return SIDE_BELOW
         return SIDE_BOUNDARY
-
-
-@dataclass(frozen=True)
-class RecoveryVerdict:
-    """Single-node oracle measurement for one instance."""
-
-    oracle_block: bool
-    min_stat: float
 
 
 class RatioReport(NamedTuple):
@@ -317,11 +315,7 @@ def connectivity_unionfind(g: GraphSample) -> bool:
     return 0 < count == n
 
 
-def _oracle_verdict(min_stat: int) -> RecoveryVerdict:
-    return RecoveryVerdict(oracle_block=min_stat < 0, min_stat=float(min_stat))
-
-
-def flip_oracle_z2(inst: SyncInstance) -> RecoveryVerdict:
+def flip_oracle_z2(inst: SyncInstance) -> int:
     """Single-node flip statistic min_i(deg_+(i) - deg_-(i)).
 
     The statistic deg_G(i) - 2 deg_H(i) is the certificate's own dual
@@ -332,16 +326,16 @@ def flip_oracle_z2(inst: SyncInstance) -> RecoveryVerdict:
     """
     if not inst.is_discrete:
         raise RequiresDiscreteInstance("flip oracle needs a sign-flip instance")
-    return _oracle_verdict(int(dual_diagonal(inst.y, inst.z).min()))
+    return int(dual_diagonal(inst.y, inst.z).min())
 
 
-def flip_oracle_sbm(g: GraphSample) -> RecoveryVerdict:
+def flip_oracle_sbm(g: GraphSample) -> int:
     """Single-node degree statistic min_i(deg_in(i) - deg_out(i)).
 
     Reported as-is: a negative minimum is the standard impossibility
     statistic for balanced two-community recovery.
     """
-    return _oracle_verdict(int(degree_gap(g).min()))
+    return int(degree_gap(g).min())
 
 
 def spectral_diag_ratio(l: SymmetricMatrix) -> RatioReport:
@@ -361,5 +355,5 @@ def spectral_diag_ratio(l: SymmetricMatrix) -> RatioReport:
 def norm_bound_check(x: SymmetricMatrix, sigma: float, t: float) -> bool:
     """Whether ||X|| <= 3 sigma + t for the ensemble's row scale sigma."""
     if t < 0.0 or math.isnan(t):
-        raise ValueError("t must be >= 0")
+        raise DomainError("t must be >= 0")
     return spectral_norm(x) <= 3.0 * sigma + t

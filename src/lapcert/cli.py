@@ -40,6 +40,9 @@ EXIT_NUMERIC = 3
 #: Most values a start:stop:step grid may expand to.
 MAX_GRID_VALUES = 10_000
 
+#: The grid flags of ``sweep``: every experiment's axes, each once.
+_GRID_AXES = tuple(dict.fromkeys(a for e in EXPERIMENTS for a in experiment_axes(e)))
+
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser that raises instead of exiting."""
@@ -116,9 +119,8 @@ def _build_parser() -> _Parser:
 
     sweep = sub.add_parser("sweep", help="run a grid Monte Carlo sweep")
     sweep.add_argument("--experiment", choices=EXPERIMENTS, default=None)
-    for flag in ("--n", "--p", "--q", "--rho", "--alpha", "--beta", "--sigma",
-                 "--sigma-factor", "--eps", "--t-factor"):
-        sweep.add_argument(flag, default=None, help="grid (value, list, or a:b:step)")
+    for axis in ("n", *_GRID_AXES):
+        sweep.add_argument(f"--{axis}", default=None, help="grid (value, list, or a:b:step)")
     sweep.add_argument("--ensemble", default=None)
     sweep.add_argument("--rank-k", type=int, default=None)
     sweep.add_argument("--tau", type=float, default=None)
@@ -128,8 +130,8 @@ def _build_parser() -> _Parser:
 
     ratio = sub.add_parser("ratio", help="largest-eigenvalue ratio experiment")
     ratio.add_argument("--ensemble", default=None)
-    for flag in ("--n", "--p", "--rho", "--alpha", "--beta"):
-        ratio.add_argument(flag, default=None)
+    for axis in ("n", *experiment_axes("ratio")):
+        ratio.add_argument(f"--{axis}", default=None)
     for flag, kw in common.items():
         ratio.add_argument(flag, **kw)
 
@@ -193,7 +195,7 @@ def _sweep_config(opts: dict, experiment: Optional[str] = None) -> SweepConfig:
     if "n" not in opts:
         raise ConfigError("--n is required")
     axes = experiment_axes(exp)
-    unread = [a for e in EXPERIMENTS for a in experiment_axes(e) if a in opts and a not in axes]
+    unread = [a for a in _GRID_AXES if a in opts and a not in axes]
     if unread:
         raise ConfigError(f"--{unread[0]} is not an axis of {exp} (axes: {', '.join(axes)})")
     n_grid = [_integer(v, "n") for v in _parse_grid(opts["n"], "n")]
@@ -265,16 +267,13 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.model == "sbm":
         g = sample_sbm(n, args.p, args.q, rng)
-        rep = certify_sbm(g)
-        verdict = flip_oracle_sbm(g)
-        _print_report("sbm", rep, f"oracle_min_stat {verdict.min_stat:.9g}")
+        _print_report("sbm", certify_sbm(g), f"oracle_min_stat {flip_oracle_sbm(g):.9g}")
         return EXIT_OK
     z = np.ones(n)
     if args.model == "z2er":
         inst = sample_z2sync_er(n, args.p, args.eps, z, rng)
-        rep = certify_z2sync(inst)
-        verdict = flip_oracle_z2(inst)
-        _print_report("z2er", rep, f"oracle_min_stat {verdict.min_stat:.9g}")
+        _print_report("z2er", certify_z2sync(inst),
+                      f"oracle_min_stat {flip_oracle_z2(inst):.9g}")
         return EXIT_OK
     inst = sample_z2sync_gaussian(n, args.sigma, z, rng)
     rep = certify_z2sync(inst)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import TAU_POS, certify_rank_one
+from .certificates import CertificateReport, certify_rank_one
 from .eig import SymmetricMatrix, eigendecompose, spectral_norm
 from .ensembles import RngStream
 
@@ -27,23 +27,16 @@ GRAD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class DualCheck:
-    """Dual feasibility of the rounded point; gap is None when infeasible."""
-
-    feasible: bool
-    gap: Optional[float]
-    lambda1: float
-    lambda2: float
-
-
-@dataclass(frozen=True)
 class SolveReport:
-    objective: float
+    """``dual`` is the rank-one certificate at the rounded point: with
+    D_ii = sum_j Y_ij x_i x_j, trace(D) = x^T Y x identically, so
+    ``dual.feasible`` makes x x^T optimal and ``dual.tight`` unique."""
+
     rounded_x: np.ndarray
     rounded_objective: float
     iterations: int
     converged: bool
-    dual: DualCheck
+    dual: CertificateReport
     objective_trace: list = field(default_factory=list, repr=False)
 
 
@@ -120,15 +113,12 @@ def bm_solve(
             converged = gnorm <= scale
             break
     x = round_rank_one(r)
-    rounded_obj = float(x @ (a @ x))
-    dual = verify_optimal(y, x)
     return r, SolveReport(
-        objective=f,
         rounded_x=x,
-        rounded_objective=rounded_obj,
+        rounded_objective=float(x @ (a @ x)),
         iterations=iters,
         converged=converged,
-        dual=dual,
+        dual=certify_rank_one(y, x),
         objective_trace=trace,
     )
 
@@ -145,18 +135,3 @@ def round_rank_one(r: np.ndarray) -> np.ndarray:
     top = spec.eigenvectors[:, -1]
     v = r @ top
     return np.where(v >= 0.0, 1.0, -1.0)
-
-
-def verify_optimal(y: SymmetricMatrix, x, tau: float = TAU_POS) -> DualCheck:
-    """Check the constructed dual at x: feasibility certifies optimality.
-
-    With D_ii = sum_j Y_ij x_i x_j the duality gap trace(D) - x^T Y x
-    vanishes identically, so lambda_1(D - Y) >= -tol makes x x^T optimal;
-    lambda_2 > 0 additionally certifies uniqueness.
-    """
-    rep = certify_rank_one(y, x, tau)
-    feasible = rep.lambda1 >= -rep.band
-    x = np.asarray(x, dtype=np.float64)
-    gap = float(np.sum(rep.d_diag) - x @ (y.array @ x)) if feasible else None
-    return DualCheck(feasible=feasible, gap=gap, lambda1=rep.lambda1,
-                     lambda2=rep.lambda2)

@@ -48,8 +48,8 @@ from .ensembles import (
 )
 from .errors import ConfigError, IoError, NonPositiveDiagonalMax
 from .laplacians import centered_laplacian, centered_partition_gap, laplacian_of, signed_adjacency
-from .sdp import bm_solve, default_rank
-from .tails import threshold_margin
+from .sdp import bm_solve
+from .tails import sigma_star, threshold_margin
 
 #: Grid axes each ratio ensemble reads.
 _RATIO_AXES = {
@@ -87,34 +87,12 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class PhaseCell:
-    """Aggregated outcome of all trials at one grid point."""
-
-    params: dict
-    trials: int
-    predicted_margin: Optional[float] = None
-    freq_certified: Optional[float] = None
-    freq_boundary: Optional[float] = None
-    freq_oracle_block: Optional[float] = None
-    freq_connected: Optional[float] = None
-    freq_isolated: Optional[float] = None
-    freq_sufficient: Optional[float] = None
-    sufficiency_violations: Optional[int] = None
-    bm_disagreements: Optional[int] = None
-    freq_bound_holds: Optional[float] = None
-    mean_ratio: Optional[float] = None
-    median_ratio: Optional[float] = None
-    q95_ratio: Optional[float] = None
-    min_ratio: Optional[float] = None
-    c1_surrogate: Optional[float] = None
-    n_degenerate: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class SweepResult:
+    """One row dict per cell: its resolved parameters, ``trials``, then
+    the experiment's aggregate fields, keyed by CSV column."""
+
     cells: list
     config: SweepConfig
-    version: str = __version__
 
 
 @dataclass(frozen=True)
@@ -122,7 +100,7 @@ class _Experiment:
     """One experiment: the grid flags it reads, in cell order; its CSV
     columns; ``resolve(cfg, cell, logn)``, which completes and checks a cell
     in place; ``evaluate(cfg, cell, rng, sid)``, one trial's record; and
-    ``aggregate(cfg, cell, records)``, the cell's ``PhaseCell`` fields. The
+    ``aggregate(cfg, cell, records)``, the cell's remaining columns. The
     steps call samplers and certifiers through this module's globals, so
     patching a name here reaches every trial."""
 
@@ -152,6 +130,8 @@ def _resolve_cell(cfg: SweepConfig, cell: dict) -> dict:
 
 def _resolve_p(cell: dict, logn: float, what: str) -> None:
     """Set p = rho log(n) / n from a rho axis, or keep the p axis."""
+    if "rho" in cell and "p" in cell:
+        raise ConfigError(f"{what} takes a p or a rho grid, not both")
     if "rho" in cell:
         cell["p"] = cell["rho"] * logn / cell["n"]
     elif "p" not in cell:
@@ -178,11 +158,12 @@ def _eval_trial(args) -> tuple:
     return cell_idx, trial, _EXPERIMENTS[cfg.experiment].evaluate(cfg, cell, rng, sid)
 
 
-def _aggregate(cfg: SweepConfig, cell: dict, records: list) -> PhaseCell:
-    """Reduce a cell's trial records, in trial order."""
+def _aggregate(cfg: SweepConfig, cell: dict, records: list) -> dict:
+    """Reduce a cell's trial records, in trial order, to its row; a
+    parameter keeps its value over an aggregate field of the same name."""
     fields = _EXPERIMENTS[cfg.experiment].aggregate(cfg, cell, records)
-    return PhaseCell(params=cell, trials=len(records),
-                     predicted_margin=cell.get("margin"), **fields)
+    return {**cell, "trials": len(records),
+            **{key: value for key, value in fields.items() if key not in cell}}
 
 
 def _freq(records, key) -> float:
@@ -192,9 +173,8 @@ def _freq(records, key) -> float:
 def _bm_recovers(cfg: SweepConfig, sid: int, y: SymmetricMatrix,
                  truth: np.ndarray) -> bool:
     """Solve + round + dual-verify; one restart with a fresh stream allowed."""
-    k = cfg.rank_k if cfg.rank_k is not None else default_rank(y.n)
     for lane in (_BM_LANE, _BM_RESTART_LANE):
-        _, report = bm_solve(y, derive_stream(cfg.master_seed, lane | sid), k=k)
+        _, report = bm_solve(y, derive_stream(cfg.master_seed, lane | sid), k=cfg.rank_k)
         x = report.rounded_x
         if report.dual.feasible and (np.array_equal(x, truth) or np.array_equal(x, -truth)):
             return True
@@ -234,7 +214,7 @@ def _resolve_er(cfg: SweepConfig, cell: dict, logn: float) -> None:
     _resolve_p(cell, logn, "er experiment")
     if "rho" not in cell:
         cell["rho"] = cell["p"] * cell["n"] / logn
-    cell["margin"] = threshold_margin(cfg.experiment, {"rho": cell["rho"]})
+    cell["predicted_margin"] = threshold_margin(cfg.experiment, {"rho": cell["rho"]})
 
 
 def _eval_er(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
@@ -253,7 +233,9 @@ def _resolve_z2gauss(cfg: SweepConfig, cell: dict, logn: float) -> None:
     n = cell["n"]
     if n < 2:
         raise ConfigError("z2gauss experiment needs n >= 2: sigma* divides by log n")
-    star = math.sqrt(n / (2.0 * math.log(n)))
+    if "sigma" in cell and "sigma_factor" in cell:
+        raise ConfigError("z2gauss experiment takes a sigma or a sigma_factor grid, not both")
+    star = sigma_star(n)
     if "sigma" in cell:
         cell["sigma"] = float(cell["sigma"])
     elif "sigma_factor" in cell:
@@ -261,7 +243,8 @@ def _resolve_z2gauss(cfg: SweepConfig, cell: dict, logn: float) -> None:
     else:
         raise ConfigError("z2gauss experiment needs a sigma or sigma_factor grid")
     cell["sigma_star"] = star
-    cell["margin"] = threshold_margin(cfg.experiment, {"n": n, "sigma": cell["sigma"]})
+    cell["predicted_margin"] = threshold_margin(cfg.experiment,
+                                                {"n": n, "sigma": cell["sigma"]})
 
 
 def _eval_z2gauss(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
@@ -276,7 +259,7 @@ def _resolve_z2er(cfg: SweepConfig, cell: dict, logn: float) -> None:
         raise ConfigError("z2er experiment needs an eps grid")
     if not 0.0 <= cell["eps"] < 0.5:
         raise ConfigError(f"eps={cell['eps']:.6g} outside [0, 1/2)")
-    cell["margin"] = threshold_margin(
+    cell["predicted_margin"] = threshold_margin(
         cfg.experiment, {"n": cell["n"], "p": cell["p"], "eps": cell["eps"]})
 
 
@@ -284,12 +267,14 @@ def _eval_z2er(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
     n = cell["n"]
     inst = sample_z2sync_er(n, cell["p"], cell["eps"], np.ones(n), rng)
     rec = _certified(cfg, sid, rank_one_side(inst.y, inst.z, _tau(cfg)), inst.y, inst.z)
-    return {**rec, "block": flip_oracle_z2(inst).oracle_block}
+    return {**rec, "block": flip_oracle_z2(inst) < 0}
 
 
 def _resolve_sbm(cfg: SweepConfig, cell: dict, logn: float) -> None:
     n = cell["n"]
     _check_even(n, "sbm")
+    if ("alpha" in cell or "beta" in cell) and ("p" in cell or "q" in cell):
+        raise ConfigError("sbm experiment takes (alpha, beta) or (p, q) grids, not both")
     if "alpha" in cell and "beta" in cell:
         cell["p"] = cell["alpha"] * logn / n
         cell["q"] = cell["beta"] * logn / n
@@ -299,8 +284,8 @@ def _resolve_sbm(cfg: SweepConfig, cell: dict, logn: float) -> None:
     else:
         raise ConfigError("sbm experiment needs (alpha, beta) or (p, q) grids")
     _check_resolved_probs(cell, ("p", "q"))
-    cell["margin"] = threshold_margin(cfg.experiment,
-                                      {"alpha": cell["alpha"], "beta": cell["beta"]})
+    cell["predicted_margin"] = threshold_margin(
+        cfg.experiment, {"alpha": cell["alpha"], "beta": cell["beta"]})
 
 
 def _eval_sbm(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
@@ -313,7 +298,7 @@ def _eval_sbm(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
     # TAU_POS, not at a --tau band: a violation is judged at TAU_POS.
     if suff and cfg.tau is not None:
         side = rank_one_side(b, truth)
-    return {**rec, "block": flip_oracle_sbm(g).oracle_block, "suff": suff,
+    return {**rec, "block": flip_oracle_sbm(g) < 0, "suff": suff,
             "viol": suff and side != SIDE_ABOVE}
 
 
@@ -380,6 +365,8 @@ def _resolve_normbound(cfg: SweepConfig, cell: dict, logn: float) -> None:
         raise ConfigError("normbound experiment needs a p grid")
     _check_resolved_probs(cell, ("p",))
     t_factor = float(cell.get("t_factor", 3.0))
+    if not (math.isfinite(t_factor) and t_factor >= 0.0):
+        raise ConfigError(f"t_factor must be a finite number >= 0, got {t_factor!r}")
     prof = centered_er_profile(cell["n"], cell["p"])
     cell["t_factor"] = t_factor
     cell["t_value"] = t_factor * prof.sigma_inf * math.sqrt(logn)
@@ -546,13 +533,6 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _cell_row(columns: tuple, cell: PhaseCell) -> list:
-    return [
-        _format_value(cell.params[col] if col in cell.params else getattr(cell, col))
-        for col in columns
-    ]
-
-
 def write_csv(result: SweepResult, path) -> None:
     """UTF-8 CSV (one row per cell, 9 significant digits) plus meta JSON.
 
@@ -561,8 +541,8 @@ def write_csv(result: SweepResult, path) -> None:
     """
     cols = _EXPERIMENTS[result.config.experiment].columns
     lines = [",".join(cols)]
-    for cell in result.cells:
-        lines.append(",".join(_cell_row(cols, cell)))
+    for row in result.cells:
+        lines.append(",".join(_format_value(row.get(col)) for col in cols))
     text = "\n".join(lines) + "\n"
     path = str(path)
     meta_path = path[: -len(".csv")] + ".meta.json" if path.endswith(".csv") else path + ".meta.json"
@@ -578,7 +558,7 @@ def write_csv(result: SweepResult, path) -> None:
         "tau": cfg.tau,
         "cross_check": cfg.cross_check,
         "out": cfg.out_path,
-        "version": result.version,
+        "version": __version__,
     }
     try:
         _write_atomic(path, text)

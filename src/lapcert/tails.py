@@ -95,6 +95,11 @@ def bernoulli_diff_tail_mc(
     return hits, se
 
 
+def sigma_star(n: int) -> float:
+    """sqrt(n / (2 log n)), the Gaussian synchronization threshold, n >= 2."""
+    return math.sqrt(n / (2.0 * math.log(n)))
+
+
 def threshold_margin(model: str, params: Mapping[str, float]) -> float:
     """Signed distance to the model's predicted phase boundary.
 
@@ -124,7 +129,7 @@ def threshold_margin(model: str, params: Mapping[str, float]) -> float:
             raise DomainError("n must be >= 2")
         if sigma < 0.0:
             raise DomainError("sigma must be >= 0")
-        return math.sqrt(n / (2.0 * math.log(n))) - sigma
+        return sigma_star(n) - sigma
     if model == "z2er":
         n = int(params["n"])
         p = float(params["p"])

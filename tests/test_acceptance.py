@@ -101,12 +101,12 @@ def test_02_er_phase_transition():
     res = run_sweep(cfg)
     low, high = res.cells
     elapsed = time.monotonic() - start
-    ok = high.freq_connected >= 0.95 and low.freq_isolated >= 0.95
+    ok = high["freq_connected"] >= 0.95 and low["freq_isolated"] >= 0.95
     report(
         "02 er-phase-transition",
         ok and elapsed < 600.0,
-        f"rho=1.5 connected {high.freq_connected:.3f}, "
-        f"rho=0.5 isolated {low.freq_isolated:.3f}, {elapsed:.1f}s",
+        f"rho=1.5 connected {high['freq_connected']:.3f}, "
+        f"rho=0.5 isolated {low['freq_isolated']:.3f}, {elapsed:.1f}s",
     )
 
 
@@ -114,22 +114,22 @@ def test_03_sbm_threshold(sbm_threshold_sweep):
     result, elapsed = sbm_threshold_sweep
     below, above = result.cells
     ok = (
-        above.freq_certified >= 0.90
-        and below.freq_certified <= 0.10
-        and below.freq_oracle_block >= 0.50
-        and above.sufficiency_violations == below.sufficiency_violations == 0
-        and above.freq_sufficient >= 0.90
-        and below.freq_sufficient <= 0.10
+        above["freq_certified"] >= 0.90
+        and below["freq_certified"] <= 0.10
+        and below["freq_oracle_block"] >= 0.50
+        and above["sufficiency_violations"] == below["sufficiency_violations"] == 0
+        and above["freq_sufficient"] >= 0.90
+        and below["freq_sufficient"] <= 0.10
     )
     report(
         "03 sbm-threshold",
         ok and elapsed < 900.0,
-        f"alpha=10 certified {above.freq_certified:.2f} "
-        f"sufficient {above.freq_sufficient:.2f}, "
-        f"alpha=2 certified {below.freq_certified:.2f} "
-        f"sufficient {below.freq_sufficient:.2f} "
-        f"blocked {below.freq_oracle_block:.2f}, "
-        f"sufficiency violations {above.sufficiency_violations + below.sufficiency_violations}, "
+        f"alpha=10 certified {above['freq_certified']:.2f} "
+        f"sufficient {above['freq_sufficient']:.2f}, "
+        f"alpha=2 certified {below['freq_certified']:.2f} "
+        f"sufficient {below['freq_sufficient']:.2f} "
+        f"blocked {below['freq_oracle_block']:.2f}, "
+        f"sufficiency violations {above['sufficiency_violations'] + below['sufficiency_violations']}, "
         f"{elapsed:.1f}s",
     )
 
@@ -146,12 +146,12 @@ def test_04_gaussian_z2_threshold():
     res = run_sweep(cfg)
     easy, hard = res.cells
     elapsed = time.monotonic() - start
-    ok = easy.freq_certified >= 0.95 and hard.freq_certified <= 0.10
+    ok = easy["freq_certified"] >= 0.95 and hard["freq_certified"] <= 0.10
     report(
         "04 z2-gaussian-threshold",
         ok and elapsed < 600.0,
-        f"0.5*sigma* certified {easy.freq_certified:.2f}, "
-        f"2*sigma* certified {hard.freq_certified:.2f}, {elapsed:.1f}s",
+        f"0.5*sigma* certified {easy['freq_certified']:.2f}, "
+        f"2*sigma* certified {hard['freq_certified']:.2f}, {elapsed:.1f}s",
     )
 
 
@@ -167,11 +167,11 @@ def test_05_ratio_experiment():
     )
     res = run_sweep(cfg)
     elapsed = time.monotonic() - start
-    medians = [c.median_ratio for c in res.cells]
-    mins = [c.min_ratio for c in res.cells]
+    medians = [c["median_ratio"] for c in res.cells]
+    mins = [c["min_ratio"] for c in res.cells]
     cap = 1.0 + 2.0 / math.sqrt(math.log(2000))
     ok = (
-        all(c.n_degenerate == 0 for c in res.cells)
+        all(c["n_degenerate"] == 0 for c in res.cells)
         and all(m >= 1.0 for m in mins)
         and all(b <= a for a, b in zip(medians, medians[1:]))
         and medians[-1] <= cap
@@ -364,10 +364,10 @@ def test_11_sufficiency_ordering(sbm_threshold_sweep):
             master_seed=SEED + 1,
         )
     )
-    total = sum(c.sufficiency_violations for c in result.cells + extra.cells)
-    trials = sum(c.trials for c in result.cells + extra.cells)
+    total = sum(c["sufficiency_violations"] for c in result.cells + extra.cells)
+    trials = sum(c["trials"] for c in result.cells + extra.cells)
     ordered = all(
-        c.freq_sufficient <= c.freq_certified for c in result.cells + extra.cells
+        c["freq_sufficient"] <= c["freq_certified"] for c in result.cells + extra.cells
     )
     report(
         "11 sufficiency-ordering",

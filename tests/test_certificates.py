@@ -668,26 +668,17 @@ class TestConnectivity:
 class TestFlipOracles:
     def test_noiseless_no_block(self):
         inst = sample_z2sync_er(10, 0.8, 0.0, np.ones(10), derive_stream(3, 0))
-        verdict = flip_oracle_z2(inst)
-        assert not verdict.oracle_block
-        assert verdict.min_stat >= 0
+        assert flip_oracle_z2(inst) >= 0
 
     def test_single_corrupted_edge(self):
         # G = H = {(0, 1)}: the one measurement contradicts z
         y = sym(np.array([[0.0, -1.0], [-1.0, 0.0]]))
         inst = SyncInstance(y, np.ones(2))
-        verdict = flip_oracle_z2(inst)
-        assert verdict.min_stat == -1.0
-        assert verdict.oracle_block
-        assert verdict.min_stat < 0
+        assert flip_oracle_z2(inst) == -1
 
     def test_sbm_extremes(self):
-        g = sample_sbm(8, 1.0, 0.0, derive_stream(0, 0))
-        v = flip_oracle_sbm(g)
-        assert v.min_stat == 3.0 and not v.oracle_block
-        g = sample_sbm(8, 0.0, 1.0, derive_stream(0, 0))
-        v = flip_oracle_sbm(g)
-        assert v.min_stat == -4.0 and v.oracle_block
+        assert flip_oracle_sbm(sample_sbm(8, 1.0, 0.0, derive_stream(0, 0))) == 3
+        assert flip_oracle_sbm(sample_sbm(8, 0.0, 1.0, derive_stream(0, 0))) == -4
 
     def test_z2_statistic_is_degree_gap_of_g_and_h(self):
         # min_i deg_G(i) - 2 deg_H(i), with G and H replayed from the stream
@@ -700,7 +691,7 @@ class TestFlipOracles:
             a_g, a_h = z2sync_er_graphs(n, p, eps, stream.clone())
             inst = sample_z2sync_er(n, p, eps, z, stream)
             stat = a_g.sum(axis=1) - 2.0 * a_h.sum(axis=1)
-            assert flip_oracle_z2(inst).min_stat == stat.min()
+            assert flip_oracle_z2(inst) == stat.min()
 
     @pytest.mark.slow
     def test_z2_near_threshold_block_frequency(self):
@@ -710,7 +701,7 @@ class TestFlipOracles:
         blocked = 0
         for seed in range(100):
             inst = sample_z2sync_er(n, p, eps, np.ones(n), derive_stream(seed, 41))
-            blocked += flip_oracle_z2(inst).oracle_block
+            blocked += flip_oracle_z2(inst) < 0
         assert blocked >= 50
 
 
@@ -745,6 +736,11 @@ class TestSpectralDiagRatio:
 
 
 class TestNormBoundCheck:
+    @pytest.mark.parametrize("t", [-1.0, float("nan")])
+    def test_negative_or_nan_t_raises_domain_error(self, t):
+        with pytest.raises(DomainError, match="t must be >= 0"):
+            norm_bound_check(sym(np.zeros((4, 4))), 1.0, t)
+
     def test_zero_matrix(self):
         prof = centered_er_profile(10, 0.3)
         assert norm_bound_check(sym(np.zeros((10, 10))), prof.sigma, 0.0)

@@ -245,7 +245,7 @@ class TestSbm:
         # deg_in - deg_out = 1 at every node, read off 2 Gamma + J
         cert = partition_gap_certificate(g.adjacency, g.labels)
         assert np.all(np.diag(cert) == 3.0)
-        assert flip_oracle_sbm(g).min_stat == 1.0
+        assert flip_oracle_sbm(g) == 1.0
 
     def test_complete_bipartite(self):
         g = sample_sbm(4, 0.0, 1.0, derive_stream(0, 0))

@@ -4,6 +4,7 @@ import pytest
 from lapcert import (
     SymmetricMatrix,
     bm_solve,
+    certify_rank_one,
     certify_sbm,
     certify_z2sync,
     derive_stream,
@@ -11,7 +12,6 @@ from lapcert import (
     sample_sbm,
     sample_z2sync_er,
     signed_adjacency,
-    verify_optimal,
 )
 from lapcert.errors import NonSignVector
 from lapcert.sdp import default_rank
@@ -32,12 +32,12 @@ class TestBmSolve:
         y = sym(np.outer(z, z))
         _, rep = bm_solve(y, derive_stream(7, 0), k=2)
         assert rep.converged
-        assert abs(rep.objective - n * n) <= 1e-6 * n * n
+        assert abs(rep.objective_trace[-1] - n * n) <= 1e-6 * n * n
 
     def test_zero_matrix(self):
         y = sym(np.zeros((8, 8)))
         r, rep = bm_solve(y, derive_stream(0, 0), k=3)
-        assert rep.objective == 0.0
+        assert rep.objective_trace[-1] == 0.0
         assert rep.converged
         assert rep.iterations == 0
 
@@ -46,7 +46,7 @@ class TestBmSolve:
         n = 10
         y = sym(np.eye(n))
         r, rep = bm_solve(y, derive_stream(1, 0), k=3)
-        assert rep.objective == pytest.approx(n, rel=1e-12)
+        assert rep.objective_trace[-1] == pytest.approx(n, rel=1e-12)
         assert rep.converged
 
     def test_feasibility_and_monotonicity(self):
@@ -112,29 +112,44 @@ class TestRoundRankOne:
             )
 
 
+def verify_optimal(y, x):
+    """The dual check bm_solve stores for a rounded point x, with the
+    duality gap trace(D) - x^T Y x, which vanishes by construction."""
+    rep = certify_rank_one(y, x)
+    return rep, float(np.sum(rep.d_diag) - x @ (y.array @ x))
+
+
 class TestVerifyOptimal:
     def test_noiseless(self):
         z = random_signs(derive_stream(2, 2), 7)
-        chk = verify_optimal(sym(np.outer(z, z)), z)
+        chk, gap = verify_optimal(sym(np.outer(z, z)), z)
         assert chk.feasible
-        assert chk.gap == pytest.approx(0.0, abs=1e-9)
+        assert gap == pytest.approx(0.0, abs=1e-9)
         assert chk.lambda2 == pytest.approx(7.0, abs=1e-8)
 
     def test_infeasible_dual(self):
-        chk = verify_optimal(sym(np.ones((2, 2))), np.array([1.0, -1.0]))
+        chk, gap = verify_optimal(sym(np.ones((2, 2))), np.array([1.0, -1.0]))
         assert not chk.feasible
-        assert chk.gap is None
+        assert gap == pytest.approx(0.0, abs=1e-9)
         assert chk.lambda1 == pytest.approx(-2.0, abs=1e-9)
 
     def test_zero_matrix_degenerate(self):
-        chk = verify_optimal(sym(np.zeros((5, 5))), np.ones(5))
+        chk, gap = verify_optimal(sym(np.zeros((5, 5))), np.ones(5))
         assert chk.feasible
-        assert chk.gap == 0.0
+        assert gap == 0.0
         assert abs(chk.lambda2) <= 1e-9
 
     def test_rejects_non_sign(self):
         with pytest.raises(NonSignVector):
             verify_optimal(sym(np.eye(2)), np.array([2.0, 1.0]))
+
+    def test_is_the_report_bm_solve_stores(self):
+        z = random_signs(derive_stream(2, 3), 9)
+        y = sym(np.outer(z, z))
+        _, rep = bm_solve(y, derive_stream(2, 4), k=2)
+        chk, _ = verify_optimal(y, rep.rounded_x)
+        assert (rep.dual.lambda1, rep.dual.lambda2, rep.dual.band) == (
+            chk.lambda1, chk.lambda2, chk.band)
 
 
 class TestAgreementWithCertificates:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,14 +30,25 @@ def sbm_config(**over):
     return SweepConfig(**base)
 
 
+#: One cell of each experiment, away from its degenerate corners.
+_ONE_CELL = {
+    "er": dict(grids={"rho": [1.5]}),
+    "z2gauss": dict(grids={"sigma_factor": [0.5]}),
+    "z2er": dict(grids={"p": [0.6], "eps": [0.05]}),
+    "sbm": dict(grids={"alpha": [6.0], "beta": [0.5]}),
+    "ratio": dict(grids={}, ensemble="wigner-neg-laplacian"),
+    "normbound": dict(grids={"p": [0.3]}),
+}
+
+
 class TestRunSweep:
     def test_er_deterministic_limits(self):
         cfg = SweepConfig(
             experiment="er", n=[4], grids={"p": [0.0, 1.0]}, trials=1, master_seed=1
         )
         res = run_sweep(cfg)
-        assert [c.freq_connected for c in res.cells] == [0.0, 1.0]
-        assert [c.freq_isolated for c in res.cells] == [1.0, 0.0]
+        assert [c["freq_connected"] for c in res.cells] == [0.0, 1.0]
+        assert [c["freq_isolated"] for c in res.cells] == [1.0, 0.0]
 
     def test_er_isolated_node_skips_the_oracle(self, monkeypatch):
         cfg = SweepConfig(experiment="er", n=[30], grids={"rho": [0.5, 1.0, 1.5]},
@@ -53,7 +65,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweeps, "connectivity_unionfind", no_isolated_node)
         assert run_sweep(cfg).cells == expected
-        isolated = sum(round(c.freq_isolated * 20) for c in expected)
+        isolated = sum(round(c["freq_isolated"] * 20) for c in expected)
         assert 0 < isolated < 60 and len(searched) == 60 - isolated
 
     def test_cell_order_lexicographic(self):
@@ -65,7 +77,7 @@ class TestRunSweep:
             master_seed=0,
         )
         res = run_sweep(cfg)
-        got = [(c.params["n"], c.params["alpha"]) for c in res.cells]
+        got = [(c["n"], c["alpha"]) for c in res.cells]
         assert got == [(10, 2.0), (10, 4.0), (12, 2.0), (12, 4.0)]
 
     def test_rerun_identical(self):
@@ -84,8 +96,8 @@ class TestRunSweep:
     def test_frequencies_within_unit_interval(self):
         res = run_sweep(sbm_config())
         for c in res.cells:
-            assert 0.0 <= c.freq_certified <= 1.0
-            assert c.freq_certified + c.freq_boundary <= 1.0 + 1e-12
+            assert 0.0 <= c["freq_certified"] <= 1.0
+            assert c["freq_certified"] + c["freq_boundary"] <= 1.0 + 1e-12
 
     def test_monotone_in_signal(self):
         cfg = SweepConfig(
@@ -96,7 +108,7 @@ class TestRunSweep:
             master_seed=7,
         )
         res = run_sweep(cfg)
-        freqs = [c.freq_certified for c in res.cells]
+        freqs = [c["freq_certified"] for c in res.cells]
         slack = 3.0 * math.sqrt(0.25 / 30)
         assert all(b >= a - slack for a, b in zip(freqs, freqs[1:]))
 
@@ -106,14 +118,14 @@ class TestRunSweep:
         cfg = SweepConfig(experiment="sbm", n=[100], grids={"alpha": [7.0], "beta": [1.0]},
                           trials=20, master_seed=3, tau=0.2)
         cell = run_sweep(cfg).cells[0]
-        assert cell.freq_sufficient > 0.5 and cell.freq_certified < 0.5
-        assert cell.sufficiency_violations == 0
+        assert cell["freq_sufficient"] > 0.5 and cell["freq_certified"] < 0.5
+        assert cell["sufficiency_violations"] == 0
 
     def test_sbm_cross_check_counts(self):
         cfg = sbm_config(cross_check=True, trials=4)
         res = run_sweep(cfg)
         for c in res.cells:
-            assert c.bm_disagreements == 0
+            assert c["bm_disagreements"] == 0
 
     def test_z2gauss_cells(self):
         cfg = SweepConfig(
@@ -124,9 +136,9 @@ class TestRunSweep:
             master_seed=3,
         )
         res = run_sweep(cfg)
-        assert res.cells[0].freq_certified >= 0.9
-        assert res.cells[1].freq_certified <= 0.1
-        assert res.cells[0].params["sigma_star"] == pytest.approx(
+        assert res.cells[0]["freq_certified"] >= 0.9
+        assert res.cells[1]["freq_certified"] <= 0.1
+        assert res.cells[0]["sigma_star"] == pytest.approx(
             math.sqrt(30 / (2 * math.log(30)))
         )
 
@@ -139,9 +151,9 @@ class TestRunSweep:
             master_seed=5,
         )
         res = run_sweep(cfg)
-        assert res.cells[0].freq_certified >= 0.9
-        assert res.cells[0].freq_oracle_block <= 0.1
-        assert res.cells[1].freq_oracle_block >= 0.5
+        assert res.cells[0]["freq_certified"] >= 0.9
+        assert res.cells[0]["freq_oracle_block"] <= 0.1
+        assert res.cells[1]["freq_oracle_block"] >= 0.5
 
     def test_normbound_cells(self):
         cfg = SweepConfig(
@@ -152,7 +164,7 @@ class TestRunSweep:
             master_seed=9,
         )
         res = run_sweep(cfg)
-        assert res.cells[0].freq_bound_holds == 1.0
+        assert res.cells[0]["freq_bound_holds"] == 1.0
 
     def test_ratio_experiment(self):
         cfg = SweepConfig(
@@ -165,9 +177,9 @@ class TestRunSweep:
         )
         res = run_sweep(cfg)
         for c in res.cells:
-            assert c.n_degenerate == 0
-            assert c.mean_ratio >= 1.0
-            assert c.q95_ratio >= c.median_ratio >= 1.0
+            assert c["n_degenerate"] == 0
+            assert c["mean_ratio"] >= 1.0
+            assert c["q95_ratio"] >= c["median_ratio"] >= 1.0
 
     def test_ratio_degenerate_small_n(self):
         # at n = 2 roughly half the draws have no positive diagonal entry;
@@ -177,9 +189,9 @@ class TestRunSweep:
             ensemble="wigner-neg-laplacian",
         )
         cell = run_sweep(cfg).cells[0]
-        assert 0 < cell.n_degenerate < 40
-        assert cell.min_ratio >= 1.0
-        assert math.isfinite(cell.mean_ratio)
+        assert 0 < cell["n_degenerate"] < 40
+        assert cell["min_ratio"] >= 1.0
+        assert math.isfinite(cell["mean_ratio"])
 
     def test_ratio_requires_known_ensemble(self):
         cfg = SweepConfig(
@@ -232,6 +244,28 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match=message):
             run_sweep(cfg)
 
+    @pytest.mark.parametrize("experiment", sweeps.EXPERIMENTS)
+    def test_row_holds_the_columns(self, tmp_path, monkeypatch, experiment):
+        # every aggregate field is a CSV column, and a cell that runs every
+        # step of its experiment fills every column of its row
+        entry = sweeps._EXPERIMENTS[experiment]
+        keys = []
+
+        def aggregate(cfg, cell, records):
+            fields = entry.aggregate(cfg, cell, records)
+            keys.extend(fields)
+            return fields
+
+        monkeypatch.setitem(sweeps._EXPERIMENTS, experiment,
+                            dataclasses.replace(entry, aggregate=aggregate))
+        path = tmp_path / "out.csv"
+        run_sweep(SweepConfig(experiment=experiment, n=[20], trials=3, master_seed=5,
+                              out_path=str(path), **_ONE_CELL[experiment],
+                              cross_check="bm_disagreements" in entry.columns))
+        assert keys and set(keys) <= set(entry.columns)
+        header, row = path.read_text().splitlines()
+        assert header == ",".join(entry.columns) and "" not in row.split(",")
+
     def test_ratio_centered_er_rho_and_p_agree(self):
         n = 60
         p = 2.0 * math.log(n) / n
@@ -240,7 +274,7 @@ class TestRunSweep:
                                   grids=grids, trials=3, master_seed=4)).cells[0]
             for grids in ({"rho": [2.0]}, {"p": [p]})
         ]
-        assert cells[0].mean_ratio == cells[1].mean_ratio
+        assert cells[0]["mean_ratio"] == cells[1]["mean_ratio"]
 
     def test_pool_workers_run_one_blas_thread(self, monkeypatch):
         getters = list(_openblas_entries("get"))
@@ -257,7 +291,7 @@ class TestRunSweep:
         monkeypatch.setattr(sweeps, "connectivity_unionfind", one_thread)
         cfg = SweepConfig(experiment="er", n=[8], grids={"p": [1.0]}, trials=8,
                           master_seed=1, workers=2)
-        assert run_sweep(cfg).cells[0].freq_connected == 1.0
+        assert run_sweep(cfg).cells[0]["freq_connected"] == 1.0
         assert [get() for get in getters] == before
 
 
@@ -287,8 +321,8 @@ class TestWriteCsv:
         cols = lines[0].split(",")
         for cell, line in zip(res.cells, lines[1:]):
             row = dict(zip(cols, line.split(",")))
-            assert float(row["freq_certified"]) == cell.freq_certified
-            assert float(row["freq_oracle_block"]) == cell.freq_oracle_block
+            assert float(row["freq_certified"]) == cell["freq_certified"]
+            assert float(row["freq_oracle_block"]) == cell["freq_oracle_block"]
 
     def test_meta_json(self, tmp_path):
         path = tmp_path / "sbm.csv"
@@ -746,6 +780,29 @@ class TestCli:
         assert not out.exists() and not (tmp_path / "out.meta.json").exists()
 
     @pytest.mark.parametrize("argv", [
+        ["sweep", "--experiment", "er", "--n", "20", "--rho", "2", "--p", "0.01"],
+        ["sweep", "--experiment", "sbm", "--n", "20", "--alpha", "6", "--beta", "1",
+         "--p", "0.9", "--q", "0.05"],
+        ["sweep", "--experiment", "z2gauss", "--n", "20", "--sigma", "1",
+         "--sigma-factor", "5"],
+        ["sweep", "--experiment", "z2er", "--n", "20", "--p", "0.5", "--rho", "1",
+         "--eps", "0.1"],
+        ["ratio", "--ensemble", "centered-er", "--n", "20", "--rho", "2", "--p", "0.1"],
+    ], ids=["er", "sbm", "z2gauss", "z2er", "ratio-centered-er"])
+    def test_alternative_axes_given_together_exit_one(self, tmp_path, monkeypatch,
+                                                       capsys, argv):
+        # neither axis may silently replace the other
+        def no_trials(args):
+            raise AssertionError("a trial ran before the cell was checked")
+
+        monkeypatch.setattr(sweeps, "_eval_trial", no_trials)
+        out = tmp_path / "out.csv"
+        assert cli_main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "not both" in err
+        assert not out.exists() and not (tmp_path / "out.meta.json").exists()
+
+    @pytest.mark.parametrize("argv", [
         ["sweep", "--experiment", "z2gauss", "--n", "1", "--sigma", "1"],
         ["sweep", "--experiment", "normbound", "--n", "1", "--p", "0.5"],
         ["sweep", "--experiment", "er", "--n", "1", "--p", "0.5"],
@@ -773,6 +830,10 @@ class TestCli:
           "--cross-check", "--rank-k", "0"], "rank-k must be"),
         (["--experiment", "z2er", "--n", "30", "--p", "0.5", "--eps", "0.1",
           "--cross-check", "--rank-k", "-3"], "rank-k must be"),
+        (["--experiment", "normbound", "--n", "20", "--p", "0.3", "--t-factor", "-1"],
+         "t_factor must be"),
+        (["--experiment", "normbound", "--n", "20", "--p", "0.3", "--t-factor", "nan"],
+         "t_factor must be"),
     ])
     def test_bad_tau_or_rank_flag_exits_one(self, tmp_path, monkeypatch, capsys,
                                             argv, message):
