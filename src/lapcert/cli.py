@@ -40,8 +40,9 @@ EXIT_NUMERIC = 3
 #: Most values a start:stop:step grid may expand to.
 MAX_GRID_VALUES = 10_000
 
-#: The grid flags of ``sweep``: every experiment's axes, each once.
-_GRID_AXES = tuple(dict.fromkeys(a for e in EXPERIMENTS for a in experiment_axes(e)))
+#: The grid flags of ``sweep`` and their cell keys (--t-factor sets t_factor):
+#: every experiment's axes once, each experiment's in the order its cells nest.
+_GRID_FLAGS = {key.replace("_", "-"): key for e in EXPERIMENTS for key in experiment_axes(e)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,7 +120,7 @@ def _build_parser() -> _Parser:
 
     sweep = sub.add_parser("sweep", help="run a grid Monte Carlo sweep")
     sweep.add_argument("--experiment", choices=EXPERIMENTS, default=None)
-    for axis in ("n", *_GRID_AXES):
+    for axis in ("n", *_GRID_FLAGS):
         sweep.add_argument(f"--{axis}", default=None, help="grid (value, list, or a:b:step)")
     sweep.add_argument("--ensemble", default=None)
     sweep.add_argument("--rank-k", type=int, default=None)
@@ -130,7 +131,7 @@ def _build_parser() -> _Parser:
 
     ratio = sub.add_parser("ratio", help="largest-eigenvalue ratio experiment")
     ratio.add_argument("--ensemble", default=None)
-    for axis in ("n", *experiment_axes("ratio")):
+    for axis in ("n", *(f for f, k in _GRID_FLAGS.items() if k in experiment_axes("ratio"))):
         ratio.add_argument(f"--{axis}", default=None)
     for flag, kw in common.items():
         ratio.add_argument(flag, **kw)
@@ -194,15 +195,8 @@ def _sweep_config(opts: dict, experiment: Optional[str] = None) -> SweepConfig:
         raise ConfigError("--experiment is required")
     if "n" not in opts:
         raise ConfigError("--n is required")
-    axes = experiment_axes(exp)
-    unread = [a for a in _GRID_AXES if a in opts and a not in axes]
-    if unread:
-        raise ConfigError(f"--{unread[0]} is not an axis of {exp} (axes: {', '.join(axes)})")
     n_grid = [_integer(v, "n") for v in _parse_grid(opts["n"], "n")]
-    grids = {
-        axis.replace("-", "_"): _parse_grid(opts[axis], axis)
-        for axis in axes if axis in opts
-    }
+    grids = {key: _parse_grid(opts[flag], flag) for flag, key in _GRID_FLAGS.items() if flag in opts}
     return SweepConfig(
         experiment=exp,
         n=n_grid,
@@ -222,7 +216,6 @@ def _print_report(kind: str, report, extra: str = "") -> None:
     print(f"model {kind}")
     print(f"lambda1 {report.lambda1:.9g}")
     print(f"lambda2 {report.lambda2:.9g}")
-    print(f"margin {report.lambda2:.9g}")
     print(f"tight {int(report.tight)}")
     if extra:
         print(extra)

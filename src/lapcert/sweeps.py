@@ -4,9 +4,9 @@ Each trial is addressed by stream_id = cell_index * 2^32 + trial_index, so
 results are byte-identical regardless of how trials are scheduled across
 workers. Aggregation fills per-trial slots by index and reduces in order.
 
-Each experiment is one entry of ``_EXPERIMENTS``: the grid axes it reads,
-its CSV columns, and its three steps, which resolve a cell's parameters,
-evaluate one trial and aggregate a cell's trials.
+Each experiment is one entry of ``_EXPERIMENTS``: the grid axes it needs
+and takes, its CSV columns, and its three steps, which resolve a cell's
+parameters, evaluate one trial and aggregate a cell's trials.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import ctypes
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -50,14 +51,6 @@ from .errors import ConfigError, IoError, NonPositiveDiagonalMax
 from .laplacians import centered_laplacian, centered_partition_gap, laplacian_of, signed_adjacency
 from .sdp import bm_solve
 from .tails import sigma_star, threshold_margin
-
-#: Grid axes each ratio ensemble reads.
-_RATIO_AXES = {
-    "wigner-neg-laplacian": (),
-    "centered-er": ("rho", "p"),
-    "centered-sbm": ("alpha", "beta"),
-}
-RATIO_ENSEMBLES = tuple(_RATIO_AXES)
 
 _TRIAL_STRIDE = 1 << 32
 _BM_LANE = 1 << 62
@@ -95,16 +88,28 @@ class SweepResult:
     config: SweepConfig
 
 
+_P_OR_RHO = (("p",), ("rho",))
+
+#: The grid axes each ratio ensemble needs; it takes no other.
+_RATIO_ENSEMBLES = {
+    "wigner-neg-laplacian": (),
+    "centered-er": (_P_OR_RHO,),
+    "centered-sbm": ((("alpha", "beta"),),),
+}
+
+
 @dataclass(frozen=True)
 class _Experiment:
-    """One experiment: the grid flags it reads, in cell order; its CSV
-    columns; ``resolve(cfg, cell, logn)``, which completes and checks a cell
-    in place; ``evaluate(cfg, cell, rng, sid)``, one trial's record; and
-    ``aggregate(cfg, cell, records)``, the cell's remaining columns. The
+    """One experiment: the grid keys it needs, as groups of alternatives
+    (None: its ratio ensemble's), and those it may take; its CSV columns;
+    ``resolve(cfg, cell, logn)``, which completes a cell and checks its
+    values in place; ``evaluate(cfg, cell, rng, sid)``, one trial's record;
+    and ``aggregate(cfg, cell, records)``, the cell's remaining columns. The
     steps call samplers and certifiers through this module's globals, so
     patching a name here reaches every trial."""
 
-    axes: tuple
+    needs: Optional[tuple]
+    takes: tuple
     columns: tuple
     resolve: Callable
     evaluate: Callable
@@ -128,26 +133,29 @@ def _resolve_cell(cfg: SweepConfig, cell: dict) -> dict:
     return cell
 
 
-def _resolve_p(cell: dict, logn: float, what: str) -> None:
+def _resolve_p(cell: dict, logn: float) -> None:
     """Set p = rho log(n) / n from a rho axis, or keep the p axis."""
-    if "rho" in cell and "p" in cell:
-        raise ConfigError(f"{what} takes a p or a rho grid, not both")
     if "rho" in cell:
         cell["p"] = cell["rho"] * logn / cell["n"]
-    elif "p" not in cell:
-        raise ConfigError(f"{what} needs a p or rho grid")
     _check_resolved_probs(cell, ("p",))
+
+
+def _resolve_pq(cell: dict, logn: float, what: str) -> None:
+    """Set (p, q) = (alpha, beta) log(n) / n, or (alpha, beta) from (p, q)."""
+    n = cell["n"]
+    if n < 2 or n % 2:
+        raise ConfigError(f"{what} needs an even n >= 2, got n={n}")
+    if "alpha" in cell:
+        cell["p"], cell["q"] = cell["alpha"] * logn / n, cell["beta"] * logn / n
+    else:
+        cell["alpha"], cell["beta"] = cell["p"] * n / logn, cell["q"] * n / logn
+    _check_resolved_probs(cell, ("p", "q"))
 
 
 def _check_resolved_probs(cell: dict, keys) -> None:
     for key in keys:
         if not 0.0 <= cell[key] <= 1.0:
             raise ConfigError(f"resolved {key}={cell[key]:.6g} outside [0, 1]")
-
-
-def _check_even(n: int, what: str) -> None:
-    if n < 2 or n % 2:
-        raise ConfigError(f"{what} needs an even n >= 2, got n={n}")
 
 
 def _eval_trial(args) -> tuple:
@@ -211,7 +219,7 @@ def _aggregate_certified(cfg: SweepConfig, cell: dict, records: list) -> dict:
 def _resolve_er(cfg: SweepConfig, cell: dict, logn: float) -> None:
     if cell["n"] < 2:
         raise ConfigError("er experiment needs n >= 2: rho = p n / log n divides by log n")
-    _resolve_p(cell, logn, "er experiment")
+    _resolve_p(cell, logn)
     if "rho" not in cell:
         cell["rho"] = cell["p"] * cell["n"] / logn
     cell["predicted_margin"] = threshold_margin(cfg.experiment, {"rho": cell["rho"]})
@@ -233,15 +241,11 @@ def _resolve_z2gauss(cfg: SweepConfig, cell: dict, logn: float) -> None:
     n = cell["n"]
     if n < 2:
         raise ConfigError("z2gauss experiment needs n >= 2: sigma* divides by log n")
-    if "sigma" in cell and "sigma_factor" in cell:
-        raise ConfigError("z2gauss experiment takes a sigma or a sigma_factor grid, not both")
     star = sigma_star(n)
     if "sigma" in cell:
         cell["sigma"] = float(cell["sigma"])
-    elif "sigma_factor" in cell:
-        cell["sigma"] = float(cell["sigma_factor"]) * star
     else:
-        raise ConfigError("z2gauss experiment needs a sigma or sigma_factor grid")
+        cell["sigma"] = float(cell["sigma_factor"]) * star
     cell["sigma_star"] = star
     cell["predicted_margin"] = threshold_margin(cfg.experiment,
                                                 {"n": n, "sigma": cell["sigma"]})
@@ -254,9 +258,7 @@ def _eval_z2gauss(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
 
 
 def _resolve_z2er(cfg: SweepConfig, cell: dict, logn: float) -> None:
-    _resolve_p(cell, logn, "z2er experiment")
-    if "eps" not in cell:
-        raise ConfigError("z2er experiment needs an eps grid")
+    _resolve_p(cell, logn)
     if not 0.0 <= cell["eps"] < 0.5:
         raise ConfigError(f"eps={cell['eps']:.6g} outside [0, 1/2)")
     cell["predicted_margin"] = threshold_margin(
@@ -271,19 +273,7 @@ def _eval_z2er(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
 
 
 def _resolve_sbm(cfg: SweepConfig, cell: dict, logn: float) -> None:
-    n = cell["n"]
-    _check_even(n, "sbm")
-    if ("alpha" in cell or "beta" in cell) and ("p" in cell or "q" in cell):
-        raise ConfigError("sbm experiment takes (alpha, beta) or (p, q) grids, not both")
-    if "alpha" in cell and "beta" in cell:
-        cell["p"] = cell["alpha"] * logn / n
-        cell["q"] = cell["beta"] * logn / n
-    elif "p" in cell and "q" in cell:
-        cell["alpha"] = cell["p"] * n / logn
-        cell["beta"] = cell["q"] * n / logn
-    else:
-        raise ConfigError("sbm experiment needs (alpha, beta) or (p, q) grids")
-    _check_resolved_probs(cell, ("p", "q"))
+    _resolve_pq(cell, logn, "sbm")
     cell["predicted_margin"] = threshold_margin(
         cfg.experiment, {"alpha": cell["alpha"], "beta": cell["beta"]})
 
@@ -309,21 +299,10 @@ def _aggregate_sbm(cfg: SweepConfig, cell: dict, records: list) -> dict:
 
 
 def _resolve_ratio(cfg: SweepConfig, cell: dict, logn: float) -> None:
-    if cfg.ensemble not in RATIO_ENSEMBLES:
-        raise ConfigError(f"ratio ensemble must be one of {RATIO_ENSEMBLES}")
-    unread = [axis for axis in cfg.grids if axis not in _RATIO_AXES[cfg.ensemble]]
-    if unread:
-        raise ConfigError(f"--{unread[0]} is not an axis of the {cfg.ensemble} ensemble")
     if cfg.ensemble == "centered-er":
-        _resolve_p(cell, logn, "centered-er ensemble")
+        _resolve_p(cell, logn)
     elif cfg.ensemble == "centered-sbm":
-        n = cell["n"]
-        _check_even(n, "centered-sbm")
-        if "alpha" not in cell or "beta" not in cell:
-            raise ConfigError("centered-sbm ensemble needs alpha and beta grids")
-        cell["p"] = cell["alpha"] * logn / n
-        cell["q"] = cell["beta"] * logn / n
-        _check_resolved_probs(cell, ("p", "q"))
+        _resolve_pq(cell, logn, "centered-sbm")
     cell["ensemble"] = cfg.ensemble
 
 
@@ -361,8 +340,6 @@ def _aggregate_ratio(cfg: SweepConfig, cell: dict, records: list) -> dict:
 def _resolve_normbound(cfg: SweepConfig, cell: dict, logn: float) -> None:
     if cell["n"] < 2:
         raise ConfigError("normbound experiment needs n >= 2: t scales with sqrt(log n)")
-    if "p" not in cell:
-        raise ConfigError("normbound experiment needs a p grid")
     _check_resolved_probs(cell, ("p",))
     t_factor = float(cell.get("t_factor", 3.0))
     if not (math.isfinite(t_factor) and t_factor >= 0.0):
@@ -387,32 +364,32 @@ def _aggregate_normbound(cfg: SweepConfig, cell: dict, records: list) -> dict:
 
 _EXPERIMENTS = {
     "er": _Experiment(
-        ("rho", "p"),
+        (_P_OR_RHO,), (),
         ("n", "rho", "p", "trials", "predicted_margin", "freq_connected", "freq_isolated"),
         _resolve_er, _eval_er, _aggregate_er),
     "z2gauss": _Experiment(
-        ("sigma", "sigma-factor"),
+        ((("sigma",), ("sigma_factor",)),), (),
         ("n", "sigma", "sigma_star", "trials", "predicted_margin", "freq_certified",
          "freq_boundary", "bm_disagreements"),
         _resolve_z2gauss, _eval_z2gauss, _aggregate_certified),
     "z2er": _Experiment(
-        ("p", "rho", "eps"),
+        (_P_OR_RHO, (("eps",),)), (),
         ("n", "p", "eps", "trials", "predicted_margin", "freq_certified", "freq_boundary",
          "freq_oracle_block", "bm_disagreements"),
         _resolve_z2er, _eval_z2er, _aggregate_certified),
     "sbm": _Experiment(
-        ("alpha", "beta", "p", "q"),
+        ((("alpha", "beta"), ("p", "q")),), (),
         ("n", "alpha", "beta", "p", "q", "trials", "predicted_margin", "freq_certified",
          "freq_boundary", "freq_oracle_block", "freq_sufficient", "sufficiency_violations",
          "bm_disagreements"),
         _resolve_sbm, _eval_sbm, _aggregate_sbm),
     "ratio": _Experiment(
-        ("rho", "p", "alpha", "beta"),
+        None, (),
         ("n", "ensemble", "trials", "n_degenerate", "mean_ratio", "median_ratio",
          "q95_ratio", "min_ratio", "c1_surrogate"),
         _resolve_ratio, _eval_ratio, _aggregate_ratio),
     "normbound": _Experiment(
-        ("p", "t-factor"),
+        ((("p",),),), ("t_factor",),
         ("n", "p", "t_factor", "t_value", "sigma", "sigma_inf", "trials", "freq_bound_holds"),
         _resolve_normbound, _eval_normbound, _aggregate_normbound),
 }
@@ -420,38 +397,64 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def experiment_axes(experiment: str) -> tuple:
-    """Grid flags the experiment reads, in the order its cells nest."""
-    if experiment not in _EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
-    return _EXPERIMENTS[experiment].axes
+    """Grid keys the experiment reads under any ensemble, in cell order."""
+    exp = _EXPERIMENTS[experiment]
+    needs = sum(_RATIO_ENSEMBLES.values(), ()) if exp.needs is None else exp.needs
+    return tuple(dict.fromkeys(key for group in needs for alt in group for key in alt)) + exp.takes
+
+
+def _check_grids(grids: dict, needs: tuple, takes: tuple, what: str) -> None:
+    """Exactly one alternative of each group in ``needs`` is given, and
+    every other grid given is one in ``takes``."""
+    read = set(takes)
+    for group in needs:
+        spelled = " or ".join(" and ".join(alt) for alt in group)
+        spelled = f"{'an' if spelled[0] in 'aeiou' else 'a'} {spelled} grid"
+        given = [alt for alt in group if any(key in grids for key in alt)]
+        if len(given) > 1:
+            raise ConfigError(f"{what} takes {spelled}, not both")
+        if not given or not all(key in grids for key in given[0]):
+            raise ConfigError(f"{what} needs {spelled}")
+        read.update(given[0])
+    unread = [key for key in grids if key not in read]
+    if unread:
+        raise ConfigError(f"--{unread[0].replace('_', '-')} is not an axis of the {what}")
 
 
 def _validate(cfg: SweepConfig) -> None:
-    experiment_axes(cfg.experiment)  # rejects an unknown experiment
-    if cfg.trials < 1:
-        raise ConfigError("trials must be >= 1")
+    if cfg.experiment not in _EXPERIMENTS:
+        raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
     if not cfg.n:
         raise ConfigError("empty n grid")
-    if any(int(n) < 1 for n in cfg.n):
-        raise ConfigError("n must be >= 1")
+    # trials, workers and each n count something; the seed only names streams
+    for name, value in (("master_seed", cfg.master_seed), ("trials", cfg.trials),
+                        ("workers", cfg.workers), *(("n", n) for n in cfg.n)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if value < 1 and name != "master_seed":
+            raise ConfigError(f"{name} must be >= 1")
     for name, values in cfg.grids.items():
         if len(values) == 0:
             raise ConfigError(f"empty grid for {name}")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
     if cfg.tau is not None and not (math.isfinite(cfg.tau) and cfg.tau >= 0.0):
         raise ConfigError(f"tau must be a finite number >= 0, got {cfg.tau!r}")
     if cfg.rank_k is not None and cfg.rank_k < 2:
         raise ConfigError(f"rank-k must be an integer >= 2, got {cfg.rank_k}")
+    exp = _EXPERIMENTS[cfg.experiment]
+    needs, what = exp.needs, f"{cfg.experiment} experiment"
+    if needs is None:
+        if cfg.ensemble not in _RATIO_ENSEMBLES:
+            raise ConfigError(f"ratio ensemble must be one of {tuple(_RATIO_ENSEMBLES)}")
+        needs, what = _RATIO_ENSEMBLES[cfg.ensemble], f"{cfg.ensemble} ensemble"
+    _check_grids(cfg.grids, needs, exp.takes, what)
     # --ensemble names the ratio ensemble; --tau, --rank-k and --cross-check
     # steer certificate trials, whose experiments count bm_disagreements.
-    columns = _EXPERIMENTS[cfg.experiment].columns
     unread = [flag for flag, given, column in (
         ("ensemble", cfg.ensemble is not None, "ensemble"),
         ("tau", cfg.tau is not None, "bm_disagreements"),
         ("rank-k", cfg.rank_k is not None, "bm_disagreements"),
         ("cross-check", cfg.cross_check, "bm_disagreements"),
-    ) if given and column not in columns]
+    ) if given and column not in exp.columns]
     if unread:
         raise ConfigError(f"--{unread[0]} is not read by the {cfg.experiment} experiment")
 
@@ -504,10 +507,11 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         for t in range(cfg.trials)
     ]
     records: list = [[None] * cfg.trials for _ in cells]
-    if cfg.workers > 1 and len(tasks) > 1:
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
         ctx = get_context("fork")
-        chunk = max(1, len(tasks) // (cfg.workers * 8))
-        with ctx.Pool(cfg.workers, initializer=_pin_blas_threads) as pool:
+        chunk = max(1, len(tasks) // (workers * 8))
+        with ctx.Pool(workers, initializer=_pin_blas_threads) as pool:
             for ci, t, rec in pool.imap_unordered(_eval_trial, tasks, chunksize=chunk):
                 records[ci][t] = rec
     else:

@@ -41,6 +41,45 @@ _ONE_CELL = {
 }
 
 
+#: A valid grid of each experiment and of each ratio ensemble.
+_RULE_VALID = {
+    "er": {"rho": [1.0]},
+    "z2gauss": {"sigma": [1.0]},
+    "z2er": {"p": [0.5], "eps": [0.1]},
+    "sbm": {"alpha": [6.0], "beta": [1.0]},
+    "normbound": {"p": [0.3]},
+    "wigner-neg-laplacian": {},
+    "centered-er": {"p": [0.3]},
+    "centered-sbm": {"alpha": [6.0], "beta": [1.0]},
+}
+
+#: Grids that break the grid rule of each: an axis it does not read, a group
+#: of axes it needs left out, and two alternatives of one group given
+#: together (None where it needs no group of two alternatives).
+_RULE_BROKEN = {
+    "er": ({"rho": [1.0], "sigma": [2.0]}, {}, {"rho": [1.0], "p": [0.1]}),
+    "z2gauss": ({"sigma": [1.0], "p": [0.3]}, {}, {"sigma": [1.0], "sigma_factor": [0.5]}),
+    "z2er": ({"p": [0.5], "eps": [0.1], "q": [0.2]}, {"p": [0.5]},
+             {"p": [0.5], "rho": [1.0], "eps": [0.1]}),
+    "sbm": ({"alpha": [6.0], "beta": [1.0], "eps": [0.1]}, {"alpha": [6.0]},
+            {"alpha": [6.0], "beta": [1.0], "p": [0.5], "q": [0.1]}),
+    "normbound": ({"p": [0.3], "rho": [1.0]}, {"t_factor": [1.0]}, None),
+    "wigner-neg-laplacian": ({"p": [0.3]}, None, None),
+    "centered-er": ({"p": [0.3], "alpha": [2.0]}, {}, {"p": [0.3], "rho": [1.0]}),
+    "centered-sbm": ({"alpha": [6.0], "beta": [1.0], "rho": [1.0]}, {"beta": [1.0]}, None),
+}
+
+_RULE_CASES = [
+    pytest.param(name, over, id=f"{name}-{kind}")
+    for name, broken in _RULE_BROKEN.items()
+    for kind, over in (
+        *((kind, {"grids": grids}) for kind, grids in zip(("unread", "missing", "both"), broken)
+          if grids is not None),
+        ("n", {"n": [20.7]}), ("trials", {"trials": 2.5}), ("workers", {"workers": 1.5}),
+    )
+]
+
+
 class TestRunSweep:
     def test_er_deterministic_limits(self):
         cfg = SweepConfig(
@@ -244,6 +283,51 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match=message):
             run_sweep(cfg)
 
+    @pytest.mark.parametrize("name, over", _RULE_CASES)
+    def test_grid_rule_refuses_before_any_trial(self, tmp_path, monkeypatch, capsys,
+                                                name, over):
+        # one rule for the Python API and the CLI alike
+        def no_trials(args):
+            raise AssertionError("a trial ran before the config was checked")
+
+        monkeypatch.setattr(sweeps, "_eval_trial", no_trials)
+        ensemble = name if name not in sweeps.EXPERIMENTS else None
+        opts = dict(experiment="ratio" if ensemble else name, n=[20], grids=_RULE_VALID[name],
+                    trials=2, master_seed=1, workers=1, ensemble=ensemble)
+        opts.update(over)
+        out = tmp_path / "out.csv"
+        with pytest.raises(ConfigError):
+            run_sweep(SweepConfig(**opts, out_path=str(out)))
+        assert not out.exists()
+
+        argv = ["sweep", "--experiment", opts["experiment"],
+                "--n", ",".join(map(str, opts["n"])), "--trials", str(opts["trials"]),
+                "--workers", str(opts["workers"]), "--seed", "1", "--out", str(out)]
+        argv += ["--ensemble", ensemble] if ensemble else []
+        for key, values in opts["grids"].items():
+            argv += [f"--{key.replace('_', '-')}", ",".join(map(str, values))]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err.count("error:") == 1
+        assert not out.exists() and not (tmp_path / "out.meta.json").exists()
+
+    def test_pool_capped_at_task_count(self, monkeypatch):
+        asked = []
+
+        class NoPool:
+            def Pool(self, processes, **kwargs):
+                asked.append(processes)
+                raise RuntimeError("no pool is started here")
+
+        monkeypatch.setattr(sweeps, "get_context", lambda method: NoPool())
+        cfg = SweepConfig(experiment="er", n=[8], grids={"p": [0.5]}, trials=2,
+                          master_seed=1, workers=5000)
+        with pytest.raises(RuntimeError, match="no pool"):
+            run_sweep(cfg)
+        assert asked == [2]
+        # a single task runs in this process
+        assert len(run_sweep(dataclasses.replace(cfg, trials=1)).cells) == 1
+        assert asked == [2]
+
     @pytest.mark.parametrize("experiment", sweeps.EXPERIMENTS)
     def test_row_holds_the_columns(self, tmp_path, monkeypatch, experiment):
         # every aggregate field is a CSV column, and a cell that runs every
@@ -432,15 +516,15 @@ class TestCliDigests:
         ("er", 1, "17a2308912ffcc6be2dd0bd66b0c1eadc292e75a3d2f7396541d776dc79bc39a"),
         ("er", 2, "3e0e0568017b52ecd0ff34f1cd1ea6a865f380b84df4a264f8a7b5469e2d8edd"),
         ("er", 3, "3e0e0568017b52ecd0ff34f1cd1ea6a865f380b84df4a264f8a7b5469e2d8edd"),
-        ("sbm", 1, "27e6565f954ebfeaab1bb84d3f4973d48f5874ae38e4344fbca8feb081d8f03f"),
-        ("sbm", 2, "e370ea7ed297f376a3eb3f5f0cce793d57f6772969e92c8823b381885760ea90"),
-        ("sbm", 3, "d0bb51566b37b8f0233a50ae91b6b3271ca2816a5316005dcc351c9b6496332c"),
-        ("z2er", 1, "c20ecbe36e02235cdf60962929d8d2c97c97e1e508dd62bcbfd8b55dafbaa412"),
-        ("z2er", 2, "a1185654ca32ad3702d953ef7acfa5a8be51ba211e1d8d71f14cab749593c664"),
-        ("z2er", 3, "02ff8259d8f7dd830dafb26ac08961531b901bfea06eaa0a83e5e07c43a58914"),
-        ("z2gauss", 1, "6b17603e74a755a392dccfc72964849d385033811c3c0c544b9c276d2ec07626"),
-        ("z2gauss", 2, "7ecc5b5da579f58e6383b7df901512ceb98de84cdae0870e0499a245a05cb67e"),
-        ("z2gauss", 3, "c3d5d77c2cdd868a8db726ab76f7c833582732caf4f7edd1f57436d23d7682f6"),
+        ("sbm", 1, "4632169388c157323beb9a04b4d08ef3cf12657d5c33f287a95a1f0b6d19a824"),
+        ("sbm", 2, "5bdb5b6965e62c8f0ebb4dc2ecfa91840a687e1c0a25babc086f3c1ddc8276a4"),
+        ("sbm", 3, "b5179d4813811da1283f546a8189987bec6e4e972f2891434caf3b26ff26d78f"),
+        ("z2er", 1, "94a5c6eec2896b71fc4e36556584ab586f9fb177a8a256d78065eff067554141"),
+        ("z2er", 2, "fda298eaa9530f6aa12b8ffe74ef13c6790b0901e69bcb504a4e9f2c5fa55f61"),
+        ("z2er", 3, "bf9bb8a6edf5a40e81708a0c17ce409e862ec0b9055e21e7fb963c132ee32b85"),
+        ("z2gauss", 1, "f75d2a32739daaead0beab0c77301fecacf2d1de192ef3d97d44738026486baa"),
+        ("z2gauss", 2, "7b3300e9dd0b1883eeab0b0861b634529428db47f708a1292d24995da37a29e7"),
+        ("z2gauss", 3, "aab20f553179b013f670db1429b724e84b14d0381473a6c6baf94ffdc2d1503a"),
     ])
     def test_certify(self, capsys, model, seed, digest):
         argv = ["certify", "--model", model, *_CERTIFY_ARGV[model], "--seed", str(seed)]
