@@ -40,6 +40,9 @@ EXIT_NUMERIC = 3
 #: Most values a start:stop:step grid may expand to.
 MAX_GRID_VALUES = 10_000
 
+#: Largest ``tail --m``: the exact tail takes time quadratic in m.
+MAX_TAIL_M = 10_000
+
 #: The grid flags of ``sweep`` and their cell keys (--t-factor sets t_factor):
 #: every experiment's axes once, each experiment's in the order its cells nest.
 _GRID_FLAGS = {key.replace("_", "-"): key for e in EXPERIMENTS for key in experiment_axes(e)}
@@ -316,6 +319,8 @@ def _cmd_tail(args: argparse.Namespace) -> int:
     _check_flags(args, _TAIL_FLAGS, queries)
     lines = []  # printed only once every value is computed
     if args.m is not None:
+        if args.m > MAX_TAIL_M:
+            raise ConfigError(f"--m must be at most {MAX_TAIL_M}, got {args.m}")
         exact = bernoulli_diff_tail(args.m, args.p, args.q, args.delta)
         lines.append(f"t_exact {exact:.12g}")
         if args.mc_trials is not None:

@@ -40,9 +40,7 @@ def laplacian_of(x: SymmetricMatrix) -> SymmetricMatrix:
 
 def graph_laplacian(g: GraphSample) -> SymmetricMatrix:
     """Standard graph Laplacian D - A; positive semidefinite, L1 = 0."""
-    l = np.negative(g.adjacency, dtype=np.float64)
-    np.fill_diagonal(l, g.adjacency.sum(axis=1, dtype=np.int64))
-    return SymmetricMatrix._owning(l)
+    return _into_laplacian(g.adjacency.astype(np.float64))
 
 
 def centered_laplacian(g: GraphSample, p: float) -> SymmetricMatrix:

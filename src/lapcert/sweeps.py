@@ -2,7 +2,9 @@
 
 Each trial is addressed by stream_id = cell_index * 2^32 + trial_index, so
 results are byte-identical regardless of how trials are scheduled across
-workers. Aggregation fills per-trial slots by index and reduces in order.
+workers. Trials are evaluated as one ordered stream over (cell, trial),
+served by ``map`` in this process or by an ordered pool map, and each cell
+is reduced from its next ``trials`` records as they arrive.
 
 Each experiment is one entry of ``_EXPERIMENTS``: the grid axes it needs
 and takes, its CSV columns, and its three steps, which resolve a cell's
@@ -11,6 +13,7 @@ parameters, evaluate one trial and aggregate a cell's trials.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import itertools
 import json
@@ -127,9 +130,13 @@ def _expand_cells(cfg: SweepConfig) -> list:
 
 
 def _resolve_cell(cfg: SweepConfig, cell: dict) -> dict:
-    """Complete and check a cell's parameters in place, before any trial."""
+    """Complete and check a cell's parameters in place, before any trial.
+    Every experiment needs n >= 2: its scales are set by log n, and a
+    1 x 1 Laplacian is zero."""
     n = cell["n"]
-    _EXPERIMENTS[cfg.experiment].resolve(cfg, cell, math.log(n) if n > 1 else float("nan"))
+    if n < 2:
+        raise ConfigError(f"{cfg.experiment} experiment needs n >= 2, got n={n}")
+    _EXPERIMENTS[cfg.experiment].resolve(cfg, cell, math.log(n))
     return cell
 
 
@@ -143,8 +150,8 @@ def _resolve_p(cell: dict, logn: float) -> None:
 def _resolve_pq(cell: dict, logn: float, what: str) -> None:
     """Set (p, q) = (alpha, beta) log(n) / n, or (alpha, beta) from (p, q)."""
     n = cell["n"]
-    if n < 2 or n % 2:
-        raise ConfigError(f"{what} needs an even n >= 2, got n={n}")
+    if n % 2:
+        raise ConfigError(f"{what} needs an even n, got n={n}")
     if "alpha" in cell:
         cell["p"], cell["q"] = cell["alpha"] * logn / n, cell["beta"] * logn / n
     else:
@@ -158,20 +165,18 @@ def _check_resolved_probs(cell: dict, keys) -> None:
             raise ConfigError(f"resolved {key}={cell[key]:.6g} outside [0, 1]")
 
 
-def _eval_trial(args) -> tuple:
+def _eval_trial(args) -> dict:
     """Run one (cell, trial) and return its record; pure in (cfg, indices)."""
     cfg, cell_idx, cell, trial = args
     sid = cell_idx * _TRIAL_STRIDE + trial
     rng = derive_stream(cfg.master_seed, sid)
-    return cell_idx, trial, _EXPERIMENTS[cfg.experiment].evaluate(cfg, cell, rng, sid)
+    return _EXPERIMENTS[cfg.experiment].evaluate(cfg, cell, rng, sid)
 
 
 def _aggregate(cfg: SweepConfig, cell: dict, records: list) -> dict:
-    """Reduce a cell's trial records, in trial order, to its row; a
-    parameter keeps its value over an aggregate field of the same name."""
-    fields = _EXPERIMENTS[cfg.experiment].aggregate(cfg, cell, records)
+    """Reduce a cell's trial records, in trial order, to its row."""
     return {**cell, "trials": len(records),
-            **{key: value for key, value in fields.items() if key not in cell}}
+            **_EXPERIMENTS[cfg.experiment].aggregate(cfg, cell, records)}
 
 
 def _freq(records, key) -> float:
@@ -217,8 +222,6 @@ def _aggregate_certified(cfg: SweepConfig, cell: dict, records: list) -> dict:
 
 
 def _resolve_er(cfg: SweepConfig, cell: dict, logn: float) -> None:
-    if cell["n"] < 2:
-        raise ConfigError("er experiment needs n >= 2: rho = p n / log n divides by log n")
     _resolve_p(cell, logn)
     if "rho" not in cell:
         cell["rho"] = cell["p"] * cell["n"] / logn
@@ -239,8 +242,6 @@ def _aggregate_er(cfg: SweepConfig, cell: dict, records: list) -> dict:
 
 def _resolve_z2gauss(cfg: SweepConfig, cell: dict, logn: float) -> None:
     n = cell["n"]
-    if n < 2:
-        raise ConfigError("z2gauss experiment needs n >= 2: sigma* divides by log n")
     star = sigma_star(n)
     if "sigma" in cell:
         cell["sigma"] = float(cell["sigma"])
@@ -338,8 +339,6 @@ def _aggregate_ratio(cfg: SweepConfig, cell: dict, records: list) -> dict:
 
 
 def _resolve_normbound(cfg: SweepConfig, cell: dict, logn: float) -> None:
-    if cell["n"] < 2:
-        raise ConfigError("normbound experiment needs n >= 2: t scales with sqrt(log n)")
     _check_resolved_probs(cell, ("p",))
     t_factor = float(cell.get("t_factor", 3.0))
     if not (math.isfinite(t_factor) and t_factor >= 0.0):
@@ -424,8 +423,12 @@ def _check_grids(grids: dict, needs: tuple, takes: tuple, what: str) -> None:
 def _validate(cfg: SweepConfig) -> None:
     if cfg.experiment not in _EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
-    if not cfg.n:
-        raise ConfigError("empty n grid")
+    for name, values in (("n", cfg.n), *cfg.grids.items()):
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ConfigError(f"the {name} grid must be a non-empty list, got {values!r}")
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} values must be real numbers, got {value!r}")
     # trials, workers and each n count something; the seed only names streams
     for name, value in (("master_seed", cfg.master_seed), ("trials", cfg.trials),
                         ("workers", cfg.workers), *(("n", n) for n in cfg.n)):
@@ -433,9 +436,6 @@ def _validate(cfg: SweepConfig) -> None:
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         if value < 1 and name != "master_seed":
             raise ConfigError(f"{name} must be >= 1")
-    for name, values in cfg.grids.items():
-        if len(values) == 0:
-            raise ConfigError(f"empty grid for {name}")
     if cfg.tau is not None and not (math.isfinite(cfg.tau) and cfg.tau >= 0.0):
         raise ConfigError(f"tau must be a finite number >= 0, got {cfg.tau!r}")
     if cfg.rank_k is not None and cfg.rank_k < 2:
@@ -498,30 +498,23 @@ def _pin_blas_threads() -> None:
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Evaluate every (cell, trial), aggregate, and optionally write CSV."""
+    """Evaluate every (cell, trial) in order, reduce each cell as its
+    trials arrive, and optionally write CSV."""
     _validate(cfg)
     cells = _expand_cells(cfg)
-    tasks = [
-        (cfg, ci, cell, t)
-        for ci, cell in enumerate(cells)
-        for t in range(cfg.trials)
-    ]
-    records: list = [[None] * cfg.trials for _ in cells]
-    workers = min(cfg.workers, len(tasks))
-    if workers > 1:
-        ctx = get_context("fork")
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ctx.Pool(workers, initializer=_pin_blas_threads) as pool:
-            for ci, t, rec in pool.imap_unordered(_eval_trial, tasks, chunksize=chunk):
-                records[ci][t] = rec
-    else:
-        for task in tasks:
-            ci, t, rec = _eval_trial(task)
-            records[ci][t] = rec
-    out_cells = [
-        _aggregate(cfg, cell, records[ci]) for ci, cell in enumerate(cells)
-    ]
-    result = SweepResult(cells=out_cells, config=cfg)
+    tasks = ((cfg, ci, cell, t) for ci, cell in enumerate(cells) for t in range(cfg.trials))
+    count = len(cells) * cfg.trials
+    workers = min(cfg.workers, count)
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(
+                get_context("fork").Pool(workers, initializer=_pin_blas_threads))
+            records = pool.imap(_eval_trial, tasks, chunksize=max(1, count // (8 * workers)))
+        else:
+            records = map(_eval_trial, tasks)
+        rows = [_aggregate(cfg, cell, list(itertools.islice(records, cfg.trials)))
+                for cell in cells]
+    result = SweepResult(cells=rows, config=cfg)
     if cfg.out_path is not None:
         write_csv(result, cfg.out_path)
     return result

@@ -70,12 +70,22 @@ _RULE_BROKEN = {
 }
 
 _RULE_CASES = [
-    pytest.param(name, over, id=f"{name}-{kind}")
+    pytest.param(name, over, True, id=f"{name}-{kind}")
     for name, broken in _RULE_BROKEN.items()
     for kind, over in (
         *((kind, {"grids": grids}) for kind, grids in zip(("unread", "missing", "both"), broken)
           if grids is not None),
         ("n", {"n": [20.7]}), ("trials", {"trials": 2.5}), ("workers", {"workers": 1.5}),
+    )
+] + [
+    # values of a type the CLI never passes, since it parses every number
+    # first: only the Python API can give them
+    pytest.param("normbound", over, False, id=f"normbound-{kind}")
+    for kind, over in (
+        ("grid-value-str", {"grids": {"p": ["0.3"]}}),
+        ("grid-value-bool", {"grids": {"p": [True]}}),
+        ("grid-not-list", {"grids": {"p": 0.3}}),
+        ("n-not-list", {"n": 10}),
     )
 ]
 
@@ -283,9 +293,9 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match=message):
             run_sweep(cfg)
 
-    @pytest.mark.parametrize("name, over", _RULE_CASES)
+    @pytest.mark.parametrize("name, over, by_cli", _RULE_CASES)
     def test_grid_rule_refuses_before_any_trial(self, tmp_path, monkeypatch, capsys,
-                                                name, over):
+                                                name, over, by_cli):
         # one rule for the Python API and the CLI alike
         def no_trials(args):
             raise AssertionError("a trial ran before the config was checked")
@@ -299,6 +309,8 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(SweepConfig(**opts, out_path=str(out)))
         assert not out.exists()
+        if not by_cli:
+            return
 
         argv = ["sweep", "--experiment", opts["experiment"],
                 "--n", ",".join(map(str, opts["n"])), "--trials", str(opts["trials"]),
@@ -309,6 +321,26 @@ class TestRunSweep:
         assert cli_main(argv) == 1
         assert capsys.readouterr().err.count("error:") == 1
         assert not out.exists() and not (tmp_path / "out.meta.json").exists()
+
+    def test_trials_stream_in_order_and_each_cell_reduces_as_it_completes(self, monkeypatch):
+        evaluated, reduced_after = [], []
+        eval_trial, aggregate = sweeps._eval_trial, sweeps._aggregate
+
+        def logged_trial(args):
+            evaluated.append((args[1], args[3]))
+            return eval_trial(args)
+
+        def logged_aggregate(cfg, cell, records):
+            reduced_after.append(len(evaluated))
+            return aggregate(cfg, cell, records)
+
+        monkeypatch.setattr(sweeps, "_eval_trial", logged_trial)
+        monkeypatch.setattr(sweeps, "_aggregate", logged_aggregate)
+        cfg = SweepConfig(experiment="er", n=[8, 10], grids={"p": [0.3, 0.6]}, trials=3,
+                          master_seed=1)
+        assert len(run_sweep(cfg).cells) == 4
+        assert evaluated == [(ci, t) for ci in range(4) for t in range(3)]
+        assert reduced_after == [3, 6, 9, 12]
 
     def test_pool_capped_at_task_count(self, monkeypatch):
         asked = []
@@ -891,6 +923,9 @@ class TestCli:
         ["sweep", "--experiment", "normbound", "--n", "1", "--p", "0.5"],
         ["sweep", "--experiment", "er", "--n", "1", "--p", "0.5"],
         ["sweep", "--experiment", "er", "--n", "1", "--rho", "0.5"],
+        ["ratio", "--ensemble", "wigner-neg-laplacian", "--n", "1"],
+        ["ratio", "--ensemble", "centered-er", "--n", "1", "--p", "0.5"],
+        ["sweep", "--experiment", "z2er", "--n", "1", "--rho", "1", "--eps", "0.1"],
     ])
     def test_n_one_exits_one(self, tmp_path, monkeypatch, capsys, argv):
         def no_trials(args):
@@ -962,6 +997,7 @@ class TestCli:
         ["tail", "--m", "2", "--p", "0.5", "--q", "0.5", "--delta", "0", "--eps", "0.1"],
         ["tail", "--m", "2", "--p", "0.5", "--q", "0.5", "--delta", "0",
          "--model", "z2er", "--n", "100", "--eps", "0.1", "--sigma", "1"],
+        ["tail", "--m", "10001", "--p", "0.5", "--q", "0.5", "--delta", "0"],
     ])
     def test_bad_certify_or_tail_input_exits_one(self, capsys, argv):
         assert cli_main(argv) == 1
