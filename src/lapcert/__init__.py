@@ -9,6 +9,8 @@ from .eig import (
     eigenvalue_k,
     eigenvalues_selected,
     is_positive_definite,
+    lanczos,
+    largest_eigenvalue,
     spectral_norm,
 )
 from .ensembles import (
@@ -31,6 +33,7 @@ from .laplacians import (
     degree_gap,
     graph_laplacian,
     laplacian_of,
+    negated_laplacian,
     signed_adjacency,
 )
 from .certificates import (

@@ -27,6 +27,8 @@ from .eig import (
     eigenvalue_k,
     eigenvalues_selected,
     is_positive_definite,
+    lanczos,
+    largest_eigenvalue,
     spectral_norm,
 )
 from .ensembles import GraphSample, SyncInstance, as_sign_vector
@@ -188,22 +190,7 @@ def _weak_node_ritz(cert: np.ndarray, x: np.ndarray) -> float:
     i = int(np.argmin(np.diagonal(cert)))
     q = x * (-x[i] / n)
     q[i] += 1.0  # e_i less its component along x
-    q /= np.linalg.norm(q)
-    q_prev = np.zeros(n)
-    alpha, beta = [], [0.0]
-    for _ in range(_RITZ_STEPS):
-        w = cert @ q
-        w -= beta[-1] * q_prev
-        alpha.append(float(q @ w))
-        w -= alpha[-1] * q
-        b = float(np.linalg.norm(w))
-        if not b > 0.0:  # the Krylov space is invariant: its Ritz values are exact
-            break
-        beta.append(b)
-        q_prev, q = q, w / b
-    k = len(alpha)
-    off = np.diag(beta[1:k], 1)
-    return eigenvalue_k(SymmetricMatrix._owning(np.diag(alpha) + off + off.T), 1)
+    return float(lanczos(SymmetricMatrix._owning(cert), q, _RITZ_STEPS)[0][0])
 
 
 def _positive_definite_shift(cert: np.ndarray, x: np.ndarray, t: float) -> bool:
@@ -338,8 +325,12 @@ def flip_oracle_sbm(g: GraphSample) -> int:
     return int(degree_gap(g).min())
 
 
-def spectral_diag_ratio(l: SymmetricMatrix) -> RatioReport:
-    """lambda_max(L) / max_i L_ii for a Laplacian with positive peak diagonal."""
+def spectral_diag_ratio(l: SymmetricMatrix, overwrite: bool = False) -> RatioReport:
+    """lambda_max(L) / max_i L_ii for a Laplacian with positive peak diagonal.
+
+    lambda_max is ``largest_eigenvalue``'s proved Lanczos value; with
+    ``overwrite`` the caller hands l over to be factorized in place.
+    """
     a = l.array
     n = l.n
     row_tol = 1e-9 * n * (1.0 + l.max_abs())
@@ -348,7 +339,7 @@ def spectral_diag_ratio(l: SymmetricMatrix) -> RatioReport:
     max_diag = float(np.max(np.diag(a)))
     if max_diag <= 0.0:
         raise NonPositiveDiagonalMax("largest diagonal entry must be positive")
-    lam_max = float(eigenvalues_selected(l, (n,))[0])
+    lam_max = largest_eigenvalue(l, overwrite)[0]
     return RatioReport(ratio=lam_max / max_diag, max_diag=max_diag, lam_max=lam_max)
 
 

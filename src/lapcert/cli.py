@@ -43,6 +43,11 @@ MAX_GRID_VALUES = 10_000
 #: Largest ``tail --m``: the exact tail takes time quadratic in m.
 MAX_TAIL_M = 10_000
 
+#: Largest ``tail --m`` x ``--mc-trials``: the Monte Carlo tail draws that
+#: many Bernoulli pairs, m rounds of mc-trials each. At the cap that took
+#: 0.2-0.6 s, and 250 MB at --m 1, where all the trials are in one round.
+MAX_TAIL_MC_DRAWS = 20_000_000
+
 #: The grid flags of ``sweep`` and their cell keys (--t-factor sets t_factor):
 #: every experiment's axes once, each experiment's in the order its cells nest.
 _GRID_FLAGS = {key.replace("_", "-"): key for e in EXPERIMENTS for key in experiment_axes(e)}
@@ -321,6 +326,9 @@ def _cmd_tail(args: argparse.Namespace) -> int:
     if args.m is not None:
         if args.m > MAX_TAIL_M:
             raise ConfigError(f"--m must be at most {MAX_TAIL_M}, got {args.m}")
+        if args.mc_trials is not None and args.m * args.mc_trials > MAX_TAIL_MC_DRAWS:
+            raise ConfigError(f"--m x --mc-trials must be at most {MAX_TAIL_MC_DRAWS}, "
+                              f"got {args.m * args.mc_trials}")
         exact = bernoulli_diff_tail(args.m, args.p, args.q, args.delta)
         lines.append(f"t_exact {exact:.12g}")
         if args.mc_trials is not None:

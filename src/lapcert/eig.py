@@ -2,15 +2,19 @@
 
 ``SymmetricMatrix`` is the validated input type; the spectra come from
 numpy's LAPACK drivers (``syevd``). The certificate sweeps only need the
-second-smallest or largest eigenvalue, which is read off the full spectrum.
-A positive-definiteness test needs no spectrum: it is one Cholesky
-factorization (``potrf``), skipped when a diagonal entry is not positive.
+second-smallest or largest eigenvalue, which is read off the full spectrum,
+except for the largest eigenvalue of ``largest_eigenvalue``: a Lanczos
+guess proved by one Cholesky factorization. A positive-definiteness test
+needs no spectrum: it is one Cholesky factorization (``potrf``), skipped
+when a diagonal entry is not positive.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +63,7 @@ class SymmetricMatrix:
         return self._a.shape[0]
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self._a)))
+        return float(max(self._a.max(), -self._a.min()))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SymmetricMatrix(n={self.n})"
@@ -137,3 +141,144 @@ def spectral_norm(m: SymmetricMatrix) -> float:
     """Spectral norm max(|lambda_1|, |lambda_n|)."""
     lam = eigenvalues_selected(m, (1, m.n))
     return float(np.max(np.abs(lam)))
+
+
+def lanczos(m: SymmetricMatrix, start: np.ndarray, steps: int,
+            rtol: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
+    """Ritz values of m on the Krylov space of ``start``, ascending, and the
+    residual ||m y - theta y|| of each Ritz pair (theta, y), read off the
+    tridiagonal as beta_k |s_k| for the last entry s_k of its eigenvector.
+
+    Lanczos with full reorthogonalization (two classical Gram-Schmidt
+    passes), for at most ``steps`` steps. It stops early when the space is
+    invariant, its Ritz values then exact, or, where rtol > 0, once the
+    largest Ritz value's residual is at most rtol |theta|.
+    """
+    a = m.array
+    steps = min(steps, m.n)
+    q = np.empty((steps, m.n))
+    q[0] = start / np.linalg.norm(start)
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    for k in range(steps):
+        w = a @ q[k]
+        basis = q[:k + 1]
+        h = basis @ w
+        alpha[k] = h[k]
+        w -= basis.T @ h
+        w -= basis.T @ (basis @ w)
+        beta[k] = np.linalg.norm(w)
+        last = k + 1 == steps or not beta[k] > 0.0
+        if last or rtol > 0.0:
+            t = np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+            theta, s = np.linalg.eigh(t)
+            res = beta[k] * np.abs(s[-1])
+            if last or res[-1] <= rtol * abs(theta[-1]):
+                break
+        q[k + 1] = w / beta[k]
+    return theta, res
+
+
+@functools.cache
+def _openblas_libraries() -> tuple:
+    """Each OpenBLAS mapped into this process, loaded once per process from
+    one read of ``/proc/self/maps``; empty where none is found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line})
+    except OSError:
+        return ()
+    libs = []
+    for path in paths:
+        try:
+            libs.append(ctypes.CDLL(path))
+        except OSError:
+            continue
+    return tuple(libs)
+
+
+def _openblas_symbols(names, argtypes, restype):
+    """Yield, typed, the first of ``names`` that each OpenBLAS in this
+    process exports; yield nothing where none is found."""
+    for lib in _openblas_libraries():
+        fn = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+        if fn is not None:
+            fn.argtypes = argtypes
+            fn.restype = restype
+            yield fn
+
+
+@functools.cache
+def _dpotrf():
+    """LAPACKE ``dpotrf`` of numpy's bundled OpenBLAS, or None where it is
+    absent. Only the ILP64 build's ``64_`` symbol is bound: its integers
+    are 64 bits, and the layout argument a C int."""
+    return next(_openblas_symbols(
+        ("scipy_LAPACKE_dpotrf64_", "LAPACKE_dpotrf64_"),
+        [ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64],
+        ctypes.c_int64), None)
+
+
+_LAPACK_COL_MAJOR = 102
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
+#: Relative Lanczos residual at which the top Ritz value is taken as λ_max's
+#: guess, and the most steps spent reaching it.
+_LANCZOS_RTOL = 1e-13
+_LANCZOS_STEPS = 300
+
+
+def _cholesky_slack(n: int, trace: float) -> float:
+    """2 gamma_{n+2} tr(A), gamma_k = k u / (1 - k u): where floating-point
+    Cholesky of the rounded A = fl(s I - L) runs to completion,
+    lambda_max(L) < s + this (Demmel 1989; Rump 2006, BIT 46). Its factor
+    R has R^T R = A + E with |E| <= gamma_{n+1} |R^T| |R|, so
+    ||E||_2 <= gamma_{n+1} / (1 - gamma_{n+1}) tr(A); the diagonal's
+    rounding adds at most u max_i A_ii."""
+    k = (n + 2) * _UNIT_ROUNDOFF
+    return 2.0 * k / (1.0 - k) * trace
+
+
+def largest_eigenvalue(m: SymmetricMatrix, overwrite: bool = False) -> Tuple[float, float]:
+    """(theta, upper): the largest eigenvalue of m, and an upper bound on it.
+
+    theta is the top Ritz value of Lanczos started at the centered
+    diagonal, run until its residual r is about 1e-13 |theta|. It is
+    returned only once LAPACK ``dpotrf`` factorizes s I - m, s = theta + r
+    + delta, with delta the Cholesky backward-error slack: that proves
+    lambda_max < upper = s + delta', delta' the slack of s I - m. theta is
+    a Rayleigh quotient, below lambda_max up to rounding. Where the
+    factorization is unavailable or fails, the answer is eigvalsh's
+    lambda_max, with upper equal to it.
+
+    The factorization runs in place, column-major with uplo 'L' on the
+    row-major buffer, so it writes only the upper triangle and diagonal.
+    With ``overwrite`` the caller hands m over and it is factorized in its
+    own buffer, which is left undefined; otherwise one n x n copy is made.
+    """
+    a, n = m.array, m.n
+    diag = np.diagonal(a).copy()
+    start = diag - diag.mean()
+    potrf = _dpotrf()
+    if potrf is not None and np.any(start):
+        theta, res = lanczos(m, start, _LANCZOS_STEPS, _LANCZOS_RTOL)
+        theta, r = float(theta[-1]), float(res[-1])
+        if r <= _LANCZOS_RTOL * abs(theta):
+            base = theta + r
+            s = base + _cholesky_slack(n, max(n * base - float(diag.sum()), 0.0))
+            in_place = overwrite and a.flags.c_contiguous  # dpotrf reads lda = n
+            if in_place:
+                a.setflags(write=True)
+                np.negative(a, out=a)
+            else:
+                a = np.negative(a, order="C")
+            shifted = s - diag
+            a.flat[:: n + 1] = shifted
+            if potrf(_LAPACK_COL_MAJOR, b"L", n, a.ctypes.data, n) == 0:
+                upper = s + _cholesky_slack(n, float(shifted.sum()))
+                return theta, float(np.nextafter(upper, np.inf))
+            if in_place:
+                # the strict lower triangle still holds -m, and eigvalsh
+                # (UPLO="L", its default) reads only that and the diagonal
+                np.negative(a, out=a)
+                a.flat[:: n + 1] = diag
+    lam = float(_lapack(np.linalg.eigvalsh, m)[-1])
+    return lam, lam

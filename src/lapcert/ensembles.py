@@ -30,6 +30,10 @@ def _splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+#: Uniform pairs per chunk of a normal draw round (2 x 32 KB).
+_NORMAL_CHUNK = 1 << 12
+
+
 class RngStream:
     """Deterministic random substream addressed by (master_seed, stream_id).
 
@@ -71,25 +75,61 @@ class RngStream:
     def normal(self, size=None):
         """Standard normals via the polar (Marsaglia) rejection method."""
         n = 1 if size is None else int(np.prod(size))
-        chunks = []
+        z = np.empty(n)
         got = 0
-        while got < n:
-            pairs = max(16, (n - got) * 7 // 10 + 8)
-            u = 2.0 * self.uniform(pairs) - 1.0
-            v = 2.0 * self.uniform(pairs) - 1.0
-            s = u * u + v * v
-            ok = (s > 0.0) & (s < 1.0)
-            s = s[ok]
-            f = np.sqrt(-2.0 * np.log(s) / s)
-            out = np.empty(2 * len(s))
-            out[0::2] = u[ok] * f
-            out[1::2] = v[ok] * f
-            chunks.append(out)
-            got += out.size
-        z = np.concatenate(chunks)[:n] if len(chunks) > 1 else chunks[0][:n]
+        for chunk in self._normal_chunks(n):
+            z[got:got + chunk.size] = chunk
+            got += chunk.size
         if size is None:
             return float(z[0])
         return z.reshape(size)
+
+    def _normal_chunks(self, count: int):
+        """Yield ``normal(count)``'s values in order, a chunk at a time, and
+        leave the stream where ``normal(count)`` leaves it.
+
+        Each draw round takes ``pairs`` uniforms u, then ``pairs`` uniforms
+        v, and keeps the pairs inside the unit disc. A second PCG64, moved
+        ``pairs`` draws past the u block, yields the v block alongside it,
+        ``_NORMAL_CHUNK`` pairs at a time, so no round-sized array is held;
+        the stream resumes at that generator's end state. The consumer must
+        exhaust the iterator.
+        """
+        got = 0
+        while got < count:
+            pairs = max(16, (count - got) * 7 // 10 + 8)
+            v_bg = np.random.PCG64()
+            v_bg.state = self._bg.state
+            v_bg.advance(pairs)
+            v_gen = np.random.Generator(v_bg)
+            drawn = 0
+            while drawn < pairs and got < count:
+                size = min(_NORMAL_CHUNK, pairs - drawn)
+                u = self._gen.random(size)
+                u *= 2.0
+                u -= 1.0
+                v = v_gen.random(size)
+                v *= 2.0
+                v -= 1.0
+                drawn += size
+                s = u * u
+                s += v * v
+                ok = (s > 0.0) & (s < 1.0)
+                u, v, s = u[ok], v[ok], s[ok]
+                f = np.log(s)
+                f *= -2.0
+                f /= s
+                np.sqrt(f, out=f)
+                u *= f
+                v *= f
+                del s, f
+                out = np.empty(min(2 * u.size, count - got))
+                out[0::2] = u[:(out.size + 1) // 2]
+                out[1::2] = v[:out.size // 2]
+                got += out.size
+                yield out
+            v_bg.advance(pairs - drawn)
+            self._bg.state = v_bg.state
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(master_seed={self.master_seed}, stream_id={self.stream_id})"
@@ -260,16 +300,28 @@ def _adjacency_from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return a
 
 
+def _wigner_buffer(n: int, rng: RngStream) -> np.ndarray:
+    """A fresh n x n array of sample_wigner's entries: the normals fill the
+    upper triangle row by row, each mirrored below, as they are drawn."""
+    _check_count(n)
+    a = np.empty((n, n))
+    i = j = 0
+    for chunk in rng._normal_chunks(n * (n + 1) // 2):
+        at = 0
+        while at < chunk.size:
+            k = min(n - j, chunk.size - at)
+            a[i, j:j + k] = a[j:j + k, i] = chunk[at:at + k]
+            at += k
+            j += k
+            if j == n:
+                i += 1
+                j = i
+    return a
+
+
 def sample_wigner(n: int, rng: RngStream) -> SymmetricMatrix:
     """Symmetric matrix with iid N(0,1) entries on and above the diagonal."""
-    _check_count(n)
-    vals = rng.normal(n * (n + 1) // 2)
-    a = np.empty((n, n))
-    start = 0
-    for i in range(n):
-        a[i, i:] = a[i:, i] = vals[start:start + n - i]
-        start += n - i
-    return SymmetricMatrix._owning(a)
+    return SymmetricMatrix._owning(_wigner_buffer(n, rng))
 
 
 def sample_er(n: int, p: float, rng: RngStream) -> GraphSample:
@@ -335,12 +387,15 @@ def sample_z2sync_er(
 def sample_z2sync_gaussian(
     n: int, sigma: float, z, rng: RngStream
 ) -> SyncInstance:
-    """Gaussian-noise synchronization: y = z z^T + sigma * W."""
+    """Gaussian-noise synchronization: y = z z^T + sigma * W, built in W's
+    own buffer: y_ij = sigma w_ij + z_i z_j, the sum of the same two terms."""
     _check_count(n)
     sigma = _check_sigma(sigma)
     z = as_sign_vector(z, n)
-    w = sample_wigner(n, rng)
-    y = np.outer(z, z) + sigma * w.array
+    y = _wigner_buffer(n, rng)
+    y *= sigma
+    for i in range(n):
+        y[i] += z[i] * z
     return SyncInstance._owning(SymmetricMatrix._owning(y), z, sigma)
 
 

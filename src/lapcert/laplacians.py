@@ -38,6 +38,25 @@ def laplacian_of(x: SymmetricMatrix) -> SymmetricMatrix:
     return _into_laplacian(x.array.copy())
 
 
+def negated_laplacian(w: SymmetricMatrix, overwrite: bool = False) -> SymmetricMatrix:
+    """L_{-W} = -L_W = laplacian_of(-W), bit for bit: w off the diagonal,
+    and on it 0.0 minus w's off-diagonal row sum. Negation commutes
+    exactly with the row sum; ``0.0 -`` keeps the +0.0 that laplacian_of
+    gives a row summing to zero, where plain negation would give -0.0.
+
+    With ``overwrite`` the caller hands w over and L is built in its buffer.
+    """
+    a = w.array
+    if overwrite:
+        a.setflags(write=True)
+    else:
+        a = a.copy()
+    np.fill_diagonal(a, 0.0)
+    deg = a.sum(axis=1)
+    np.fill_diagonal(a, np.subtract(0.0, deg, out=deg))
+    return SymmetricMatrix._owning(a)
+
+
 def graph_laplacian(g: GraphSample) -> SymmetricMatrix:
     """Standard graph Laplacian D - A; positive semidefinite, L1 = 0."""
     return _into_laplacian(g.adjacency.astype(np.float64))

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, eig
 from .certificates import (
     SIDE_ABOVE,
     SIDE_BOUNDARY,
@@ -51,7 +51,8 @@ from .ensembles import (
     sample_z2sync_gaussian,
 )
 from .errors import ConfigError, IoError, NonPositiveDiagonalMax
-from .laplacians import centered_laplacian, centered_partition_gap, laplacian_of, signed_adjacency
+from .laplacians import (centered_laplacian, centered_partition_gap, negated_laplacian,
+                         signed_adjacency)
 from .sdp import bm_solve
 from .tails import sigma_star, threshold_margin
 
@@ -310,7 +311,7 @@ def _resolve_ratio(cfg: SweepConfig, cell: dict, logn: float) -> None:
 def _eval_ratio(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
     n = cell["n"]
     if cfg.ensemble == "wigner-neg-laplacian":
-        l = laplacian_of(SymmetricMatrix._owning(-sample_wigner(n, rng).array))
+        l = negated_laplacian(sample_wigner(n, rng), overwrite=True)
     elif cfg.ensemble == "centered-er":
         l = centered_laplacian(sample_er(n, cell["p"], rng), cell["p"])
     else:  # centered-sbm: E[Gamma] - Gamma conjugated by the labels
@@ -319,8 +320,8 @@ def _eval_ratio(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
         dev *= g.labels[:, None]
         dev *= g.labels
         l = SymmetricMatrix._owning(dev)
-    try:
-        return {"ratio": spectral_diag_ratio(l).ratio}
+    try:  # l is this trial's own: it is factorized in place
+        return {"ratio": spectral_diag_ratio(l, overwrite=True).ratio}
     except NonPositiveDiagonalMax:
         return {"ratio": None}
 
@@ -461,28 +462,17 @@ def _validate(cfg: SweepConfig) -> None:
 
 def _openblas_entries(verb: str):
     """Yield the ``<verb>_num_threads`` entry point ("set" or "get") of each
-    OpenBLAS mapped into this process; yield nothing where none is found.
+    OpenBLAS mapped into this process, from eig's one lookup; yield nothing
+    where none is found.
 
     numpy's wheels rename the symbol (``scipy_openblas_set_num_threads64_``),
     so the plain and the prefixed or suffixed spellings are all tried.
     """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
-            paths = sorted({line.split()[-1] for line in f if "openblas" in line})
-    except OSError:
-        return
     names = [f"{prefix}openblas_{verb}_num_threads{suffix}"
              for prefix in ("", "scipy_") for suffix in ("", "64_")]
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        fn = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
-        if fn is not None:
-            fn.argtypes = [ctypes.c_int] if verb == "set" else []
-            fn.restype = None if verb == "set" else ctypes.c_int
-            yield fn
+    if verb == "set":
+        return eig._openblas_symbols(names, [ctypes.c_int], None)
+    return eig._openblas_symbols(names, [], ctypes.c_int)
 
 
 def _pin_blas_threads() -> None:

@@ -7,6 +7,8 @@ from lapcert import (
     eigenvalue_k,
     eigenvalues_selected,
     is_positive_definite,
+    lanczos,
+    largest_eigenvalue,
     spectral_norm,
 )
 from lapcert.errors import IndexOutOfRange, NonConvergence
@@ -64,6 +66,63 @@ class TestSymmetricMatrix:
         a = np.array([[1.0, 2.0], [2.0, 1.0]])
         m = SymmetricMatrix._owning(a)
         assert m.array is a and not a.flags.writeable
+
+
+class TestMaxAbs:
+    @pytest.mark.parametrize("a", [[[0.0]], [[-3.0, 1.0], [1.0, 2.0]], [[1.0, -0.5], [-0.5, 0.0]]])
+    def test_is_the_largest_magnitude(self, a):
+        assert sym(a).max_abs() == float(np.max(np.abs(a)))
+
+
+class TestLanczos:
+    def test_invariant_space_gives_exact_ritz_values(self):
+        # e_0 of a block-diagonal matrix spans a 3-dimensional invariant space
+        a = np.zeros((5, 5))
+        a[:3, :3] = PATH3
+        a[3:, 3:] = [[7.0, 1.0], [1.0, 7.0]]
+        theta, res = lanczos(sym(a), np.eye(5)[0], 5)
+        assert len(theta) == 3 and not res.any()
+        assert np.allclose(theta, [0.0, 1.0, 3.0], atol=1e-14)
+
+    def test_residuals_bound_the_distance_to_an_eigenvalue(self):
+        rng = np.random.default_rng(4)
+        m = random_sym(rng, 60)
+        lam = np.linalg.eigvalsh(m.array)
+        theta, res = lanczos(m, rng.standard_normal(60), 12)
+        assert len(theta) == 12
+        for t, r in zip(theta, res):
+            assert np.min(np.abs(lam - t)) <= r + 1e-12
+
+    def test_stops_once_the_top_value_converges(self):
+        rng = np.random.default_rng(5)
+        m = random_sym(rng, 200)
+        theta, res = lanczos(m, rng.standard_normal(200), 200, rtol=1e-13)
+        assert len(theta) < 200 and res[-1] <= 1e-13 * abs(theta[-1])
+        assert theta[-1] == pytest.approx(np.linalg.eigvalsh(m.array)[-1], rel=1e-13)
+
+
+class TestLargestEigenvalue:
+    @pytest.mark.parametrize("n, seed", [(30, 0), (200, 1), (500, 2)])
+    def test_bracket_holds_eigvalsh(self, n, seed):
+        from lapcert import derive_stream, laplacian_of, sample_wigner
+
+        m = laplacian_of(sample_wigner(n, derive_stream(seed, 4)))
+        before = m.array.copy()
+        theta, upper = largest_eigenvalue(m)
+        lam = np.linalg.eigvalsh(before)[-1]
+        # the upper end is proved; theta is a Rayleigh quotient, below
+        # lambda_max up to the rounding of the products
+        assert theta < upper  # proved, not the fallback
+        assert theta * (1.0 - 1e-13) <= lam <= upper
+        assert (upper - theta) / theta < 1e-8
+        # without overwrite the matrix stays the caller's, bit for bit
+        assert m.array.tobytes() == before.tobytes() and not m.array.flags.writeable
+
+    def test_constant_diagonal_falls_back_to_eigvalsh(self):
+        # the centered diagonal is zero, so Lanczos has no start
+        m = sym([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+        lam = np.linalg.eigvalsh(m.array)[-1]
+        assert largest_eigenvalue(m) == (lam, lam)
 
 
 class TestEigendecompose:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from lapcert import (
     sample_z2sync_gaussian,
     spectral_norm,
 )
-from lapcert.ensembles import _DRAW_CHUNK, _bernoulli_indices, _edge_pairs
+from lapcert.ensembles import _DRAW_CHUNK, _NORMAL_CHUNK, _bernoulli_indices, _edge_pairs
 from lapcert.errors import (
     DomainError,
     InvalidProbability,
@@ -53,6 +54,59 @@ class TestStreams:
         assert np.array_equal(z1, z2)
         assert abs(z1.mean()) < 4.0 / math.sqrt(5000)
         assert abs(z1.std() - 1.0) < 0.05
+
+
+def _polar_normals(rng, n):
+    """The polar loop RngStream.normal ran before it drew in chunks: each
+    round draws all its u, then all its v, and keeps the whole round."""
+    chunks = []
+    got = 0
+    while got < n:
+        pairs = max(16, (n - got) * 7 // 10 + 8)
+        u = 2.0 * rng.uniform(pairs) - 1.0
+        v = 2.0 * rng.uniform(pairs) - 1.0
+        s = u * u + v * v
+        ok = (s > 0.0) & (s < 1.0)
+        s = s[ok]
+        f = np.sqrt(-2.0 * np.log(s) / s)
+        out = np.empty(2 * len(s))
+        out[0::2] = u[ok] * f
+        out[1::2] = v[ok] * f
+        chunks.append(out)
+        got += out.size
+    return np.concatenate(chunks)[:n], len(chunks)
+
+
+class TestChunkedNormals:
+    """normal() draws its rounds in chunks of _NORMAL_CHUNK pairs, with the
+    v block read by a second generator; values and the stream's end state
+    are those of the polar loop that drew each round whole."""
+
+    # (size, seed, rounds): (64, 255), (126, 88) and (300, 7) fall short in
+    # their first round; 40,000 and 100,001 span several chunks
+    @pytest.mark.parametrize("size, seed, rounds", [
+        (1, 0, 1), (2, 3, 1), (10, 1, 1), (1000, 2, 1),
+        (64, 255, 2), (126, 88, 2), (300, 7, 2),
+        (40_000, 4, 1), (100_001, 5, 1),
+    ])
+    def test_same_values_and_end_state(self, size, seed, rounds):
+        ref_rng, rng = derive_stream(seed, 1), derive_stream(seed, 1)
+        expected, ref_rounds = _polar_normals(ref_rng, size)
+        assert ref_rounds == rounds
+        if 0.7 * size > 2 * _NORMAL_CHUNK:
+            assert rounds == 1  # a round of several chunks
+        assert np.array_equal(rng.normal(size), expected)
+        assert rng._bg.state == ref_rng._bg.state
+        assert rng.uniform() == ref_rng.uniform()
+
+    def test_chunks_concatenate_to_normal(self):
+        rng = derive_stream(6, 1)
+        chunks = list(rng._normal_chunks(50_000))
+        assert len(chunks) > 1
+        assert np.array_equal(np.concatenate(chunks), derive_stream(6, 1).normal(50_000))
+
+    def test_scalar(self):
+        assert derive_stream(8, 1).normal() == _polar_normals(derive_stream(8, 1), 1)[0][0]
 
 
 class TestWigner:
@@ -365,6 +419,19 @@ class TestZ2SyncGaussian:
         inst = sample_z2sync_gaussian(5, 1.0, np.ones(5), derive_stream(2, 2))
         assert np.all(inst.y.array != 0.0)
         assert not inst.is_discrete
+
+    def test_peak_is_one_buffer(self):
+        # y is built in W's own buffer: no outer(z, z) and no sigma * W copy
+        n = 400
+        z = np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
+        sample_z2sync_gaussian(n, 2.0, z, derive_stream(1, 0))  # warm the caches
+        tracemalloc.start()
+        try:
+            sample_z2sync_gaussian(n, 2.0, z, derive_stream(1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 8 * n * n
 
     @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
     def test_bad_sigma(self, sigma):

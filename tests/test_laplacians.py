@@ -19,6 +19,8 @@ from lapcert import (
     flip_oracle_z2,
     graph_laplacian,
     laplacian_of,
+    largest_eigenvalue,
+    negated_laplacian,
     sample_er,
     sample_sbm,
     sample_wigner,
@@ -78,6 +80,29 @@ class TestLaplacianOf:
             l = laplacian_of(x)
             tol = 1e-12 * n * max(np.max(np.abs(x.array)), 1.0)
             assert np.max(np.abs(l.array @ np.ones(n))) <= tol
+
+
+class TestNegatedLaplacian:
+    """negated_laplacian(w) is laplacian_of(-w) bit for bit, signed zeros
+    included, built in a copy or, handed over, in w's own buffer."""
+
+    @pytest.mark.parametrize("x", [
+        lambda: sample_wigner(12, derive_stream(2, 9)),
+        lambda: _rounded_wigner(1, 0),
+        lambda: _rounded_wigner(12, 2),
+        lambda: _rounded_wigner(64, 5),
+        lambda: sym([[5.0, -0.0, 1.0, -1.0], [-0.0, 0.0, 0.0, -0.0],
+                     [1.0, 0.0, -2.0, 0.5], [-1.0, -0.0, 0.5, -0.0]]),
+        lambda: sym(np.zeros((5, 5))),
+    ], ids=["wigner-12", "rounded-1", "rounded-12", "rounded-64", "hand", "zeros"])
+    def test_bits_of_laplacian_of_minus_w(self, x):
+        w = x()
+        expected = laplacian_of(sym(-w.array)).array.tobytes()
+        before = w.array.tobytes()
+        assert negated_laplacian(w).array.tobytes() == expected
+        assert w.array.tobytes() == before  # kept: built in a copy
+        owned = sym(w.array)
+        assert negated_laplacian(owned, overwrite=True).array.tobytes() == expected
 
 
 class TestGraphLaplacian:
@@ -402,7 +427,7 @@ class TestBuilderDigests:
          1.2696097949534648),
         ("centered-er", {"n": 30, "p": 0.2},
          "0bf3ea2ac7f3144ae27d46c0fe7a214b4c18766188744e19ea6034b4f00aa2af",
-         1.169607197031085),
+         1.1696071970310844),
         ("centered-sbm", {"n": 30, "p": 0.5, "q": 0.1},
          "f459ccbc05a461cea643b677bd629dd5a271ad13acdf59a65f838074fa5129ca",
          1.1838846613634944),
@@ -411,12 +436,17 @@ class TestBuilderDigests:
         seen = []
         ratio_of = sweeps.spectral_diag_ratio
 
-        def capture(l):
+        def capture(l, **kwargs):
             seen.append(l.array.copy())
-            return ratio_of(l)
+            return ratio_of(l, **kwargs)
 
         monkeypatch.setattr(sweeps, "spectral_diag_ratio", capture)
         cfg = SweepConfig(experiment="ratio", n=[cell["n"]], grids={}, trials=1,
                           master_seed=7, ensemble=ensemble)
         assert sweeps._eval_ratio(cfg, cell, derive_stream(7, 3), 3) == {"ratio": ratio}
         assert _sha256(seen[0]) == digest
+        # the ratio is the Lanczos value, and its proved bracket holds eigvalsh's
+        theta, upper = largest_eigenvalue(SymmetricMatrix(seen[0]))
+        lam = np.linalg.eigvalsh(seen[0])[-1]
+        assert ratio == theta / np.diagonal(seen[0]).max()
+        assert theta < upper and theta * (1.0 - 1e-13) <= lam <= upper

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 from lapcert import SweepConfig, SymmetricMatrix, derive_stream, run_sweep, write_csv
-from lapcert import sweeps
-from lapcert.cli import MAX_GRID_VALUES, cli_main, _parse_grid
+from lapcert import cli, eig, sweeps
+from lapcert.cli import MAX_GRID_VALUES, MAX_TAIL_MC_DRAWS, cli_main, _parse_grid
 from lapcert.ensembles import GraphSample, SyncInstance
 from lapcert.errors import ConfigError, IoError
 from lapcert.sweeps import SweepResult, _openblas_entries
@@ -669,6 +670,71 @@ class TestRatioTrialMemory:
         assert peak <= 2.6 * 8 * n * n
 
 
+def _fail_to_factorize(layout, uplo, n, data, lda):
+    """A dpotrf that fails after scribbling over all it may write: the
+    upper triangle and the diagonal of the row-major buffer."""
+    a = np.ctypeslib.as_array((ctypes.c_double * (n * n)).from_address(data)).reshape(n, n)
+    a[np.triu_indices(n)] = np.nan
+    return 1
+
+
+_RATIO_RUNS = [
+    ["ratio", "--ensemble", "wigner-neg-laplacian", "--n", "10,20,120", "--trials", "5"],
+    ["ratio", "--ensemble", "centered-er", "--n", "20,120", "--rho", "2", "--trials", "5"],
+    ["ratio", "--ensemble", "centered-sbm", "--n", "40,120", "--alpha", "9", "--beta", "1",
+     "--trials", "5"],
+]
+
+
+class TestRatioProof:
+    """The ratio trial's lambda_max is a Lanczos value proved by one in-place
+    factorization; without it, every trial falls back to eigvalsh."""
+
+    @pytest.mark.parametrize("potrf", [None, _fail_to_factorize], ids=["absent", "fails"])
+    @pytest.mark.parametrize("argv", _RATIO_RUNS, ids=["wigner", "centered-er", "centered-sbm"])
+    def test_csv_unchanged_without_the_proof(self, tmp_path, monkeypatch, potrf, argv):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main([*argv, "--seed", "7", "--out", "proved.csv"]) == 0
+        calls = []
+
+        def lookup():
+            calls.append(1)
+            return potrf
+
+        monkeypatch.setattr(eig, "_dpotrf", lookup)
+        assert cli_main([*argv, "--seed", "7", "--out", "fallback.csv"]) == 0
+        assert calls
+        assert Path("proved.csv").read_bytes() == Path("fallback.csv").read_bytes()
+
+    @pytest.mark.parametrize("potrf", [None, _fail_to_factorize], ids=["absent", "fails"])
+    def test_fallback_is_eigvalsh_bits(self, monkeypatch, potrf):
+        monkeypatch.setattr(eig, "_dpotrf", lambda: potrf)
+        cfg = SweepConfig(experiment="ratio", n=[150], grids={}, trials=1, master_seed=3,
+                          ensemble="wigner-neg-laplacian")
+        seen = []
+        ratio_of = sweeps.spectral_diag_ratio
+
+        def capture(l, **kwargs):
+            seen.append(l.array.copy())
+            return ratio_of(l, **kwargs)
+
+        monkeypatch.setattr(sweeps, "spectral_diag_ratio", capture)
+        ratio = sweeps._eval_ratio(cfg, {"n": 150}, derive_stream(3, 0), 0)["ratio"]
+        lam = np.linalg.eigvalsh(seen[0])[-1]
+        assert ratio == lam / np.diagonal(seen[0]).max()
+
+    def test_workers_give_the_same_bytes_at_n1000(self, tmp_path):
+        # forked workers run one BLAS thread, this process its default
+        out = []
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}.csv"
+            run_sweep(SweepConfig(experiment="ratio", n=[1000], grids={}, trials=4,
+                                  master_seed=42, ensemble="wigner-neg-laplacian",
+                                  out_path=str(path), workers=workers))
+            out.append(path.read_bytes())
+        assert out[0] == out[1]
+
+
 class TestGridParsing:
     def test_single_value(self):
         assert _parse_grid("0.5") == [0.5]
@@ -718,6 +784,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert "t_exact 0.6875" in out
         assert "t_mc " in out
+
+    def test_tail_mc_draws_capped_before_any_draw(self, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("the Monte Carlo tail ran")
+
+        monkeypatch.setattr(cli, "bernoulli_diff_tail_mc", no_draw)
+        argv = ["tail", "--m", "1000", "--p", "0.5", "--q", "0.3", "--delta", "2",
+                "--mc-trials", str(MAX_TAIL_MC_DRAWS // 1000 + 1)]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if line.startswith("error")] == [
+            f"error: --m x --mc-trials must be at most {MAX_TAIL_MC_DRAWS}, "
+            f"got {MAX_TAIL_MC_DRAWS + 1000}"]
+        monkeypatch.setattr(cli, "bernoulli_diff_tail_mc", lambda *args: (0.5, 0.01))
+        argv[-1] = str(MAX_TAIL_MC_DRAWS // 1000)
+        assert cli_main(argv) == 0
+        assert "t_mc 0.5" in capsys.readouterr().out
 
     def test_sweep_er(self, tmp_path, capsys):
         path = tmp_path / "er.csv"
