@@ -1,12 +1,13 @@
 """Dense symmetric eigenvalues on LAPACK.
 
-``SymmetricMatrix`` is the validated input type; the spectra come from
-numpy's LAPACK drivers (``syevd``). The certificate sweeps only need the
-second-smallest or largest eigenvalue, which is read off the full spectrum,
-except for the largest eigenvalue of ``largest_eigenvalue``: a Lanczos
-guess proved by one Cholesky factorization. A positive-definiteness test
-needs no spectrum: it is one Cholesky factorization (``potrf``), skipped
-when a diagonal entry is not positive.
+``SymmetricMatrix`` is the validated input type. Full spectra and selected
+eigenvalues come from numpy's LAPACK ``syevd`` (``eigvalsh``/``eigh``).
+Where only the sign of an extreme eigenvalue matters, one Cholesky
+factorization decides it and no spectrum is computed: the positive-
+definiteness test, and the proof of ``largest_eigenvalue``'s Lanczos guess.
+Both go through ``_factorizes``, numpy's bundled LAPACKE ``dpotrf`` run in
+place. This module is the one that binds numpy's OpenBLAS: that ``dpotrf``
+and the ``<verb>_num_threads`` entry points the sweep's workers set.
 """
 
 from __future__ import annotations
@@ -121,20 +122,15 @@ def eigenvalues_selected(m: SymmetricMatrix, ks: Sequence[int]) -> np.ndarray:
 
 
 def is_positive_definite(m: SymmetricMatrix) -> bool:
-    """Whether m is positive definite, from one Cholesky factorization.
+    """Whether m is positive definite, from one Cholesky factorization of
+    a copy (``_factorizes``).
 
-    LAPACK ``potrf`` stops at the first pivot that is not positive, so a
-    ``LinAlgError`` here is the answer "no", not a convergence failure. A
-    diagonal entry <= 0 answers "no" without factorizing: ``potrf`` only
+    A diagonal entry <= 0 answers "no" without factorizing: ``potrf`` only
     subtracts sums of squares from a pivot, which cannot make it positive.
     """
     if not np.diagonal(m.array).min() > 0.0:
         return False
-    try:
-        np.linalg.cholesky(m.array)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return _factorizes(np.array(m.array, order="C"))
 
 
 def spectral_norm(m: SymmetricMatrix) -> float:
@@ -207,6 +203,27 @@ def _openblas_symbols(names, argtypes, restype):
             yield fn
 
 
+def _openblas_entries(verb: str):
+    """Yield the ``<verb>_num_threads`` entry point ("set" or "get") of each
+    OpenBLAS mapped into this process; yield nothing where none is found.
+
+    numpy's wheels rename the symbol (``scipy_openblas_set_num_threads64_``),
+    so the plain and the prefixed or suffixed spellings are all tried.
+    """
+    names = [f"{prefix}openblas_{verb}_num_threads{suffix}"
+             for prefix in ("", "scipy_") for suffix in ("", "64_")]
+    if verb == "set":
+        return _openblas_symbols(names, [ctypes.c_int], None)
+    return _openblas_symbols(names, [], ctypes.c_int)
+
+
+def pin_blas_threads() -> None:
+    """Run each OpenBLAS in this process on one thread; do nothing where
+    none is found."""
+    for set_threads in _openblas_entries("set"):
+        set_threads(1)
+
+
 @functools.cache
 def _dpotrf():
     """LAPACKE ``dpotrf`` of numpy's bundled OpenBLAS, or None where it is
@@ -219,6 +236,29 @@ def _dpotrf():
 
 
 _LAPACK_COL_MAJOR = 102
+
+
+def _factorizes(a: np.ndarray) -> bool:
+    """Whether Cholesky runs to completion on the symmetric C-contiguous
+    float64 array ``a``, which it may overwrite.
+
+    ``dpotrf`` stops at the first pivot that is not positive, so a failure
+    is the answer "no". It runs in place, column-major with uplo 'L' on the
+    row-major buffer, so it reads and writes only the upper triangle and
+    the diagonal. Where the symbol is absent, ``numpy.linalg.cholesky``
+    factorizes a copy instead.
+    """
+    potrf = _dpotrf()
+    if potrf is None:
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    n = a.shape[0]
+    return potrf(_LAPACK_COL_MAJOR, b"L", n, a.ctypes.data, n) == 0
+
+
 _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 #: Relative Lanczos residual at which the top Ritz value is taken as λ_max's
 #: guess, and the most steps spent reaching it.
@@ -242,23 +282,22 @@ def largest_eigenvalue(m: SymmetricMatrix, overwrite: bool = False) -> Tuple[flo
 
     theta is the top Ritz value of Lanczos started at the centered
     diagonal, run until its residual r is about 1e-13 |theta|. It is
-    returned only once LAPACK ``dpotrf`` factorizes s I - m, s = theta + r
+    returned only once ``_factorizes`` runs through s I - m, s = theta + r
     + delta, with delta the Cholesky backward-error slack: that proves
     lambda_max < upper = s + delta', delta' the slack of s I - m. theta is
-    a Rayleigh quotient, below lambda_max up to rounding. Where the
-    factorization is unavailable or fails, the answer is eigvalsh's
-    lambda_max, with upper equal to it.
+    a Rayleigh quotient, below lambda_max up to rounding. Where ``dpotrf``
+    is absent or the factorization fails, the answer is eigvalsh's
+    lambda_max, with upper equal to it: the numpy fallback, which copies
+    the matrix, is not tried.
 
-    The factorization runs in place, column-major with uplo 'L' on the
-    row-major buffer, so it writes only the upper triangle and diagonal.
-    With ``overwrite`` the caller hands m over and it is factorized in its
-    own buffer, which is left undefined; otherwise one n x n copy is made.
+    The factorization writes only the upper triangle and diagonal. With
+    ``overwrite`` the caller hands m over and it is factorized in its own
+    buffer, which is left undefined; otherwise one n x n copy is made.
     """
     a, n = m.array, m.n
     diag = np.diagonal(a).copy()
     start = diag - diag.mean()
-    potrf = _dpotrf()
-    if potrf is not None and np.any(start):
+    if _dpotrf() is not None and np.any(start):
         theta, res = lanczos(m, start, _LANCZOS_STEPS, _LANCZOS_RTOL)
         theta, r = float(theta[-1]), float(res[-1])
         if r <= _LANCZOS_RTOL * abs(theta):
@@ -272,7 +311,7 @@ def largest_eigenvalue(m: SymmetricMatrix, overwrite: bool = False) -> Tuple[flo
                 a = np.negative(a, order="C")
             shifted = s - diag
             a.flat[:: n + 1] = shifted
-            if potrf(_LAPACK_COL_MAJOR, b"L", n, a.ctypes.data, n) == 0:
+            if _factorizes(a):
                 upper = s + _cholesky_slack(n, float(shifted.sum()))
                 return theta, float(np.nextafter(upper, np.inf))
             if in_place:

@@ -14,7 +14,6 @@ parameters, evaluate one trial and aggregate a cell's trials.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import itertools
 import json
 import math
@@ -55,6 +54,10 @@ from .laplacians import (centered_laplacian, centered_partition_gap, negated_lap
                          signed_adjacency)
 from .sdp import bm_solve
 from .tails import sigma_star, threshold_margin
+
+#: Most worker processes a sweep may ask for, unless the host has more
+#: cores; a pool is forked up front.
+MAX_WORKERS = 64
 
 _TRIAL_STRIDE = 1 << 32
 _BM_LANE = 1 << 62
@@ -439,8 +442,15 @@ def _validate(cfg: SweepConfig) -> None:
             raise ConfigError(f"{name} must be >= 1")
     if cfg.tau is not None and not (math.isfinite(cfg.tau) and cfg.tau >= 0.0):
         raise ConfigError(f"tau must be a finite number >= 0, got {cfg.tau!r}")
-    if cfg.rank_k is not None and cfg.rank_k < 2:
-        raise ConfigError(f"rank-k must be an integer >= 2, got {cfg.rank_k}")
+    most_workers = max(MAX_WORKERS, os.cpu_count() or 1)
+    if cfg.workers > most_workers:
+        raise ConfigError(f"workers must be at most {most_workers}, got {cfg.workers}")
+    # a Burer-Monteiro factor of rank k > n has no more freedom than rank n;
+    # 2 is the least rank, as sdp.default_rank has it for every n
+    k, most_k = cfg.rank_k, max(2, max(cfg.n))
+    if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral)
+                          or not 2 <= k <= most_k):
+        raise ConfigError(f"rank-k must be an integer in [2, {most_k}], got {k!r}")
     exp = _EXPERIMENTS[cfg.experiment]
     needs, what = exp.needs, f"{cfg.experiment} experiment"
     if needs is None:
@@ -460,33 +470,6 @@ def _validate(cfg: SweepConfig) -> None:
         raise ConfigError(f"--{unread[0]} is not read by the {cfg.experiment} experiment")
 
 
-def _openblas_entries(verb: str):
-    """Yield the ``<verb>_num_threads`` entry point ("set" or "get") of each
-    OpenBLAS mapped into this process, from eig's one lookup; yield nothing
-    where none is found.
-
-    numpy's wheels rename the symbol (``scipy_openblas_set_num_threads64_``),
-    so the plain and the prefixed or suffixed spellings are all tried.
-    """
-    names = [f"{prefix}openblas_{verb}_num_threads{suffix}"
-             for prefix in ("", "scipy_") for suffix in ("", "64_")]
-    if verb == "set":
-        return eig._openblas_symbols(names, [ctypes.c_int], None)
-    return eig._openblas_symbols(names, [], ctypes.c_int)
-
-
-def _pin_blas_threads() -> None:
-    """Pool initializer: one OpenBLAS thread per forked worker.
-
-    A forked worker inherits the parent's BLAS thread count, so every
-    worker would run that many threads on the same cores. With two workers
-    on two cores, eigvalsh at n=120 took 15 ms per call against 0.95 ms in
-    a single process.
-    """
-    for set_threads in _openblas_entries("set"):
-        set_threads(1)
-
-
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate every (cell, trial) in order, reduce each cell as its
     trials arrive, and optionally write CSV."""
@@ -497,8 +480,12 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     workers = min(cfg.workers, count)
     with contextlib.ExitStack() as stack:
         if workers > 1:
+            # A forked worker inherits this process's BLAS thread count, so
+            # each would run that many threads on the same cores: with two
+            # workers on two cores, eigvalsh at n=120 took 15 ms per call
+            # against 0.95 ms in a single process. Each runs one.
             pool = stack.enter_context(
-                get_context("fork").Pool(workers, initializer=_pin_blas_threads))
+                get_context("fork").Pool(workers, initializer=eig.pin_blas_threads))
             records = pool.imap(_eval_trial, tasks, chunksize=max(1, count // (8 * workers)))
         else:
             records = map(_eval_trial, tasks)

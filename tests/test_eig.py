@@ -3,6 +3,7 @@ import pytest
 
 from lapcert import (
     SymmetricMatrix,
+    eig,
     eigendecompose,
     eigenvalue_k,
     eigenvalues_selected,
@@ -280,11 +281,28 @@ class TestIsPositiveDefinite:
         [[0.0]], [[-1.0, 0.0], [0.0, 5.0]], [[4.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 4.0]],
     ])
     def test_non_positive_diagonal_is_not_without_factorizing(self, monkeypatch, a):
-        def no_cholesky(*args):
+        def no_factorization(a):
             raise AssertionError("factorized")
 
-        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        monkeypatch.setattr(eig, "_factorizes", no_factorization)
         assert not is_positive_definite(sym(a))
+
+    def test_factorizes_a_copy_with_dpotrf(self, monkeypatch):
+        if eig._dpotrf() is None:
+            pytest.skip("numpy's OpenBLAS exports no LAPACKE dpotrf here")
+
+        def no_cholesky(a):
+            raise AssertionError("numpy.linalg.cholesky ran")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        a = random_sym(np.random.default_rng(5), 30).array
+        low = np.linalg.eigvalsh(a)[0]
+        definite, indefinite = (sym(a + (target - low) * np.eye(30)) for target in (1.0, -1.0))
+        before = indefinite.array.copy()
+        assert np.diagonal(before).min() > 0.0  # so it is factorized
+        assert is_positive_definite(definite)
+        assert not is_positive_definite(indefinite)
+        assert np.array_equal(indefinite.array, before)
 
     def test_agrees_with_smallest_eigenvalue_sign(self):
         rng = np.random.default_rng(23)
@@ -299,6 +317,11 @@ class TestIsPositiveDefinite:
             assert is_positive_definite(m) == expected
             seen.add(expected)
         assert seen == {True, False}
+
+    def test_agrees_with_smallest_eigenvalue_sign_without_dpotrf(self, monkeypatch):
+        # numpy.linalg.cholesky answers where the LAPACKE symbol is absent
+        monkeypatch.setattr(eig, "_dpotrf", lambda: None)
+        self.test_agrees_with_smallest_eigenvalue_sign()
 
 
 @pytest.mark.slow

@@ -10,18 +10,31 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+def _from_package(node) -> bool:
+    return isinstance(node, ast.ImportFrom) and (
+        node.level > 0 or (node.module or "").startswith("lapcert"))
+
+
 def test_no_module_imports_a_private_name_from_another():
-    # a helper another module needs is public in its home module
+    # a helper another module needs is public in its home module: neither
+    # imported by name (from .eig import _dpotrf) nor read as an attribute
+    # of what was imported from there (eig._dpotrf); a class's own _owning
+    # constructor is the one private name read across modules
     found = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            if node.level == 0 and not (node.module or "").startswith("lapcert"):
-                continue
-            for alias in node.names:
-                if _is_private(alias.name):
-                    found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if _from_package(node):
+                for alias in node.names:
+                    if _is_private(alias.name):
+                        found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+                    imported.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in imported and _is_private(node.attr) \
+                    and node.attr != "_owning":
+                found.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
     assert found == []
 
 

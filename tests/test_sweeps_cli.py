@@ -16,7 +16,7 @@ from lapcert import cli, eig, sweeps
 from lapcert.cli import MAX_GRID_VALUES, MAX_TAIL_MC_DRAWS, cli_main, _parse_grid
 from lapcert.ensembles import GraphSample, SyncInstance
 from lapcert.errors import ConfigError, IoError
-from lapcert.sweeps import SweepResult, _openblas_entries
+from lapcert.sweeps import MAX_WORKERS, SweepResult
 
 
 def sbm_config(**over):
@@ -294,6 +294,21 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match=message):
             run_sweep(cfg)
 
+    @pytest.mark.parametrize("rank_k", [2.5, True, "3", 41])
+    def test_rank_k_refused_before_any_trial(self, monkeypatch, rank_k):
+        # a factor of rank above the largest n, or not a whole rank
+        cfg = SweepConfig(experiment="z2er", n=[40, 20], grids={"p": [0.6], "eps": [0.05]},
+                          trials=1, master_seed=1, cross_check=True, rank_k=rank_k)
+        with monkeypatch.context() as patch:
+            def no_trials(args):
+                raise AssertionError("a trial ran before the config was checked")
+
+            patch.setattr(sweeps, "_eval_trial", no_trials)
+            with pytest.raises(ConfigError, match=r"rank-k must be an integer in \[2, 40\]"):
+                run_sweep(cfg)
+        # a rank above the smaller n is only redundant there
+        assert len(run_sweep(dataclasses.replace(cfg, rank_k=21)).cells) == 2
+
     @pytest.mark.parametrize("name, over, by_cli", _RULE_CASES)
     def test_grid_rule_refuses_before_any_trial(self, tmp_path, monkeypatch, capsys,
                                                 name, over, by_cli):
@@ -343,7 +358,10 @@ class TestRunSweep:
         assert evaluated == [(ci, t) for ci in range(4) for t in range(3)]
         assert reduced_after == [3, 6, 9, 12]
 
-    def test_pool_capped_at_task_count(self, monkeypatch):
+    @staticmethod
+    def no_pool(monkeypatch) -> list:
+        """Replace the pool by a stub that records the processes asked for
+        and starts none."""
         asked = []
 
         class NoPool:
@@ -352,14 +370,35 @@ class TestRunSweep:
                 raise RuntimeError("no pool is started here")
 
         monkeypatch.setattr(sweeps, "get_context", lambda method: NoPool())
+        return asked
+
+    def test_pool_capped_at_task_count(self, monkeypatch):
+        asked = self.no_pool(monkeypatch)
         cfg = SweepConfig(experiment="er", n=[8], grids={"p": [0.5]}, trials=2,
-                          master_seed=1, workers=5000)
+                          master_seed=1, workers=MAX_WORKERS)
         with pytest.raises(RuntimeError, match="no pool"):
             run_sweep(cfg)
         assert asked == [2]
         # a single task runs in this process
         assert len(run_sweep(dataclasses.replace(cfg, trials=1)).cells) == 1
         assert asked == [2]
+
+    @pytest.mark.parametrize("cores", [None, 2, MAX_WORKERS + 32])
+    def test_workers_above_the_cap_exit_one(self, tmp_path, monkeypatch, capsys, cores):
+        # the cap is MAX_WORKERS, or the host's cores where it has more
+        asked = self.no_pool(monkeypatch)
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cores)
+        most = max(MAX_WORKERS, cores or 1)
+        out = tmp_path / "out.csv"
+        argv = ["sweep", "--experiment", "er", "--n", "8", "--p", "0.5", "--trials", "200",
+                "--out", str(out), "--workers"]
+        assert cli_main([*argv, str(most + 1)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"at most {most}" in err
+        assert asked == [] and not out.exists()
+        with pytest.raises(RuntimeError, match="no pool"):
+            cli_main([*argv, str(most)])
+        assert asked == [most]
 
     @pytest.mark.parametrize("experiment", sweeps.EXPERIMENTS)
     def test_row_holds_the_columns(self, tmp_path, monkeypatch, experiment):
@@ -394,7 +433,7 @@ class TestRunSweep:
         assert cells[0]["mean_ratio"] == cells[1]["mean_ratio"]
 
     def test_pool_workers_run_one_blas_thread(self, monkeypatch):
-        getters = list(_openblas_entries("get"))
+        getters = list(eig._openblas_entries("get"))
         if not getters:
             pytest.skip("no OpenBLAS get_num_threads symbol in this process")
         before = [get() for get in getters]
@@ -403,7 +442,7 @@ class TestRunSweep:
         # a trial counts as "connected" when its worker has one BLAS thread.
         # At p = 1 no node is isolated, so every trial calls the oracle.
         def one_thread(g):
-            return all(get() == 1 for get in _openblas_entries("get"))
+            return all(get() == 1 for get in eig._openblas_entries("get"))
 
         monkeypatch.setattr(sweeps, "connectivity_unionfind", one_thread)
         cfg = SweepConfig(experiment="er", n=[8], grids={"p": [1.0]}, trials=8,
@@ -735,6 +774,37 @@ class TestRatioProof:
         assert out[0] == out[1]
 
 
+_ACCEPT_RUNS = [
+    pytest.param(["sweep", "--experiment", "sbm", "--n", "60,300", "--alpha", "5,10",
+                  "--beta", "1", "--trials", "4"], None, id="sbm-absent"),
+    pytest.param(["sweep", "--experiment", "z2er", "--n", "80", "--p", "0.5",
+                  "--eps", "0.05,0.2", "--trials", "6"], None, id="z2er-absent"),
+    pytest.param(["sweep", "--experiment", "z2er", "--n", "80", "--p", "0.5",
+                  "--eps", "0.05,0.2", "--trials", "6"], _fail_to_factorize, id="z2er-fails"),
+]
+
+
+class TestPositiveDefiniteFallback:
+    """rank_one_side's accept and the SBM sufficient condition factorize a
+    copy with dpotrf; numpy's Cholesky, where dpotrf is absent, gives the
+    same verdicts, and a failed accept leaves the side to the spectrum."""
+
+    @pytest.mark.parametrize("argv, potrf", _ACCEPT_RUNS)
+    def test_csv_unchanged(self, tmp_path, monkeypatch, argv, potrf):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main([*argv, "--seed", "7", "--out", "dpotrf.csv"]) == 0
+        calls = []
+
+        def lookup():
+            calls.append(1)
+            return potrf
+
+        monkeypatch.setattr(eig, "_dpotrf", lookup)
+        assert cli_main([*argv, "--seed", "7", "--out", "fallback.csv"]) == 0
+        assert calls
+        assert Path("dpotrf.csv").read_bytes() == Path("fallback.csv").read_bytes()
+
+
 class TestGridParsing:
     def test_single_value(self):
         assert _parse_grid("0.5") == [0.5]
@@ -1037,6 +1107,10 @@ class TestCli:
          "t_factor must be"),
         (["--experiment", "normbound", "--n", "20", "--p", "0.3", "--t-factor", "nan"],
          "t_factor must be"),
+        (["--experiment", "z2er", "--n", "20", "--p", "0.5", "--eps", "0.1",
+          "--cross-check", "--rank-k", "5000"], "rank-k must be an integer in [2, 20]"),
+        (["--experiment", "z2er", "--n", "40,20", "--p", "0.5", "--eps", "0.1",
+          "--cross-check", "--rank-k", "41"], "rank-k must be an integer in [2, 40]"),
     ])
     def test_bad_tau_or_rank_flag_exits_one(self, tmp_path, monkeypatch, capsys,
                                             argv, message):
