@@ -7,7 +7,8 @@ factorization decides it and no spectrum is computed: the positive-
 definiteness test, and the proof of ``largest_eigenvalue``'s Lanczos guess.
 Both go through ``_factorizes``, numpy's bundled LAPACKE ``dpotrf`` run in
 place. This module is the one that binds numpy's OpenBLAS: that ``dpotrf``
-and the ``<verb>_num_threads`` entry points the sweep's workers set.
+and the ``<verb>_num_threads`` entry points: the sweep's workers set them,
+and the samplers read them as their thread budget.
 """
 
 from __future__ import annotations
@@ -222,6 +223,13 @@ def pin_blas_threads() -> None:
     none is found."""
     for set_threads in _openblas_entries("set"):
         set_threads(1)
+
+
+def blas_threads() -> int:
+    """Threads the OpenBLAS in this process runs, read on every call (the
+    most any of them reports); 1 where none is found. A pool worker pinned
+    by ``pin_blas_threads`` reads 1."""
+    return max((get_threads() for get_threads in _openblas_entries("get")), default=1)
 
 
 @functools.cache

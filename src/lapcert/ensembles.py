@@ -8,11 +8,13 @@ scheduled on any worker without changing the output.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import eig
 from .eig import SymmetricMatrix
 from .errors import (DomainError, InvalidAdjacency, InvalidMeasurements, InvalidProbability,
                      NonSignVector, OddDimension)
@@ -40,8 +42,12 @@ class RngStream:
     The same pair yields the same sequence of raw 64-bit words on every
     platform. Distinct stream ids derived from one master seed are mixed
     through a 64-bit finalizer before seeding, giving statistically
-    independent streams. A stream is single-owner: parallel trials must each
-    derive their own.
+    independent streams. Parallel trials each derive their own stream. One
+    draw may still be split across threads: PCG64 jumps a copy of the state
+    any number of draws ahead (``_ahead``), so each thread fills its part
+    from a copy that starts where that part starts, and the stream itself is
+    then advanced past the whole draw; the numbers, and the state after,
+    are those of one draw on one thread.
     """
 
     __slots__ = ("master_seed", "stream_id", "_bg", "_gen")
@@ -98,10 +104,7 @@ class RngStream:
         got = 0
         while got < count:
             pairs = max(16, (count - got) * 7 // 10 + 8)
-            v_bg = np.random.PCG64()
-            v_bg.state = self._bg.state
-            v_bg.advance(pairs)
-            v_gen = np.random.Generator(v_bg)
+            v_gen = self._ahead(pairs)
             drawn = 0
             while drawn < pairs and got < count:
                 size = min(_NORMAL_CHUNK, pairs - drawn)
@@ -128,8 +131,16 @@ class RngStream:
                 out[1::2] = v[:out.size // 2]
                 got += out.size
                 yield out
-            v_bg.advance(pairs - drawn)
-            self._bg.state = v_bg.state
+            v_gen.bit_generator.advance(pairs - drawn)
+            self._bg.state = v_gen.bit_generator.state
+
+    def _ahead(self, draws: int) -> np.random.Generator:
+        """A generator on a copy of this stream moved ``draws`` uniforms
+        ahead (PCG64 jumps there in O(log draws)); this stream stays put."""
+        bg = np.random.PCG64()
+        bg.state = self._bg.state
+        bg.advance(draws)
+        return np.random.Generator(bg)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(master_seed={self.master_seed}, stream_id={self.stream_id})"
@@ -265,18 +276,72 @@ _DRAW_CHUNK = 1 << 16
 
 def _bernoulli_indices(rng: RngStream, p, size: int) -> np.ndarray:
     """Sorted flat indices k < size with u_k < p, where u is what one
-    ``rng.uniform(size)`` call returns; p is a scalar or a length-size
-    array of per-index thresholds.
+    ``rng.uniform(size)`` call returns, and the stream left where that call
+    leaves it; p is a scalar, or per-index thresholds that ``p[start:stop]``
+    slices (an array, or ``_Runs``).
 
-    The uniforms are drawn in chunks of ``_DRAW_CHUNK``, the same numbers
-    in the same order, so no size-long array of uniforms is held.
+    The uniforms are drawn in chunks, the same numbers in the same order,
+    so no size-long array of uniforms is held. A draw of two chunks or more
+    is cut at chunk boundaries into up to ``eig.blas_threads()`` contiguous
+    slices, drawn at once: slice t on a copy of the stream moved to its
+    start, the first on the calling thread and each other on its own
+    thread (numpy releases the GIL while it fills and compares). The scratch
+    each slice draws into is allocated here, on the calling thread.
     """
-    hits = [np.empty(0, dtype=np.int64)]
-    for start in range(0, size, _DRAW_CHUNK):
-        u = rng.uniform(min(_DRAW_CHUNK, size - start))
-        below = u < (p if np.ndim(p) == 0 else p[start:start + u.size])
-        hits.append(np.flatnonzero(below) + start)
-    return np.concatenate(hits)
+    chunks = -(-size // _DRAW_CHUNK)
+    slices = min(eig.blas_threads(), chunks) if chunks > 1 else 1
+    cuts = [min(size, chunks * t // slices * _DRAW_CHUNK) for t in range(slices + 1)]
+    # Scratch of half a chunk per slice keeps two slices within one chunk;
+    # narrower widths would add loop turns that hold the GIL.
+    width = max(1, min(size, _DRAW_CHUNK if slices == 1 else _DRAW_CHUNK // 2))
+    u = np.empty((slices, width))
+    below = np.empty((slices, width), dtype=bool)
+    hits = [[np.empty(0, dtype=np.int64)] for _ in range(slices)]
+    failed: list = []
+
+    def draw(t: int, gen: np.random.Generator) -> None:
+        try:
+            for start in range(cuts[t], cuts[t + 1], width):
+                m = min(width, cuts[t + 1] - start)
+                ut, bt = u[t, :m], below[t, :m]
+                gen.random(out=ut)
+                np.less(ut, p if np.isscalar(p) else p[start:start + m], out=bt)
+                hits[t].append(np.flatnonzero(bt) + start)
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append(exc)
+
+    others = [threading.Thread(target=draw, args=(t, rng._ahead(cuts[t])))
+              for t in range(1, slices)]
+    for thread in others:
+        thread.start()
+    draw(0, rng._gen)
+    for thread in others:
+        thread.join()
+    if others:
+        rng._bg.advance(size - cuts[1])
+    if failed:
+        raise failed[0]
+    return np.concatenate([k for found in hits for k in found])
+
+
+class _Runs:
+    """Per-index thresholds stored as runs: ``values[r]`` repeated
+    ``lengths[r]`` times. ``runs[start:stop]`` builds the thresholds of
+    those indices alone, so no per-index array of the whole draw is held."""
+
+    def __init__(self, values: np.ndarray, lengths: np.ndarray):
+        self.values = values
+        self.lengths = lengths
+        self.ends = np.cumsum(lengths)
+
+    def __getitem__(self, window: slice) -> np.ndarray:
+        start, stop = window.start, window.stop
+        # the runs holding start and stop - 1, and those between
+        a = int(np.searchsorted(self.ends, start, side="right"))
+        b = int(np.searchsorted(self.ends, stop - 1, side="right")) + 1
+        ends = self.ends[a:b]
+        lengths = np.minimum(ends, stop) - np.maximum(ends - self.lengths[a:b], start)
+        return np.repeat(self.values[a:b], lengths)
 
 
 def _edge_pairs(n: int, k: np.ndarray):
@@ -352,8 +417,8 @@ def sample_sbm(n: int, p: float, q: float, rng: RngStream) -> GraphSample:
     # second community hold its h (h - 1) / 2 inner pairs.
     h = n // 2
     runs = np.append(np.column_stack((h - 1 - np.arange(h), np.full(h, h))), h * (h - 1) // 2)
-    thresholds = np.repeat(np.append(np.tile([p, q], h), p), runs)
-    k = _bernoulli_indices(rng, thresholds, len(thresholds))
+    thresholds = _Runs(np.append(np.tile([p, q], h), p), runs)
+    k = _bernoulli_indices(rng, thresholds, n * (n - 1) // 2)
     adj = _adjacency_from_pairs(n, *_edge_pairs(n, k))
     return GraphSample._owning(adj, labels)
 

@@ -59,6 +59,11 @@ from .tails import sigma_star, threshold_margin
 #: cores; a pool is forked up front.
 MAX_WORKERS = 64
 
+#: Most tasks a pool worker is handed at once. The pool pulls whole chunks
+#: ahead of the results, so a chunk that grew with the sweep would let the
+#: tasks in flight grow with it.
+MAX_POOL_CHUNK = 16
+
 _TRIAL_STRIDE = 1 << 32
 _BM_LANE = 1 << 62
 _BM_RESTART_LANE = 1 << 63
@@ -486,7 +491,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             # against 0.95 ms in a single process. Each runs one.
             pool = stack.enter_context(
                 get_context("fork").Pool(workers, initializer=eig.pin_blas_threads))
-            records = pool.imap(_eval_trial, tasks, chunksize=max(1, count // (8 * workers)))
+            chunk = min(MAX_POOL_CHUNK, max(1, count // (8 * workers)))
+            records = pool.imap(_eval_trial, tasks, chunksize=chunk)
         else:
             records = map(_eval_trial, tasks)
         rows = [_aggregate(cfg, cell, list(itertools.islice(records, cfg.trials)))

@@ -1,3 +1,5 @@
+from multiprocessing import get_context
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,16 @@ class TestIsPositiveDefinite:
         # numpy.linalg.cholesky answers where the LAPACKE symbol is absent
         monkeypatch.setattr(eig, "_dpotrf", lambda: None)
         self.test_agrees_with_smallest_eigenvalue_sign()
+
+
+class TestBlasThreads:
+    def test_pinned_pool_worker_reads_one(self):
+        with get_context("fork").Pool(1, initializer=eig.pin_blas_threads) as pool:
+            assert pool.apply(eig.blas_threads) == 1
+
+    def test_one_where_no_openblas_is_found(self, monkeypatch):
+        monkeypatch.setattr(eig, "_openblas_libraries", lambda: ())
+        assert eig.blas_threads() == 1
 
 
 @pytest.mark.slow

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,7 +18,8 @@ from lapcert import (
     sample_z2sync_gaussian,
     spectral_norm,
 )
-from lapcert.ensembles import _DRAW_CHUNK, _NORMAL_CHUNK, _bernoulli_indices, _edge_pairs
+from lapcert import eig
+from lapcert.ensembles import _DRAW_CHUNK, _NORMAL_CHUNK, _Runs, _bernoulli_indices, _edge_pairs
 from lapcert.errors import (
     DomainError,
     InvalidProbability,
@@ -220,6 +223,46 @@ class TestBernoulliIndices:
         np.testing.assert_array_equal(k, np.flatnonzero(ref.uniform(self.size) < p))
         assert rng.uniform() == ref.uniform()
 
+    @pytest.mark.parametrize("threads", [1, 2, 3, 5])
+    @pytest.mark.parametrize("size", [1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1,
+                                      2 * _DRAW_CHUNK, 3 * _DRAW_CHUNK + 5, 7 * _DRAW_CHUNK + 3])
+    @pytest.mark.parametrize("per_pair", [False, True], ids=["scalar", "per-pair"])
+    def test_thread_budget_cannot_change_output(self, monkeypatch, threads, size, per_pair):
+        monkeypatch.setattr(eig, "blas_threads", lambda: threads)
+        p = np.random.default_rng(size).random(size) if per_pair else 0.3
+        rng = derive_stream(11, 2)
+        ref = rng.clone()
+        running = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            k = _bernoulli_indices(rng, p, size)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(k, np.flatnonzero(ref.uniform(size) < p))
+        assert rng.uniform() == ref.uniform()
+        assert threading.active_count() == running
+
+    def test_a_failure_on_a_drawing_thread_is_raised(self, monkeypatch):
+        # thresholds for the first of the two slices only: the second
+        # slice's comparison fails on its own thread
+        monkeypatch.setattr(eig, "blas_threads", lambda: 2)
+        running = threading.active_count()
+        with pytest.raises(ValueError):
+            _bernoulli_indices(derive_stream(11, 2), np.zeros(_DRAW_CHUNK), 2 * _DRAW_CHUNK)
+        assert threading.active_count() == running
+
+
+class TestRuns:
+    def test_slices_match_the_repeated_array(self):
+        values = np.arange(1.0, 8.0)
+        lengths = np.array([3, 0, 5, 1, 0, 0, 4])
+        full = np.repeat(values, lengths)
+        runs = _Runs(values, lengths)
+        for start in range(full.size):
+            for stop in range(start + 1, full.size + 1):
+                np.testing.assert_array_equal(runs[start:stop], full[start:stop])
+
 
 def _sha256(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
@@ -235,6 +278,8 @@ class TestSampleDigests:
         (7, 0.5, 3, "53143dfd51f708649261d031e26f1bb579da384c1f1b6ef1e174db060bee713b"),
         (64, 0.1, 5, "8c063471efc9ae9490ffc1a4b092b27c149c538110823217522a9426716fbcb4"),
         (257, 0.05, 11, "8e24443f039fad8eef3ad3484b726dc43680204378ed7426743d171bb2e400db"),
+        # 179,700 pairs: the draw spans several chunks
+        (600, 0.01, 13, "555b1864ffccaa5fdb63bfbea991cfc94f1e8238c2994f4bbb9b5fefe4599d58"),
     ])
     def test_er(self, n, p, seed, digest):
         g = sample_er(n, p, derive_stream(seed, 9))
@@ -245,6 +290,8 @@ class TestSampleDigests:
         (2, 1.0, 0.0, 2, "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"),
         (30, 0.6, 0.1, 4, "64d16639c3d1c2ba8d3dc0e6b48402716c2aec39ca897951292545124d64e376"),
         (100, 0.2, 0.05, 8, "f9bb8eec2a6add1116ed523a9e35d0e1c5e183f96a322c0949c2ee6b903e8df3"),
+        (600, 0.02, 0.005, 14,
+         "7fd1784c3d07d96d2ece8ee69e3f54c3bdd8b7fac334dcb43347c8f21473b5ef"),
     ])
     def test_sbm(self, n, p, q, seed, digest):
         g = sample_sbm(n, p, q, derive_stream(seed, 9))
@@ -258,6 +305,8 @@ class TestSampleDigests:
          "7d4ceac9ec5fe7d0900dee4db47215651f5345c362ca48e482a6930c74f9d7dd"),
         (120, 0.4, 0.1, 42,
          "ac344f77e93861a1c88ea4215591faef42316315387bb033d352c7c9b6311904"),
+        (600, 0.03, 0.2, 15,
+         "f80c8c622a8dcd842240f3b9b3b7108171a5cb2b171ed6f1ed206ea3c293024a"),
     ])
     def test_z2sync_er(self, n, p, eps, seed, y):
         z = np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
@@ -287,6 +336,22 @@ class TestSampleDigests:
 
 
 class TestSbm:
+    # each drawing thread adds its own scratch, so the budget is fixed here
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_thresholds_are_built_a_chunk_at_a_time(self, monkeypatch, threads):
+        monkeypatch.setattr(eig, "blas_threads", lambda: threads)
+        n = 2000
+        sample_sbm(n, 0.01, 0.002, derive_stream(1, 0))  # warm the caches
+        tracemalloc.start()
+        try:
+            sample_sbm(n, 0.01, 0.002, derive_stream(1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the n x n uint8 adjacency is 4 MB; a per-pair threshold array
+        # held for the whole draw was 16 MB more
+        assert peak <= 5e6
+
     def test_deterministic_limits(self):
         g = sample_sbm(4, 1.0, 0.0, derive_stream(0, 0))
         expect = np.zeros((4, 4), dtype=np.uint8)

@@ -1,10 +1,12 @@
 import ctypes
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -449,6 +451,54 @@ class TestRunSweep:
                           master_seed=1, workers=2)
         assert run_sweep(cfg).cells[0]["freq_connected"] == 1.0
         assert [get() for get in getters] == before
+
+    @pytest.mark.parametrize("count", [5_000, 50_000])
+    def test_pool_read_ahead_is_bounded(self, monkeypatch, count):
+        # One trial per cell; the first pass over the cells is the sweep's
+        # task stream, so its count is the tasks the pool has pulled.
+        pulled = []
+
+        class Cells(list):
+            def __iter__(self):
+                pulled.append(0)
+                return map(self._count, super().__iter__(), itertools.repeat(len(pulled) - 1))
+
+            @staticmethod
+            def _count(cell, at):
+                pulled[at] += 1
+                return cell
+
+        class FirstRecord(Exception):
+            pass
+
+        def first_record(cfg, cell, records):
+            raise FirstRecord(pulled[0])
+
+        monkeypatch.setattr(sweeps, "_expand_cells",
+                            lambda cfg: Cells({"n": 8, "cell": i} for i in range(count)))
+        monkeypatch.setattr(sweeps, "_eval_trial", _first_chunk_then_stall)
+        monkeypatch.setattr(sweeps, "_aggregate", first_record)
+        cfg = SweepConfig(experiment="er", n=[8], grids={"p": [0.5]}, trials=1,
+                          master_seed=1, workers=2)
+        with pytest.raises(FirstRecord) as first:
+            run_sweep(cfg)
+        # the first record's chunk, the chunks the stalled workers hold and
+        # what the task pipe buffers: about 1,550 tasks on Linux, for either
+        # count; uncapped chunks of count // 16 had pulled 5,000 and 9,375
+        assert sweeps.MAX_POOL_CHUNK <= first.value.args[0] <= 3_000
+
+
+def _first_chunk_then_stall(args) -> dict:
+    """A pool worker's stand-in for ``sweeps._eval_trial``: a record at once
+    for each task of the worker's first chunk, then a stall until the pool
+    is terminated."""
+    _TASKS_RUN.append(args[1])
+    if len(_TASKS_RUN) > sweeps.MAX_POOL_CHUNK:
+        time.sleep(60)
+    return {}
+
+
+_TASKS_RUN: list = []
 
 
 class TestWriteCsv:
