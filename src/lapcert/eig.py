@@ -193,10 +193,10 @@ def _openblas_libraries() -> tuple:
     return tuple(libs)
 
 
-def _openblas_symbols(names, argtypes, restype):
-    """Yield, typed, the first of ``names`` that each OpenBLAS in this
-    process exports; yield nothing where none is found."""
-    for lib in _openblas_libraries():
+def _openblas_symbols(libraries, names, argtypes, restype):
+    """Yield, typed, the first of ``names`` that each of the OpenBLAS
+    ``libraries`` exports; yield nothing where none is found."""
+    for lib in libraries:
         fn = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
         if fn is not None:
             fn.argtypes = argtypes
@@ -204,9 +204,15 @@ def _openblas_symbols(names, argtypes, restype):
             yield fn
 
 
-def _openblas_entries(verb: str):
-    """Yield the ``<verb>_num_threads`` entry point ("set" or "get") of each
-    OpenBLAS mapped into this process; yield nothing where none is found.
+def _openblas_entries(verb: str) -> tuple:
+    """The ``<verb>_num_threads`` entry point ("set" or "get") of each
+    OpenBLAS mapped into this process; empty where none is found."""
+    return _num_threads_entries(_openblas_libraries(), verb)
+
+
+@functools.cache
+def _num_threads_entries(libraries: tuple, verb: str) -> tuple:
+    """``_openblas_entries``, resolved once per process and set of libraries.
 
     numpy's wheels rename the symbol (``scipy_openblas_set_num_threads64_``),
     so the plain and the prefixed or suffixed spellings are all tried.
@@ -214,8 +220,8 @@ def _openblas_entries(verb: str):
     names = [f"{prefix}openblas_{verb}_num_threads{suffix}"
              for prefix in ("", "scipy_") for suffix in ("", "64_")]
     if verb == "set":
-        return _openblas_symbols(names, [ctypes.c_int], None)
-    return _openblas_symbols(names, [], ctypes.c_int)
+        return tuple(_openblas_symbols(libraries, names, [ctypes.c_int], None))
+    return tuple(_openblas_symbols(libraries, names, [], ctypes.c_int))
 
 
 def pin_blas_threads() -> None:
@@ -238,7 +244,7 @@ def _dpotrf():
     absent. Only the ILP64 build's ``64_`` symbol is bound: its integers
     are 64 bits, and the layout argument a C int."""
     return next(_openblas_symbols(
-        ("scipy_LAPACKE_dpotrf64_", "LAPACKE_dpotrf64_"),
+        _openblas_libraries(), ("scipy_LAPACKE_dpotrf64_", "LAPACKE_dpotrf64_"),
         [ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64],
         ctypes.c_int64), None)
 

@@ -335,6 +335,27 @@ class TestBlasThreads:
         monkeypatch.setattr(eig, "_openblas_libraries", lambda: ())
         assert eig.blas_threads() == 1
 
+    def test_second_call_resolves_no_symbol(self, monkeypatch):
+        threads = eig.blas_threads()
+        getters, setters = eig._openblas_entries("get"), eig._openblas_entries("set")
+        if not getters or len(getters) != len(setters):
+            pytest.skip("no matching OpenBLAS get/set_num_threads symbols in this process")
+
+        def lookup(*args):
+            raise AssertionError("OpenBLAS symbols resolved again")
+
+        monkeypatch.setattr(eig, "_openblas_symbols", lookup)
+        assert eig.blas_threads() == threads
+        # the entry points are cached, the count they return is not
+        before = [get() for get in getters]
+        try:
+            eig.pin_blas_threads()
+            assert eig.blas_threads() == 1
+        finally:
+            for set_threads, count in zip(setters, before):
+                set_threads(count)
+        assert eig.blas_threads() == threads
+
 
 @pytest.mark.slow
 def test_wigner_norm_concentration():

@@ -11,10 +11,13 @@ from lapcert import (
     round_rank_one,
     sample_sbm,
     sample_z2sync_er,
+    sample_z2sync_gaussian,
     signed_adjacency,
 )
+from lapcert import sdp, sweeps
 from lapcert.errors import NonSignVector
 from lapcert.sdp import default_rank
+from lapcert.sweeps import SweepConfig, run_sweep
 
 
 def sym(a):
@@ -49,16 +52,40 @@ class TestBmSolve:
         assert rep.objective_trace[-1] == pytest.approx(n, rel=1e-12)
         assert rep.converged
 
-    def test_feasibility_and_monotonicity(self):
+    def test_feasibility_and_monotonicity(self, monkeypatch):
         rng = derive_stream(21, 0)
         b = rng.normal((30, 30))
-        y = sym(b + b.T)
-        r, rep = bm_solve(y, derive_stream(21, 1))
-        norms = np.linalg.norm(r, axis=1)
-        assert np.max(np.abs(norms - 1.0)) <= 1e-12
-        trace = np.asarray(rep.objective_trace)
-        slack = 1e-12 * 30 * y.max_abs()
-        assert np.all(np.diff(trace) >= -slack)
+        z = random_signs(rng, 40)
+        u = derive_stream(2, 0).normal((30, 2))
+        cases = {
+            "wigner": (sym(b + b.T), 21),
+            "gaussian": (sample_z2sync_gaussian(40, 2.0, z, rng).y, 22),
+            "signed-sbm": (signed_adjacency(sample_sbm(40, 0.6, 0.05, rng)), 23),
+            "z2er": (sample_z2sync_er(40, 0.6, 0.2, z, rng).y, 24),
+            # indefinite, and not concave along some accepted move: the
+            # Barzilai-Borwein step falls back to the fixed one there
+            "indefinite": (sym(np.outer(u[:, 0], u[:, 0]) - 5.0 * np.outer(u[:, 1], u[:, 1])), 2),
+        }
+        curvatures = []
+        bb = sdp._bb_step
+
+        def bb_step(s, d, step0):
+            curvatures.append(float(np.vdot(s, d)))
+            return bb(s, d, step0)
+
+        monkeypatch.setattr(sdp, "_bb_step", bb_step)
+        for name, (y, seed) in cases.items():
+            curvatures.clear()
+            r, rep = bm_solve(y, derive_stream(seed, 1))
+            norms = np.linalg.norm(r, axis=1)
+            assert np.max(np.abs(norms - 1.0)) <= 1e-12, name
+            trace = np.asarray(rep.objective_trace)
+            slack = 1e-12 * y.n * y.max_abs()
+            assert np.all(np.diff(trace) >= -slack), name
+            assert rep.converged, name
+            assert min(curvatures) < 0.0, name
+            if name == "indefinite":
+                assert max(curvatures) >= 0.0
 
     def test_rank_k_validation(self):
         with pytest.raises(ValueError):
@@ -81,6 +108,36 @@ class TestBmSolve:
         assert rep1.rounded_objective == pytest.approx(
             rep2.rounded_objective, abs=1e-8 * n * y.max_abs()
         )
+
+    def test_near_threshold_convergence(self):
+        # lambda2(D - Y) = 0.215 on this tight instance; the fixed step
+        # 0.5/||Y|| took 962 iterations on it
+        rng = derive_stream(18, 0)
+        z = np.where(rng.uniform(120) < 0.5, 1.0, -1.0)
+        inst = sample_z2sync_er(120, 0.4, 0.3, z, rng)
+        assert certify_z2sync(inst).tight
+        _, rep = bm_solve(inst.y, derive_stream(18, 1))
+        assert rep.converged and rep.iterations <= 250
+        assert np.array_equal(rep.rounded_x, z) or np.array_equal(rep.rounded_x, -z)
+        assert rep.dual.feasible
+
+    def test_iteration_budget_on_the_cross_check_grid(self, monkeypatch):
+        # the z2er cross-check benchmark grid at seed 42: 157 solves, which
+        # took 17,162 iterations with the fixed step
+        reports = []
+
+        def solve(y, rng, k=None):
+            r, rep = bm_solve(y, rng, k=k)
+            reports.append(rep)
+            return r, rep
+
+        monkeypatch.setattr(sweeps, "bm_solve", solve)
+        cfg = SweepConfig(experiment="z2er", n=[120], grids={"p": [0.4], "eps": [0.1, 0.3]},
+                          trials=120, master_seed=42, cross_check=True)
+        cells = run_sweep(cfg).cells
+        assert [cell["bm_disagreements"] for cell in cells] == [0, 0]
+        assert len(reports) == 157
+        assert sum(rep.iterations for rep in reports) <= 8000
 
 
 class TestRoundRankOne:
