@@ -3,8 +3,11 @@
 Independent cross-check of the certificate verdicts: ascend the factorized
 objective trace(Y R R^T) over unit-norm rows of R (projected gradient with
 row-normalization retraction; a Barzilai-Borwein trial step, then Armijo
-backtracking), round the top eigenvector of R R^T to signs, then verify
-optimality of the rounded point with the rank-one dual.
+backtracking) and round the top eigenvector of R R^T to signs. The rank-one
+dual that verifies optimality of the rounded point is computed on first
+read of ``SolveReport.dual``. The step and the stopping scale come from the
+largest absolute row sum of Y, an upper bound on ||Y|| that needs no
+eigensolve.
 
 A fixed step contracts near the optimum by about 1 - step * lambda2(D - Y)
 per iteration, and lambda2(D - Y) is the certificate gap that closes at the
@@ -16,18 +19,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .certificates import CertificateReport, certify_rank_one
-from .eig import SymmetricMatrix, eigendecompose, spectral_norm
+from .eig import SymmetricMatrix, eigendecompose
 from .ensembles import RngStream
 
 ARMIJO_C = 1e-4
 #: Iteration cap of bm_solve's ascent.
 MAX_ITERS = 1000
-#: Stop once the Riemannian gradient norm is <= GRAD_TOL * (1 + ||y||).
+#: Stop once the Riemannian gradient norm is <= GRAD_TOL * (1 + ||y||_inf),
+#: for the largest absolute row sum ||y||_inf >= ||y||.
 GRAD_TOL = 1e-6
 
 
@@ -35,14 +40,19 @@ GRAD_TOL = 1e-6
 class SolveReport:
     """``dual`` is the rank-one certificate at the rounded point: with
     D_ii = sum_j Y_ij x_i x_j, trace(D) = x^T Y x identically, so
-    ``dual.feasible`` makes x x^T optimal and ``dual.tight`` unique."""
+    ``dual.feasible`` makes x x^T optimal and ``dual.tight`` unique. It is
+    computed from the stored ``y`` on first read, and kept."""
 
     rounded_x: np.ndarray
     rounded_objective: float
     iterations: int
     converged: bool
-    dual: CertificateReport
+    y: SymmetricMatrix = field(repr=False)
     objective_trace: list = field(default_factory=list, repr=False)
+
+    @cached_property
+    def dual(self) -> CertificateReport:
+        return certify_rank_one(self.y, self.rounded_x)
 
 
 def default_rank(n: int) -> int:
@@ -79,12 +89,13 @@ def bm_solve(
 
     Rows are initialized iid uniform on the unit sphere from ``rng``. Each
     iteration tries the Barzilai-Borwein step of ``_bb_step`` first, and
-    the fixed step0 = 0.5 / ||y|| only on the first iteration and where the
-    objective does not curve down along the last move; Armijo backtracking
-    halves it until the ascent is sufficient. The accepted-step objective
-    sequence is nondecreasing; termination when the Riemannian gradient norm
-    drops below GRAD_TOL * (1 + ||y||) or after MAX_ITERS iterations (the
-    report is still returned, flagged converged=False).
+    the fixed step0 = 0.5 / ||y||_inf only on the first iteration and where
+    the objective does not curve down along the last move; Armijo
+    backtracking halves it until the ascent is sufficient. ||y||_inf is the
+    largest absolute row sum, an upper bound on ||y||. The accepted-step
+    objective sequence is nondecreasing; termination when the Riemannian
+    gradient norm drops below GRAD_TOL * (1 + ||y||_inf) or after MAX_ITERS
+    iterations (the report is still returned, flagged converged=False).
     """
     n = y.n
     if k is None:
@@ -92,7 +103,7 @@ def bm_solve(
     if k < 2:
         raise ValueError("rank k must be >= 2")
     a = y.array
-    ynorm = spectral_norm(y)
+    ynorm = float(np.linalg.norm(a, np.inf))
     scale = GRAD_TOL * (1.0 + ynorm)
     # Half the inverse norm: the worst-case local curvature of the row-sphere
     # objective is 2||y||, and starting exactly at the 1/||y|| stability edge
@@ -135,7 +146,7 @@ def bm_solve(
         rounded_objective=float(x @ (a @ x)),
         iterations=iters,
         converged=converged,
-        dual=certify_rank_one(y, x),
+        y=y,
         objective_trace=trace,
     )
 

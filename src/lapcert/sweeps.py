@@ -194,11 +194,19 @@ def _freq(records, key) -> float:
 
 def _bm_recovers(cfg: SweepConfig, sid: int, y: SymmetricMatrix,
                  truth: np.ndarray) -> bool:
-    """Solve + round + dual-verify; one restart with a fresh stream allowed."""
+    """Solve + round, and accept exactly the planted signs up to a global
+    flip; one restart with a fresh stream allowed."""
+    # _certified calls this only where the side at truth is "above", so
+    # lambda_2 of D - Y clears the band. At x = +-truth the rounded point's
+    # dual matrix is that very D - Y, whose lambda_1 is then the null
+    # eigenvalue on x (z2gauss: |lambda_1| ~ 1e-13, far inside the band):
+    # report.dual.feasible is implied, and never computed here. (Under
+    # --tau 0 a rounding-level lambda_2 reads "above"; this then checks the
+    # signs alone.)
     for lane in (_BM_LANE, _BM_RESTART_LANE):
         _, report = bm_solve(y, derive_stream(cfg.master_seed, lane | sid), k=cfg.rank_k)
         x = report.rounded_x
-        if report.dual.feasible and (np.array_equal(x, truth) or np.array_equal(x, -truth)):
+        if np.array_equal(x, truth) or np.array_equal(x, -truth):
             return True
     return False
 

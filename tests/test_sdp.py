@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,9 @@ from lapcert import (
     sample_z2sync_er,
     sample_z2sync_gaussian,
     signed_adjacency,
+    spectral_norm,
 )
-from lapcert import sdp, sweeps
+from lapcert import eig, sdp, sweeps
 from lapcert.errors import NonSignVector
 from lapcert.sdp import default_rank
 from lapcert.sweeps import SweepConfig, run_sweep
@@ -38,11 +41,37 @@ class TestBmSolve:
         assert abs(rep.objective_trace[-1] - n * n) <= 1e-6 * n * n
 
     def test_zero_matrix(self):
+        # the row-sum bound is 0 here: step0 = 0.5 / max(0, 1e-12), not 0.5 / 0
         y = sym(np.zeros((8, 8)))
         r, rep = bm_solve(y, derive_stream(0, 0), k=3)
         assert rep.objective_trace[-1] == 0.0
         assert rep.converged
         assert rep.iterations == 0
+
+    def test_step_from_the_row_sum_bound(self, monkeypatch):
+        # step0 = 0.5 / max_i sum_j |Y_ij|, and that bound is >= ||Y||, so
+        # the step is never above the old 0.5 / ||Y||
+        step0s = []
+        bb = sdp._bb_step
+
+        def bb_step(s, d, step0):
+            step0s.append(step0)
+            return bb(s, d, step0)
+
+        monkeypatch.setattr(sdp, "_bb_step", bb_step)
+        for seed in range(4):
+            rng = derive_stream(40 + seed, 0)
+            n = 30 + 10 * seed
+            b = rng.normal((n, n))
+            z = random_signs(rng, n)
+            for y in (sym(b + b.T),
+                      sample_z2sync_er(n, 0.5, 0.2, z, rng).y,
+                      signed_adjacency(sample_sbm(n, 0.5, 0.1, rng))):
+                bound = float(np.max(np.sum(np.abs(y.array), axis=1)))
+                assert bound >= spectral_norm(y)
+                step0s.clear()
+                bm_solve(y, derive_stream(40 + seed, 1))
+                assert step0s and set(step0s) == {0.5 / bound}
 
     def test_identity_constant_objective(self):
         # X_ii = 1 forces trace(YX) = n for Y = I at every feasible point
@@ -123,7 +152,9 @@ class TestBmSolve:
 
     def test_iteration_budget_on_the_cross_check_grid(self, monkeypatch):
         # the z2er cross-check benchmark grid at seed 42: 157 solves, which
-        # took 17,162 iterations with the fixed step
+        # took 17,162 iterations with the fixed step 0.5/||Y||, 5,361 with
+        # Barzilai-Borwein steps and 5,464 with ||Y|| replaced by its
+        # row-sum bound
         reports = []
 
         def solve(y, rng, k=None):
@@ -138,6 +169,86 @@ class TestBmSolve:
         assert [cell["bm_disagreements"] for cell in cells] == [0, 0]
         assert len(reports) == 157
         assert sum(rep.iterations for rep in reports) <= 8000
+
+
+def _cross_check_grid(seed=42):
+    return SweepConfig(experiment="z2er", n=[120], grids={"p": [0.4], "eps": [0.1, 0.3]},
+                       trials=120, master_seed=seed, cross_check=True)
+
+
+class TestCrossCheck:
+    def test_the_sweep_path_does_no_dual_work(self, monkeypatch):
+        # a sweep reads only the rounded signs: the dual is never computed,
+        # and the one eigen call of a solve is round_rank_one's k x k one
+        plain = run_sweep(dataclasses.replace(_cross_check_grid(), cross_check=False)).cells
+        calls, solving = [], []
+        lapack = eig._lapack
+
+        def counted(routine, m):
+            if solving:
+                calls.append((routine.__name__, m.n))
+            return lapack(routine, m)
+
+        def solve(y, rng, k=None):
+            solving.append(y)
+            try:
+                return bm_solve(y, rng, k=k)
+            finally:
+                solving.pop()
+
+        def no_dual(y, x, tau=None):
+            raise AssertionError("the cross-check computed a dual")
+
+        monkeypatch.setattr(eig, "_lapack", counted)
+        monkeypatch.setattr(sweeps, "bm_solve", solve)
+        monkeypatch.setattr(sdp, "certify_rank_one", no_dual)
+        cells = run_sweep(_cross_check_grid()).cells
+        assert [cell.pop("bm_disagreements") for cell in cells] == [0, 0]
+        assert cells == plain
+        assert len(calls) == 157
+        assert set(calls) == {("eigh", default_rank(120))}
+
+    def test_the_dropped_dual_check_could_never_fire(self, monkeypatch):
+        # every solve the cross-check accepts, on z2er, sbm and z2gauss
+        # grids, has a feasible dual, and that dual is certify_rank_one's
+        # report at the rounded point
+        accepted, reports = [], []
+        recovers = sweeps._bm_recovers
+
+        def solve(y, rng, k=None):
+            r, rep = bm_solve(y, rng, k=k)
+            reports.append(rep)
+            return r, rep
+
+        def recovers_logged(cfg, sid, y, truth):
+            ok = recovers(cfg, sid, y, truth)
+            if ok:
+                accepted.append((y, reports[-1]))
+            return ok
+
+        monkeypatch.setattr(sweeps, "bm_solve", solve)
+        monkeypatch.setattr(sweeps, "_bm_recovers", recovers_logged)
+        tight = 0
+        for exp, n, grids, trials in (
+                ("z2er", 120, {"p": [0.4], "eps": [0.1, 0.3]}, 120),
+                ("sbm", 80, {"alpha": [3.0, 5.0, 9.0], "beta": [1.0]}, 20),
+                ("z2gauss", 100, {"sigma_factor": [0.5, 0.8]}, 20)):
+            cfg = SweepConfig(experiment=exp, n=[n], grids=grids, trials=trials,
+                              master_seed=7, cross_check=True)
+            for cell in run_sweep(cfg).cells:
+                assert cell["bm_disagreements"] == 0
+                tight += round(cell["freq_certified"] * trials)
+        assert len(accepted) == tight > 100
+        for y, rep in accepted:
+            assert rep.dual.feasible
+            ref = certify_rank_one(y, rep.rounded_x)
+            for f in dataclasses.fields(ref):
+                assert np.array_equal(getattr(rep.dual, f.name), getattr(ref, f.name)), f.name
+        # and nothing but the planted signs is accepted: one sign off is refused
+        y, rep = accepted[0]
+        wrong = rep.rounded_x.copy()
+        wrong[0] = -wrong[0]
+        assert not recovers(_cross_check_grid(), 0, y, wrong)
 
 
 class TestRoundRankOne:
