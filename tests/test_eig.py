@@ -14,7 +14,7 @@ from lapcert import (
     largest_eigenvalue,
     spectral_norm,
 )
-from lapcert.errors import IndexOutOfRange, NonConvergence
+from lapcert.errors import DomainError, IndexOutOfRange, NonConvergence
 
 from _oracles import (
     charpoly_bisect_eigs,
@@ -103,9 +103,57 @@ class TestLanczos:
         assert len(theta) < 200 and res[-1] <= 1e-13 * abs(theta[-1])
         assert theta[-1] == pytest.approx(np.linalg.eigvalsh(m.array)[-1], rel=1e-13)
 
+    def test_rejects_steps_below_one(self):
+        with pytest.raises(DomainError):
+            lanczos(sym(PATH3), np.ones(3), 0)
+
+    @pytest.mark.parametrize("start", [np.zeros(3), np.ones(4), np.array([1.0, np.nan, 0.0])],
+                             ids=["zero", "wrong-length", "nan"])
+    def test_rejects_a_start_it_cannot_normalize(self, start):
+        with pytest.raises(DomainError):
+            lanczos(sym(PATH3), start, 3)
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    @pytest.mark.parametrize("rtol", [1e-13, 0.0])
+    def test_strided_test_gives_the_bits_of_a_test_every_step(self, monkeypatch, n, rtol):
+        rng = np.random.default_rng(n)
+        m = random_sym(rng, n)
+        start = rng.standard_normal(n)
+        theta, res = lanczos(m, start, 120, rtol)
+        monkeypatch.setattr(eig, "_CHECK_EVERY", 1)
+        every_theta, every_res = lanczos(m, start, 120, rtol)
+        assert theta.tobytes() == every_theta.tobytes()
+        assert res.tobytes() == every_res.tobytes()
+
+    def test_dsymv_products_agree_with_matmul(self, monkeypatch):
+        if eig._dsymv() is None:
+            pytest.skip("this numpy's OpenBLAS does not export cblas_dsymv64_")
+        rng = np.random.default_rng(6)
+        m = random_sym(rng, 1000)
+        start = rng.standard_normal(1000)
+        theta, _ = lanczos(m, start, 300, rtol=1e-13)
+        monkeypatch.setattr(eig, "_dsymv", lambda: None)
+        plain, _ = lanczos(m, start, 300, rtol=1e-13)
+        assert theta[-1] == pytest.approx(plain[-1], rel=1e-13)
+
+    def test_fortran_ordered_matrix_multiplies_with_matmul(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        m = random_sym(rng, 600)
+        f = SymmetricMatrix(np.asfortranarray(m.array))
+        assert not f.array.flags.c_contiguous
+        start = rng.standard_normal(600)
+        theta, _ = lanczos(m, start, 300, rtol=1e-13)
+
+        def no_dsymv():
+            raise AssertionError("dsymv bound for an F-ordered matrix")
+
+        monkeypatch.setattr(eig, "_dsymv", no_dsymv)
+        f_theta, _ = lanczos(f, start, 300, rtol=1e-13)
+        assert f_theta[-1] == pytest.approx(theta[-1], rel=1e-13)
+
 
 class TestLargestEigenvalue:
-    @pytest.mark.parametrize("n, seed", [(30, 0), (200, 1), (500, 2)])
+    @pytest.mark.parametrize("n, seed", [(30, 0), (200, 1), (500, 2), (1000, 3)])
     def test_bracket_holds_eigvalsh(self, n, seed):
         from lapcert import derive_stream, laplacian_of, sample_wigner
 
