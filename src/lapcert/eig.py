@@ -9,9 +9,14 @@ Both go through ``_factorizes``, numpy's bundled LAPACKE ``dpotrf`` run in
 place. ``lanczos`` multiplies through CBLAS ``dsymv``, which reads only
 the upper triangle, where n >= 512 and the array is C-contiguous, and
 through ``a @ q`` elsewhere. This module is the one that binds numpy's
-OpenBLAS: that ``dpotrf``, that ``dsymv`` and the ``<verb>_num_threads``
-entry points: the sweep's workers set them, and the samplers read them as
-their thread budget.
+OpenBLAS: that ``dpotrf``, that ``dsymv``, the ``<verb>_num_threads``
+entry points, which the sweep's workers set and the samplers read as
+their thread budget, and ``blas_thread_shutdown_``. A forked worker's
+``openblas_set_num_threads(1)`` first rebuilds the server threads that
+OpenBLAS's fork handler stopped, and they busy-wait, with no work, through
+OpenBLAS's thread timeout; ``pin_blas_threads`` stops them again. On two
+workers and two cores that spin took 50-70 ms of CPU per worker and sweep:
+the first trials of a fresh worker ran at a quarter of their warm speed.
 """
 
 from __future__ import annotations
@@ -243,30 +248,51 @@ def _openblas_symbols(libraries, names, argtypes, restype):
 
 
 def _openblas_entries(verb: str) -> tuple:
-    """The ``<verb>_num_threads`` entry point ("set" or "get") of each
-    OpenBLAS mapped into this process; empty where none is found."""
-    return _num_threads_entries(_openblas_libraries(), verb)
+    """The ``<verb>_num_threads`` entry point ("set" or "get"), or with
+    "shutdown" the ``blas_thread_shutdown_``, of each OpenBLAS mapped into
+    this process; empty where none is found."""
+    return _thread_entries(_openblas_libraries())[verb]
 
 
 @functools.cache
-def _num_threads_entries(libraries: tuple, verb: str) -> tuple:
-    """``_openblas_entries``, resolved once per process and set of libraries.
+def _thread_entries(libraries: tuple) -> dict:
+    """``_openblas_entries`` of every verb, resolved in one lookup once per
+    process and set of libraries.
 
-    numpy's wheels rename the symbol (``scipy_openblas_set_num_threads64_``),
-    so the plain and the prefixed or suffixed spellings are all tried.
+    numpy's wheels rename the ``<verb>_num_threads`` symbols
+    (``scipy_openblas_set_num_threads64_``), so the plain and the prefixed
+    or suffixed spellings are all tried; they export
+    ``blas_thread_shutdown_`` unprefixed.
     """
-    names = [f"{prefix}openblas_{verb}_num_threads{suffix}"
-             for prefix in ("", "scipy_") for suffix in ("", "64_")]
-    if verb == "set":
-        return tuple(_openblas_symbols(libraries, names, [ctypes.c_int], None))
-    return tuple(_openblas_symbols(libraries, names, [], ctypes.c_int))
+    def names(verb):
+        return [f"{prefix}openblas_{verb}_num_threads{suffix}"
+                for prefix in ("", "scipy_") for suffix in ("", "64_")]
+
+    return {
+        "get": tuple(_openblas_symbols(libraries, names("get"), [], ctypes.c_int)),
+        "set": tuple(_openblas_symbols(libraries, names("set"), [ctypes.c_int], None)),
+        "shutdown": tuple(_openblas_symbols(
+            libraries, ("blas_thread_shutdown_",), [], ctypes.c_int)),
+    }
 
 
 def pin_blas_threads() -> None:
-    """Run each OpenBLAS in this process on one thread; do nothing where
-    none is found."""
+    """Run each OpenBLAS in this process on one thread, the calling one;
+    do nothing where none is found.
+
+    In a forked child, setting the count first rebuilds the server threads
+    that OpenBLAS's fork handler shut down in the parent: one fewer than
+    the parent's count, which get no work at one thread but busy-wait
+    through OpenBLAS's thread timeout. ``blas_thread_shutdown_``, OpenBLAS's
+    own fork-prepare routine, then stops them, and at one thread no later
+    call starts them again. That call is safe only while no other thread
+    is inside BLAS, as in a pool's initializer; where the symbol is absent,
+    the server threads are left to time out.
+    """
     for set_threads in _openblas_entries("set"):
         set_threads(1)
+    for shutdown in _openblas_entries("shutdown"):
+        shutdown()
 
 
 def blas_threads() -> int:

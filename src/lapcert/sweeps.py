@@ -496,7 +496,11 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             # A forked worker inherits this process's BLAS thread count, so
             # each would run that many threads on the same cores: with two
             # workers on two cores, eigvalsh at n=120 took 15 ms per call
-            # against 0.95 ms in a single process. Each runs one.
+            # against 0.95 ms in a single process. Each runs one, on its
+            # main thread: pinning also stops the OpenBLAS server thread
+            # that setting the count starts after a fork, which otherwise
+            # spun through each worker's first 0.1 s and made its first
+            # trial chunk take 64-74 ms against 17 ms warm.
             pool = stack.enter_context(
                 get_context("fork").Pool(workers, initializer=eig.pin_blas_threads))
             chunk = min(MAX_POOL_CHUNK, max(1, count // (8 * workers)))

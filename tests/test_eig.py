@@ -404,6 +404,24 @@ class TestBlasThreads:
                 set_threads(count)
         assert eig.blas_threads() == threads
 
+    def test_pinning_is_undone_by_restoring_the_count(self):
+        # Pinning stops this process's OpenBLAS server threads; setting the
+        # old count again starts them, and the threaded bits come back.
+        getters, setters = eig._openblas_entries("get"), eig._openblas_entries("set")
+        if not getters or len(getters) != len(setters):
+            pytest.skip("no matching OpenBLAS get/set_num_threads symbols in this process")
+        a = np.add.outer(np.arange(600.0), np.arange(600.0)) % 7.0
+        threads, before = eig.blas_threads(), [get() for get in getters]
+        expected = np.linalg.eigvalsh(a)
+        try:
+            eig.pin_blas_threads()
+            assert eig.blas_threads() == 1
+        finally:
+            for set_threads, count in zip(setters, before):
+                set_threads(count)
+        assert eig.blas_threads() == threads
+        assert np.linalg.eigvalsh(a).tobytes() == expected.tobytes()
+
 
 @pytest.mark.slow
 def test_wigner_norm_concentration():

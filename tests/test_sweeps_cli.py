@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -451,6 +452,25 @@ class TestRunSweep:
                           master_seed=1, workers=2)
         assert run_sweep(cfg).cells[0]["freq_connected"] == 1.0
         assert [get() for get in getters] == before
+
+    def test_pool_workers_run_on_their_main_thread_alone(self, monkeypatch):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task in this process")
+        if not eig._openblas_entries("shutdown"):
+            pytest.skip("no OpenBLAS blas_thread_shutdown_ symbol in this process")
+        a = np.add.outer(np.arange(200.0), np.arange(200.0))
+
+        # As above: a trial counts as "connected" when its worker, right after
+        # an eigvalsh of the size OpenBLAS threads in the parent, runs one
+        # thread in all, with no OpenBLAS server thread left from pinning.
+        def main_thread_alone(g):
+            np.linalg.eigvalsh(a)
+            return len(os.listdir("/proc/self/task")) == 1
+
+        monkeypatch.setattr(sweeps, "connectivity_unionfind", main_thread_alone)
+        cfg = SweepConfig(experiment="er", n=[8], grids={"p": [1.0]}, trials=8,
+                          master_seed=1, workers=2)
+        assert run_sweep(cfg).cells[0]["freq_connected"] == 1.0
 
     @pytest.mark.parametrize("count", [5_000, 50_000])
     def test_pool_read_ahead_is_bounded(self, monkeypatch, count):
