@@ -8,9 +8,9 @@ from .eig import (
     eigendecompose,
     eigenvalue_k,
     eigenvalues_selected,
-    is_positive_definite,
     lanczos,
     largest_eigenvalue,
+    proves_max_below,
     spectral_norm,
 )
 from .ensembles import (
@@ -60,9 +60,7 @@ from .sdp import (
 from .tails import (
     bernoulli_diff_tail,
     bernoulli_diff_tail_mc,
-    build_variance_sets,
     chernoff_degree_bound,
-    greedy_half_cut,
     sigma_star,
     threshold_margin,
 )

@@ -26,9 +26,9 @@ from .eig import (
     SymmetricMatrix,
     eigenvalue_k,
     eigenvalues_selected,
-    is_positive_definite,
     lanczos,
     largest_eigenvalue,
+    proves_max_below,
     spectral_norm,
 )
 from .ensembles import GraphSample, SyncInstance, as_sign_vector
@@ -149,18 +149,19 @@ def rank_one_side(y: SymmetricMatrix, x, tau: float = TAU_POS) -> str:
 
     Where tau is finite and >= 0 and C x = 0 holds exactly in floating
     point, take t = 2 (tau + n eps)(1 + ||C||_inf), at least twice the
-    dead band plus the rounding of eigvalsh and potrf. On the blocked nodes
+    dead band plus the rounding of eigvalsh. On the blocked nodes
     K = {i : C_ii < 0}, Cauchy interlacing gives
     lambda_2(C) <= lambda_2(C[K, K]), so if that is below -t the side is
-    "below". Without blocked nodes, C + ((t + 1)/n) x x^T - t I has the
-    eigenvalue 1 on x and lambda - t on the rest of C's spectrum, so if it
-    is positive definite, lambda_2(C) > t and the side is "above". (A
+    "below". Without blocked nodes, C + ((t + 1)/n) x x^T has the
+    eigenvalue t + 1 on x and the rest of C's spectrum off it, so where
+    ``proves_max_below`` proves that its negation has lambda_max < -t,
+    lambda_2(C) > t and the side is "above". That proof covers the
+    rounding of the factorization, so it holds for every tau >= 0. (A
     blocked node makes C indefinite, and its negative eigenvalue lies off
-    x, so that matrix cannot be positive definite.) The factorization is
-    skipped where a Ritz value of C off x is already <= t, which shows
-    lambda_2(C) <= t: it would fail, as it does on most trials near the
-    threshold. Every other case is decided by ``certify_rank_one``'s
-    spectrum, so the side never differs from it.
+    x, so no such proof exists.) The factorization is skipped where a Ritz
+    value of C off x is already <= t, which shows lambda_2(C) <= t: it
+    would fail, as it does on most trials near the threshold. Every other
+    case is decided by ``certify_rank_one``'s spectrum.
     """
     x, d, cert = _certificate(y, x)
     n = y.n
@@ -171,9 +172,12 @@ def rank_one_side(y: SymmetricMatrix, x, tau: float = TAU_POS) -> str:
             sub = SymmetricMatrix._owning(cert[np.ix_(blocked, blocked)])
             if eigenvalue_k(sub, 2) < -t:
                 return SIDE_BELOW
-        elif (not len(blocked) and _weak_node_ritz(cert, x) > t
-              and _positive_definite_shift(cert, x, t)):
-            return SIDE_ABOVE
+        elif not len(blocked) and _weak_node_ritz(cert, x) > t:
+            # -(C + ((t + 1)/n) x x^T), built fresh and handed over
+            lifted = np.outer(x, x * (-(t + 1.0) / n))
+            lifted -= cert
+            if proves_max_below(SymmetricMatrix._owning(lifted), -t, overwrite=True):
+                return SIDE_ABOVE
     return _report(x, d, cert, tau).side
 
 
@@ -191,15 +195,6 @@ def _weak_node_ritz(cert: np.ndarray, x: np.ndarray) -> float:
     q = x * (-x[i] / n)
     q[i] += 1.0  # e_i less its component along x
     return float(lanczos(SymmetricMatrix._owning(cert), q, _RITZ_STEPS)[0][0])
-
-
-def _positive_definite_shift(cert: np.ndarray, x: np.ndarray, t: float) -> bool:
-    """Whether C + ((t + 1)/n) x x^T - t I is positive definite."""
-    n = len(x)
-    shifted = np.outer(x, x * ((t + 1.0) / n))
-    shifted += cert
-    shifted.flat[:: n + 1] -= t
-    return is_positive_definite(SymmetricMatrix._owning(shifted))
 
 
 def certify_z2sync(inst: SyncInstance, tau: float = TAU_POS) -> CertificateReport:
@@ -250,8 +245,9 @@ def sbm_sufficient_condition(g: GraphSample, p: float, q: float) -> bool:
 
     With lhs = lambda_max(E[Gamma] - Gamma), where Gamma = D_+ - D_- - A
     and E[Gamma] is taken under SBM(n, p, q), and rhs = (n/2)(p - q),
-    lhs < rhs implies the certificate holds. The verdict takes at most one
-    Cholesky factorization and no spectrum. Unbalanced labels raise
+    lhs < rhs implies the certificate holds. The verdict is
+    ``proves_max_below``'s proof of lhs < s, s just below rhs, from at most
+    one Cholesky factorization and no spectrum. Unbalanced labels raise
     DomainError.
     """
     n = g.n
@@ -261,18 +257,16 @@ def sbm_sufficient_condition(g: GraphSample, p: float, q: float) -> bool:
     # claimed as sufficient. The rule lhs < rhs - tau (1 + |lhs| + |rhs|)
     # reads f(lhs) < t with f(x) = x + tau |x|, strictly increasing, and
     # t = rhs - tau (1 + |rhs|). So it holds exactly when lhs < s = f^-1(t),
-    # that is when s I - (E[Gamma] - Gamma) is positive definite.
+    # that is when lambda_max(E[Gamma] - Gamma) < s.
     t = rhs - TAU_POS * (1.0 + abs(rhs))
     s = t / (1.0 + TAU_POS) if t >= 0.0 else t / (1.0 - TAU_POS)
-    # Its diagonal, in the bits of the matrix below, is known from
-    # deg_in - deg_out alone: an entry <= 0 answers "no" before the n x n
-    # build, as is_positive_definite would after it.
+    # The diagonal of s I - (E[Gamma] - Gamma), in the bits of the matrix
+    # below, is known from deg_in - deg_out alone: an entry <= 0 answers
+    # "no" before the n x n build, as proves_max_below would after it.
     if not (s - centered_gap_diagonal(g, p, q)).min() > 0.0:
         return False
-    shifted = centered_partition_gap(g, p, q)
-    np.negative(shifted, out=shifted)
-    shifted.flat[:: n + 1] += s
-    return is_positive_definite(SymmetricMatrix._owning(shifted))
+    dev = SymmetricMatrix._owning(centered_partition_gap(g, p, q))
+    return proves_max_below(dev, s, overwrite=True)
 
 
 def connectivity_spectral(g: GraphSample) -> bool:

@@ -2,16 +2,19 @@
 
 ``SymmetricMatrix`` is the validated input type. Full spectra and selected
 eigenvalues come from numpy's LAPACK ``syevd`` (``eigvalsh``/``eigh``).
-Where only the sign of an extreme eigenvalue matters, one Cholesky
-factorization decides it and no spectrum is computed: the positive-
-definiteness test, and the proof of ``largest_eigenvalue``'s Lanczos guess.
-Both go through ``_factorizes``, numpy's bundled LAPACKE ``dpotrf`` run in
-place. ``lanczos`` multiplies through CBLAS ``dsymv``, which reads only
-the upper triangle, where n >= 512 and the array is C-contiguous, and
-through ``a @ q`` elsewhere. This module is the one that binds numpy's
-OpenBLAS: that ``dpotrf``, that ``dsymv``, the ``<verb>_num_threads``
-entry points, which the sweep's workers set and the samplers read as
-their thread budget, and ``blas_thread_shutdown_``. A forked worker's
+Where only one side of an extreme eigenvalue matters, one Cholesky
+factorization decides it and no spectrum is computed. ``proves_max_below``
+is the one place that does: it proves lambda_max(M) < s by factorizing
+(s - delta) I - M, with delta Demmel's backward-error slack, through
+``_factorizes``, numpy's bundled LAPACKE ``dpotrf`` run in place. Every
+such verdict goes through it: the proof of ``largest_eigenvalue``'s
+Lanczos guess, and, in ``certificates``, ``rank_one_side``'s accept and
+the SBM sufficient condition. ``lanczos`` multiplies through CBLAS
+``dsymv``, which reads only the upper triangle, where n >= 512 and the
+array is C-contiguous, and through ``a @ q`` elsewhere. This module is
+the one that binds numpy's OpenBLAS: that ``dpotrf``, that ``dsymv``, the
+``<verb>_num_threads`` entry points, which the sweep's workers set and
+the samplers read as their thread budget, and ``blas_thread_shutdown_``. A forked worker's
 ``openblas_set_num_threads(1)`` first rebuilds the server threads that
 OpenBLAS's fork handler stopped, and they busy-wait, with no work, through
 OpenBLAS's thread timeout; ``pin_blas_threads`` stops them again. On two
@@ -128,18 +131,6 @@ def eigenvalues_selected(m: SymmetricMatrix, ks: Sequence[int]) -> np.ndarray:
         if not 1 <= k <= m.n:
             raise IndexOutOfRange(f"k={k} outside 1..{m.n}")
     return _lapack(np.linalg.eigvalsh, m)[np.asarray(ks, dtype=np.intp) - 1]
-
-
-def is_positive_definite(m: SymmetricMatrix) -> bool:
-    """Whether m is positive definite, from one Cholesky factorization of
-    a copy (``_factorizes``).
-
-    A diagonal entry <= 0 answers "no" without factorizing: ``potrf`` only
-    subtracts sums of squares from a pivot, which cannot make it positive.
-    """
-    if not np.diagonal(m.array).min() > 0.0:
-        return False
-    return _factorizes(np.array(m.array, order="C"))
 
 
 def spectral_norm(m: SymmetricMatrix) -> float:
@@ -379,22 +370,53 @@ def _cholesky_slack(n: int, trace: float) -> float:
     return 2.0 * k / (1.0 - k) * trace
 
 
+def proves_max_below(m: SymmetricMatrix, s: float, overwrite: bool = False) -> bool:
+    """Whether one Cholesky factorization proves lambda_max(m) < s.
+
+    It factorizes (s - delta) I - m, with delta the backward-error slack
+    ``_cholesky_slack`` of s I - m and s - delta rounded down. Where that
+    runs to completion, lambda_max(m) < s - delta + delta' <= s, delta' the
+    slack of the matrix factorized, whose trace is at most that of s I - m.
+    So a "yes" is a proof in floating point, and an exactly singular
+    s I - m is never taken for a definite one.
+
+    A diagonal entry <= 0 answers "no" without touching m: ``potrf`` only
+    subtracts sums of squares from a pivot, which cannot make it positive.
+    With ``overwrite`` the caller hands m over, and where the answer is not
+    decided by the diagonal, m's C-contiguous buffer is made writeable and
+    holds the factorization (``_factorizes`` writes only the upper triangle
+    and the diagonal; the strict lower triangle holds -m). Otherwise one
+    n x n copy is factorized.
+    """
+    a, n = m.array, m.n
+    gap = s - np.diagonal(a)
+    shift = np.nextafter(s - _cholesky_slack(n, max(float(gap.sum()), 0.0)), -np.inf)
+    diag = shift - np.diagonal(a)
+    if not diag.min() > 0.0:
+        return False
+    if overwrite and a.flags.c_contiguous:  # dpotrf reads lda = n
+        a.setflags(write=True)
+        np.negative(a, out=a)
+    else:
+        a = np.negative(a, order="C")
+    a.flat[:: n + 1] = diag
+    return _factorizes(a)
+
+
 def largest_eigenvalue(m: SymmetricMatrix, overwrite: bool = False) -> Tuple[float, float]:
     """(theta, upper): the largest eigenvalue of m, and an upper bound on it.
 
     theta is the top Ritz value of Lanczos started at the centered
     diagonal, run until its residual r is about 1e-13 |theta|. It is
-    returned only once ``_factorizes`` runs through s I - m, s = theta + r
-    + delta, with delta the Cholesky backward-error slack: that proves
-    lambda_max < upper = s + delta', delta' the slack of s I - m. theta is
-    a Rayleigh quotient, below lambda_max up to rounding. Where ``dpotrf``
-    is absent or the factorization fails, the answer is eigvalsh's
-    lambda_max, with upper equal to it: the numpy fallback, which copies
-    the matrix, is not tried.
+    returned only once ``proves_max_below`` proves lambda_max < upper =
+    theta + r + 2 delta, with delta the Cholesky backward-error slack of
+    (theta + r) I - m. theta is a Rayleigh quotient, below lambda_max up to
+    rounding. Where ``dpotrf`` is absent or the factorization fails, the
+    answer is eigvalsh's lambda_max, with upper equal to it: the numpy
+    fallback, which copies the matrix, is not tried.
 
-    The factorization writes only the upper triangle and diagonal. With
-    ``overwrite`` the caller hands m over and it is factorized in its own
-    buffer, which is left undefined; otherwise one n x n copy is made.
+    With ``overwrite`` the caller hands m over and it is factorized in its
+    own buffer, which is left undefined; otherwise one n x n copy is made.
     """
     a, n = m.array, m.n
     diag = np.diagonal(a).copy()
@@ -404,21 +426,13 @@ def largest_eigenvalue(m: SymmetricMatrix, overwrite: bool = False) -> Tuple[flo
         theta, r = float(theta[-1]), float(res[-1])
         if r <= _LANCZOS_RTOL * abs(theta):
             base = theta + r
-            s = base + _cholesky_slack(n, max(n * base - float(diag.sum()), 0.0))
-            in_place = overwrite and a.flags.c_contiguous  # dpotrf reads lda = n
-            if in_place:
-                a.setflags(write=True)
-                np.negative(a, out=a)
-            else:
-                a = np.negative(a, order="C")
-            shifted = s - diag
-            a.flat[:: n + 1] = shifted
-            if _factorizes(a):
-                upper = s + _cholesky_slack(n, float(shifted.sum()))
-                return theta, float(np.nextafter(upper, np.inf))
-            if in_place:
-                # the strict lower triangle still holds -m, and eigvalsh
-                # (UPLO="L", its default) reads only that and the diagonal
+            upper = base + 2.0 * _cholesky_slack(n, max(n * base - float(diag.sum()), 0.0))
+            if proves_max_below(m, upper, overwrite):
+                return theta, upper
+            if a.flags.writeable:
+                # factorized in m's own buffer: its strict lower triangle still
+                # holds -m, and eigvalsh (UPLO="L", its default) reads only
+                # that and the diagonal
                 np.negative(a, out=a)
                 a.flat[:: n + 1] = diag
     lam = float(_lapack(np.linalg.eigvalsh, m)[-1])

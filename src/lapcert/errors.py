@@ -53,10 +53,6 @@ class DomainError(LapcertError, ValueError):
     """Scalar argument outside the valid domain."""
 
 
-class UnequalRowSums(LapcertError, ValueError):
-    """Variance matrix rows do not all sum to the stated value."""
-
-
 class ConfigError(LapcertError, ValueError):
     """Sweep or CLI configuration is invalid."""
 

@@ -1,9 +1,4 @@
-"""Analytic bound evaluators, exact tail oracles, and closed-form thresholds.
-
-Also houses the deterministic greedy half cut and the variance-set
-construction it feeds; both are exact combinatorial statements checked as
-hard guarantees rather than probabilistic ones.
-"""
+"""Analytic bound evaluators, exact tail oracles, and closed-form thresholds."""
 
 from __future__ import annotations
 
@@ -13,7 +8,7 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .ensembles import RngStream
-from .errors import DomainError, InvalidProbability, UnequalRowSums
+from .errors import DomainError, InvalidProbability
 
 def chernoff_degree_bound(n: int, rho: float, t: float) -> float:
     """Chernoff upper bound on P[deg(i) < t * E deg(i)] for ER(n, rho log n / n).
@@ -155,54 +150,3 @@ def threshold_margin(model: str, params: Mapping[str, float]) -> float:
         )
         return (n - 1) * p - rate
     raise DomainError(f"unknown threshold model {model!r}")
-
-
-def greedy_half_cut(weights) -> Tuple[np.ndarray, np.ndarray]:
-    """Greedy partition cutting at least half the total edge weight.
-
-    Nodes are assigned in index order to whichever side cuts more of their
-    weight to already-placed nodes (ties cut toward the first side). The
-    returned S is the larger side.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    n = w.shape[0]
-    if w.ndim != 2 or w.shape[1] != n:
-        raise DomainError("weights must be square")
-    if np.any(w < 0.0):
-        raise DomainError("weights must be nonnegative")
-    if not np.allclose(w, w.T) or np.any(np.diag(w) != 0.0):
-        raise DomainError("weights must be symmetric with zero diagonal")
-    in_s = np.zeros(n, dtype=bool)
-    to_s = np.zeros(n)
-    to_t = np.zeros(n)
-    for v in range(n):
-        if to_s[v] >= to_t[v]:
-            in_s[v] = False
-            to_t += w[v]
-        else:
-            in_s[v] = True
-            to_s += w[v]
-    if in_s.sum() * 2 < n:
-        in_s = ~in_s
-    s = np.flatnonzero(in_s)
-    sc = np.flatnonzero(~in_s)
-    return s, sc
-
-
-def build_variance_sets(var_matrix, sigma2: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Index sets (I, J) with |I| >= n/8 and row variance into J >= sigma2/8.
-
-    Requires every row of the variance matrix to sum to sigma2 (1e-9
-    relative). J is the complement side of the greedy half cut; I collects
-    the rows of S whose mass into J is at least an eighth of the row total.
-    """
-    w = np.asarray(var_matrix, dtype=np.float64)
-    n = w.shape[0]
-    row_sums = w.sum(axis=1)
-    tol = 1e-9 * max(abs(sigma2), 1.0)
-    if np.any(np.abs(row_sums - sigma2) > tol):
-        raise UnequalRowSums("rows must all sum to sigma2")
-    s, j = greedy_half_cut(w)
-    into_j = w[np.ix_(s, j)].sum(axis=1)
-    i = s[into_j >= sigma2 / 8.0 - tol]
-    return i, j

@@ -6,7 +6,8 @@ determinants, and the spectral norm comes from power iteration. The two
 certificate-matrix builders use the per-model formulas in plain numpy,
 not the package's D - Y construction they are compared against. The
 Gaussian synchronization reference does call the eigensolver, but on a
-different matrix: the Laplacian of the conjugated noise.
+different matrix: the Laplacian of the conjugated noise. ``exact_side`` uses no floating point
+at all: exact integer elimination on the discrete certificate matrix.
 """
 
 import numpy as np
@@ -132,3 +133,51 @@ def z2sync_gaussian_report(y, z, sigma, tau):
     d = z * (y @ z)
     residual = float(np.linalg.norm((np.diag(d) - y) @ z))
     return lam1, lam2, band, residual, d
+
+
+def _integer_definiteness(a):
+    """"pd", "psd" or None (not positive semidefinite) for an integer
+    symmetric matrix, by exact symmetric elimination.
+
+    Fraction-free (Bareiss): after the pivots so far, each remaining entry
+    is the last pivot, a positive leading minor, times the Schur complement
+    entry, and every division is exact. A negative pivot is not PSD; a zero
+    pivot is PSD only if its whole remaining row is zero, which is then
+    dropped. Python integers do not round or overflow.
+    """
+    rows = [[int(v) for v in row] for row in a]
+    live = list(range(len(rows)))
+    prev, singular = 1, False
+    while live:
+        k = live.pop(0)
+        rk = rows[k]
+        pivot = rk[k]
+        if pivot < 0:
+            return None
+        if pivot == 0:
+            if any(rk[j] for j in live):
+                return None
+            singular = True
+            continue
+        for i in live:
+            ri, rik = rows[i], rk[i]
+            for j in live:
+                ri[j] = (pivot * ri[j] - rik * rk[j]) // prev
+        prev = pivot
+    return "psd" if singular else "pd"
+
+
+def exact_side(y, x):
+    """The side of the rank-one certificate of (Y, x) with no rounding, for
+    integer Y and x in {+-1}^n: C = D - Y with D_ii = sum_j Y_ij x_i x_j is
+    integer, and the side is "above" where C + x x^T is positive definite,
+    "boundary" where C is positive semidefinite but C + x x^T is not, and
+    "below" otherwise."""
+    y = np.asarray(getattr(y, "array", y))
+    yi = y.astype(np.int64)
+    assert np.array_equal(yi, y), "exact_side needs an integer Y"
+    x = np.asarray(x).astype(np.int64)
+    c = np.diag(x * (yi @ x)) - yi
+    if _integer_definiteness(c + np.outer(x, x)) == "pd":
+        return "above"
+    return "boundary" if _integer_definiteness(c) else "below"

@@ -18,7 +18,6 @@ from lapcert import (
     bernoulli_diff_tail,
     bernoulli_diff_tail_mc,
     bm_solve,
-    build_variance_sets,
     centered_er_profile,
     certify_rank_one,
     certify_sbm,
@@ -27,7 +26,6 @@ from lapcert import (
     connectivity_unionfind,
     derive_stream,
     eigendecompose,
-    greedy_half_cut,
     norm_bound_check,
     run_sweep,
     sample_er,
@@ -310,46 +308,6 @@ def test_09_exact_tail_oracle():
         "09 exact-tail-oracle",
         mass_ok and mc_ok == 20,
         f"mass_ok={mass_ok} mc within 3SE {mc_ok}/20, {elapsed:.1f}s",
-    )
-
-
-def test_10_greedy_and_variance_sets():
-    start = time.monotonic()
-    rng = np.random.default_rng(SEED)
-    cut_viol = 0
-    for _ in range(1000):
-        n = int(rng.integers(2, 65))
-        w = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
-        w = np.triu(w, 1)
-        w = w + w.T
-        s, sc = greedy_half_cut(w)
-        if w[np.ix_(s, sc)].sum() < 0.5 * (w.sum() / 2.0) - 1e-9:
-            cut_viol += 1
-    set_viol = 0
-    for _ in range(200):
-        n = int(rng.integers(2, 48))
-        c = np.zeros(n)
-        for k in range(1, n // 2 + 1):
-            val = rng.random()
-            c[k] = val
-            c[n - k] = val if n - k != k else c[n - k]
-        w = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                w[i, j] = c[(i - j) % n]
-        np.fill_diagonal(w, 0.0)
-        w = (w + w.T) / 2.0
-        perm = rng.permutation(n)
-        w = w[np.ix_(perm, perm)]
-        i_set, _ = build_variance_sets(w, float(w[0].sum()))
-        if len(i_set) < n / 8.0:
-            set_viol += 1
-    elapsed = time.monotonic() - start
-    report(
-        "10 greedy-variance-sets",
-        cut_viol == 0 and set_viol == 0,
-        f"cut violations {cut_viol}/1000, set violations {set_viol}/200, "
-        f"{elapsed:.1f}s",
     )
 
 

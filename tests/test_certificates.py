@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import z2sync_er_graphs, z2sync_gaussian_report
+from _oracles import exact_side, z2sync_er_graphs, z2sync_gaussian_report
 from lapcert import (
     SymmetricMatrix,
     centered_er_profile,
@@ -414,6 +414,35 @@ class TestRankOneSide:
                 assert (certificates.rank_one_side(y, x, 0.0)
                         == certify_rank_one(y, x, 0.0).side)
 
+    def test_tau_zero_accept_is_shifted_by_the_slack(self, monkeypatch):
+        # at tau = 0, t = 2 n eps (1 + ||C||_inf) is below Cholesky's
+        # backward error: the accept factorizes C + ((t + 1)/n) x x^T less
+        # (t + delta) I, delta the slack of that matrix less t I
+        n = 200
+        logn = math.log(n)
+        g = sample_sbm(n, 12.0 * logn / n, logn / n, derive_stream(75, 0))
+        b, x = signed_adjacency(g), g.labels.astype(np.float64)
+        cert = np.diag(dual_diagonal(b, x)) - b.array
+        assert np.diagonal(cert).min() >= 0.0  # no blocked node
+        seen = []
+        factorizes = eig._factorizes
+
+        def spy(a):
+            seen.append(a.copy())
+            return factorizes(a)
+
+        monkeypatch.setattr(eig, "_factorizes", spy)
+        assert certificates.rank_one_side(b, x, 0.0) == "above"
+        assert certify_rank_one(b, x, 0.0).side == "above"
+        t = 2.0 * n * float(np.finfo(np.float64).eps) * (1.0 + np.linalg.norm(cert, np.inf))
+        lifted = cert + np.outer(x, x) * ((t + 1.0) / n)
+        delta = eig._cholesky_slack(n, float(np.trace(lifted)) - n * t)
+        assert delta > 10.0 * t
+        shift = np.diagonal(lifted) - np.diagonal(seen[0])
+        assert shift == pytest.approx(np.full(n, t + delta), rel=1e-3)
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(seen[0][off], lifted[off])
+
     @staticmethod
     def no_factorization(monkeypatch):
         def factorizes(a):
@@ -497,6 +526,71 @@ class TestRankOneSide:
         b = signed_adjacency(g)
         assert (certificates.rank_one_side(b, g.labels, tau)
                 == certify_rank_one(b, g.labels, tau).side)
+
+
+class TestExactReferee:
+    """Float sides against ``exact_side``, near each threshold at n <= 30.
+
+    Only "boundary" may disagree at the default tau: its float side does not
+    yet separate lambda_2 = 0 from a small negative one (see ROADMAP item
+    4), so those disagreements are counted, not asserted on.
+    """
+
+    @staticmethod
+    def z2er_instance(rng, eps):
+        n = int(rng.uniform() * 21) + 10
+        p = (0.5 + 2.0 * rng.uniform()) * math.log(n) / n / (1.0 - 2.0 * eps) ** 2
+        inst = sample_z2sync_er(n, min(p, 1.0), eps, random_signs(rng, n), rng)
+        return inst.y, inst.z
+
+    @staticmethod
+    def sbm_instance(rng):
+        n = 2 * (int(rng.uniform() * 11) + 5)
+        logn = math.log(n)
+        g = sample_sbm(n, min(1.0, (1.0 + 9.0 * rng.uniform()) * logn / n), logn / n, rng)
+        return signed_adjacency(g), g.labels
+
+    @classmethod
+    def instances(cls, model):
+        rng = derive_stream(81, ("z2er-eps0", "z2er", "sbm").index(model))
+        for _ in range(150):
+            if model == "sbm":
+                yield cls.sbm_instance(rng)
+            else:
+                yield cls.z2er_instance(rng, 0.0 if model == "z2er-eps0" else 0.2)
+
+    @pytest.mark.parametrize("model", ["z2er-eps0", "z2er", "sbm"])
+    def test_default_tau_sides_are_sound(self, model):
+        exact_sides, boundary_misses = set(), 0
+        for y, x in self.instances(model):
+            exact = exact_side(y, x)
+            exact_sides.add(exact)
+            for side in (certificates.rank_one_side(y, x), certify_rank_one(y, x).side):
+                assert side != "above" or exact == "above"
+                assert side != "below" or exact != "above"
+                boundary_misses += side == "boundary" != exact
+        print(f"{model}: {boundary_misses} float 'boundary' sides not exactly boundary")
+        assert {"above", "boundary" if model == "z2er-eps0" else "below"} <= exact_sides
+
+    @pytest.mark.parametrize("model", ["z2er-eps0", "z2er", "sbm"])
+    def test_tau_zero_accepts_are_exact(self, monkeypatch, model):
+        # the float spectrum is not sound at tau = 0; the proved accept is
+        verdicts = []
+        proves = certificates.proves_max_below
+
+        def spy(*args, **kwargs):
+            verdicts.append(proves(*args, **kwargs))
+            return verdicts[-1]
+
+        monkeypatch.setattr(certificates, "proves_max_below", spy)
+        accepted = 0
+        for y, x in self.instances(model):
+            verdicts.clear()
+            side = certificates.rank_one_side(y, x, 0.0)
+            if any(verdicts):
+                assert side == "above" and exact_side(y, x) == "above"
+                accepted += 1
+        assert accepted
 
 
 class TestCertifySbm:

@@ -9,9 +9,9 @@ from lapcert import (
     eigendecompose,
     eigenvalue_k,
     eigenvalues_selected,
-    is_positive_definite,
     lanczos,
     largest_eigenvalue,
+    proves_max_below,
     spectral_norm,
 )
 from lapcert.errors import DomainError, IndexOutOfRange, NonConvergence
@@ -313,7 +313,21 @@ class TestSpectralNorm:
             assert spectral_norm(m) == pytest.approx(ref, rel=1e-6, abs=1e-9)
 
 
+def is_positive_definite(m):
+    """A is positive definite exactly when lambda_max(-A) < 0."""
+    return proves_max_below(sym(-m.array), 0.0)
+
+
+def dense_graph_laplacian(n, rng):
+    """L = D - A of a G(n, 1/2) sample: integer, with lambda_min = 0 exactly."""
+    a = np.triu(rng.random((n, n)) < 0.5, 1).astype(np.float64)
+    a += a.T
+    return np.diag(a.sum(axis=1)) - a
+
+
 class TestIsPositiveDefinite:
+    """Positive definiteness of A through ``proves_max_below(-A, 0)``."""
+
     def test_positive_definite(self):
         assert is_positive_definite(sym([[2.0, -1.0], [-1.0, 2.0]]))
         assert is_positive_definite(sym([[2.0]]))
@@ -372,6 +386,60 @@ class TestIsPositiveDefinite:
         # numpy.linalg.cholesky answers where the LAPACKE symbol is absent
         monkeypatch.setattr(eig, "_dpotrf", lambda: None)
         self.test_agrees_with_smallest_eigenvalue_sign()
+
+
+class TestProvesMaxBelow:
+    @pytest.mark.parametrize("potrf", ["bound", "absent"])
+    @pytest.mark.parametrize("n", [10, 30, 100, 300])
+    def test_singular_laplacian_is_never_proved_definite(self, monkeypatch, n, potrf):
+        # a factorization without the backward-error slack runs through about
+        # half of these, whose lambda_min is 0 exactly
+        if potrf == "absent":
+            monkeypatch.setattr(eig, "_dpotrf", lambda: None)
+        rng = np.random.default_rng(n)
+        for _ in range(40):
+            minus_l = sym(-dense_graph_laplacian(n, rng))
+            assert not proves_max_below(minus_l, 0.0)
+            assert not proves_max_below(minus_l, 0.0, overwrite=True)
+
+    def test_proves_just_above_the_largest_eigenvalue(self):
+        m = sym(np.diag([1.0, 2.0, 3.0]))
+        assert not proves_max_below(m, 3.0)
+        assert proves_max_below(m, 3.0 + 1e-12)
+        assert not proves_max_below(m, 2.5)
+
+    def test_slack_is_taken_off_the_target(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(eig, "_factorizes", lambda a: seen.append(a.copy()) or True)
+        m = random_sym(np.random.default_rng(29), 50)
+        s = float(np.linalg.eigvalsh(m.array)[-1]) + 1.0
+        assert proves_max_below(m, s)
+        gap = s - np.diagonal(m.array)
+        delta = eig._cholesky_slack(50, float(gap.sum()))
+        assert delta > 0.0
+        assert np.array_equal(np.diagonal(seen[0]),
+                              np.nextafter(s - delta, -np.inf) - np.diagonal(m.array))
+        off = ~np.eye(50, dtype=bool)
+        assert np.array_equal(seen[0][off], -m.array[off])
+
+    def test_overwrite_factorizes_the_callers_buffer(self, monkeypatch):
+        buffers = []
+        factorizes = eig._factorizes
+        monkeypatch.setattr(eig, "_factorizes", lambda a: buffers.append(a) or factorizes(a))
+        a = random_sym(np.random.default_rng(31), 40).array
+        copy, handed = sym(a), sym(a)
+        s = float(np.linalg.eigvalsh(a)[-1]) + 1.0
+        assert proves_max_below(copy, s)
+        assert not np.shares_memory(buffers[0], copy.array)
+        assert np.array_equal(copy.array, a) and not copy.array.flags.writeable
+        assert proves_max_below(handed, s, overwrite=True)
+        assert buffers[1] is handed.array
+
+    def test_non_positive_diagonal_leaves_the_buffer_alone(self):
+        m = sym([[4.0, 1.0], [1.0, 1.0]])
+        assert not proves_max_below(m, 1.0, overwrite=True)
+        assert np.array_equal(m.array, [[4.0, 1.0], [1.0, 1.0]])
+        assert not m.array.flags.writeable
 
 
 class TestBlasThreads:

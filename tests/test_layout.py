@@ -144,3 +144,24 @@ def test_every_class_field_is_read():
               for qualified, name in _fields(ast.parse(path.read_text(encoding="utf-8")))
               if name not in reads]
     assert unread == []
+
+
+def _callers(name: str):
+    """(module, function) of each call of ``name`` in src/, by the
+    module-level function that encloses it."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield from ((path.stem, node.name) for _ in _calls(node, name))
+        top = [n for n in tree.body if not isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        yield from ((path.stem, "<module>") for n in top for _ in _calls(n, name))
+
+
+def test_one_proof_kernel_factorizes():
+    # every Cholesky verdict is proved by eig.proves_max_below under one
+    # rounding model; largest_eigenvalue reads the slack only to choose
+    # the bound it asks the kernel to prove
+    assert list(_callers("_factorizes")) == [("eig", "proves_max_below")]
+    assert sorted(set(_callers("_cholesky_slack"))) == [
+        ("eig", "largest_eigenvalue"), ("eig", "proves_max_below")]

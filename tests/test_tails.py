@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from lapcert import (
     bernoulli_diff_tail,
     bernoulli_diff_tail_mc,
-    build_variance_sets,
     chernoff_degree_bound,
     derive_stream,
-    greedy_half_cut,
     threshold_margin,
 )
-from lapcert.errors import DomainError, UnequalRowSums
+from lapcert.errors import DomainError
 from lapcert.tails import bernoulli_diff_distribution
 
 
@@ -176,109 +174,3 @@ class TestThresholdMargin:
     def test_one_name_per_model(self, old):
         with pytest.raises(DomainError, match="unknown threshold model"):
             threshold_margin(old, {})
-
-
-class TestGreedyHalfCut:
-    def _cut_weight(self, w, s, sc):
-        return w[np.ix_(s, sc)].sum()
-
-    def test_single_edge(self):
-        w = np.zeros((2, 2))
-        w[0, 1] = w[1, 0] = 1.0
-        s, sc = greedy_half_cut(w)
-        assert self._cut_weight(w, s, sc) == 1.0
-
-    def test_triangle(self):
-        w = np.ones((3, 3)) - np.eye(3)
-        s, sc = greedy_half_cut(w)
-        assert self._cut_weight(w, s, sc) == 2.0  # >= half of 3
-
-    def test_star(self):
-        w = np.zeros((4, 4))
-        w[0, 1:] = 1.0
-        w[1:, 0] = 1.0
-        s, sc = greedy_half_cut(w)
-        assert self._cut_weight(w, s, sc) == 3.0
-
-    def test_larger_side_returned(self):
-        w = np.zeros((5, 5))
-        w[0, 1] = w[1, 0] = 1.0
-        s, _ = greedy_half_cut(w)
-        assert len(s) >= 3
-
-    def test_rejects_negative(self):
-        w = np.zeros((2, 2))
-        w[0, 1] = w[1, 0] = -1.0
-        with pytest.raises(DomainError):
-            greedy_half_cut(w)
-
-    def test_half_total_on_randoms(self):
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            n = int(rng.integers(2, 65))
-            w = rng.random((n, n))
-            w = np.triu(w, 1)
-            w = w + w.T
-            s, sc = greedy_half_cut(w)
-            total = w.sum() / 2.0
-            assert self._cut_weight(w, s, sc) >= 0.5 * total - 1e-9
-            assert len(s) * 2 >= n
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**30))
-    def test_half_total_property(self, n, seed):
-        rng = np.random.default_rng(seed)
-        w = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
-        w = np.triu(w, 1)
-        w = w + w.T
-        s, sc = greedy_half_cut(w)
-        assert self._cut_weight(w, s, sc) >= 0.5 * w.sum() / 2.0 - 1e-9
-
-
-class TestBuildVarianceSets:
-    def test_constant_complete_profile(self):
-        n = 12
-        c = 0.5
-        w = c * (np.ones((n, n)) - np.eye(n))
-        i, j = build_variance_sets(w, c * (n - 1))
-        s_size = n - len(j)
-        assert len(i) == s_size  # every row of S qualifies
-        assert len(i) >= n / 8
-
-    def test_two_nodes(self):
-        w = np.zeros((2, 2))
-        w[0, 1] = w[1, 0] = 4.0
-        i, j = build_variance_sets(w, 4.0)
-        assert len(i) >= 1
-
-    def test_rejects_unequal_rows(self):
-        w = np.zeros((3, 3))
-        w[0, 1] = w[1, 0] = 1.0
-        with pytest.raises(UnequalRowSums):
-            build_variance_sets(w, 1.0)
-
-    def test_equalized_random_profiles(self):
-        # random circulants (equal row sums by construction), randomly
-        # permuted; the 1/8 guarantees are deterministic
-        rng = np.random.default_rng(11)
-        for trial in range(200):
-            n = int(rng.integers(2, 40))
-            c = np.zeros(n)
-            for k in range(1, n // 2 + 1):
-                val = rng.random()
-                c[k] = val
-                c[n - k] = c[n - k] if n - k == k else val
-            w = np.empty((n, n))
-            for i in range(n):
-                for j in range(n):
-                    w[i, j] = c[(i - j) % n]
-            np.fill_diagonal(w, 0.0)
-            w = (w + w.T) / 2.0
-            perm = rng.permutation(n)
-            w = w[np.ix_(perm, perm)]
-            sigma2 = float(w[0].sum())
-            i_set, j_set = build_variance_sets(w, sigma2)
-            assert len(i_set) >= n / 8.0
-            if sigma2 > 0:
-                into_j = w[np.ix_(i_set, j_set)].sum(axis=1)
-                assert np.all(into_j >= sigma2 / 8.0 - 1e-9 * sigma2)
