@@ -30,7 +30,6 @@ from .laplacians import (
     centered_gap_diagonal,
     centered_laplacian,
     centered_partition_gap,
-    degree_gap,
     graph_laplacian,
     laplacian_of,
     negated_laplacian,

@@ -42,14 +42,14 @@ from .errors import (
 from .laplacians import (
     centered_gap_diagonal,
     centered_partition_gap,
-    degree_gap,
     graph_laplacian,
     signed_adjacency,
 )
 
 #: Positivity dead band, relative to 1 + ||certificate matrix||. Strict
 #: inequalities in exact arithmetic need a tolerance in floating point;
-#: instances inside the band are classified "boundary".
+#: instances inside the band are classified "boundary". A tau below n eps
+#: is raised to it (``CertificateReport``).
 TAU_POS = 1e-9
 
 SIDE_ABOVE = "above"
@@ -65,10 +65,12 @@ _RITZ_STEPS = 6
 class CertificateReport:
     """Outcome of a rank-one dual-certificate evaluation.
 
-    ``band`` is the positivity dead band tau * (1 + ||D - Y||) against
-    which ``lambda2`` is compared, and ``tight`` is true exactly when
-    lambda2 > band. ``feasible`` (lambda1 >= -band) makes D the dual that
-    certifies x x^T optimal, unique or not.
+    ``band`` is the positivity dead band max(tau, n eps) (1 + ||D - Y||)
+    against which ``lambda2`` is compared, and ``tight`` is true exactly
+    when lambda2 > band. The floor n eps covers eigvalsh's rounding of a
+    zero lambda_2, so a float "above" or "below" holds also at tau = 0; it
+    is below the default tau for every n < 4.5e6. ``feasible`` (lambda1 >=
+    -band) makes D the dual that certifies x x^T optimal, unique or not.
     """
 
     d_diag: np.ndarray
@@ -122,7 +124,7 @@ def _report(x: np.ndarray, d: np.ndarray, cert: np.ndarray,
     # (lambda_1, lambda_2, lambda_n) from one decomposition
     lam = [cert[0, 0]] * 3 if sm.n == 1 else eigenvalues_selected(sm, (1, 2, sm.n))
     lam1, lam2, lamn = (float(v) for v in lam)
-    band = tau * (1.0 + max(abs(lam1), abs(lamn)))
+    band = max(tau, sm.n * _EPS) * (1.0 + max(abs(lam1), abs(lamn)))
     return CertificateReport(
         d_diag=d,
         lambda1=lam1,
@@ -148,11 +150,11 @@ def rank_one_side(y: SymmetricMatrix, x, tau: float = TAU_POS) -> str:
     where a factorization or a smaller spectrum settles it.
 
     Where tau is finite and >= 0 and C x = 0 holds exactly in floating
-    point, take t = 2 (tau + n eps)(1 + ||C||_inf), at least twice the
-    dead band plus the rounding of eigvalsh. On the blocked nodes
-    K = {i : C_ii < 0}, Cauchy interlacing gives
-    lambda_2(C) <= lambda_2(C[K, K]), so if that is below -t the side is
-    "below". Without blocked nodes, C + ((t + 1)/n) x x^T has the
+    point, take t = 2 (tau + n eps)(1 + ||C||_inf): at least twice the
+    dead band max(tau, n eps)(1 + ||C||), and at least that band plus the
+    rounding of eigvalsh. On the blocked nodes K = {i : C_ii < 0}, Cauchy
+    interlacing gives lambda_2(C) <= lambda_2(C[K, K]), so if that is
+    below -t the side is "below". Without blocked nodes, C + ((t + 1)/n) x x^T has the
     eigenvalue t + 1 on x and the rest of C's spectrum off it, so where
     ``proves_max_below`` proves that its negation has lambda_max < -t,
     lambda_2(C) > t and the side is "above". That proof covers the
@@ -224,7 +226,7 @@ def certify_z2sync(inst: SyncInstance, tau: float = TAU_POS) -> CertificateRepor
         lambda1=lam1,
         lambda2=lam2,
         residual_null=residual,
-        band=tau * (1.0 + max(abs(lam1), lamn)),
+        band=max(tau, inst.n * _EPS) * (1.0 + max(abs(lam1), lamn)),
     )
 
 
@@ -316,7 +318,7 @@ def flip_oracle_sbm(g: GraphSample) -> int:
     Reported as-is: a negative minimum is the standard impossibility
     statistic for balanced two-community recovery.
     """
-    return int(degree_gap(g).min())
+    return int(g.degree_gap.min())
 
 
 def spectral_diag_ratio(l: SymmetricMatrix, overwrite: bool = False) -> RatioReport:

@@ -12,9 +12,11 @@ Lanczos guess, and, in ``certificates``, ``rank_one_side``'s accept and
 the SBM sufficient condition. ``lanczos`` multiplies through CBLAS
 ``dsymv``, which reads only the upper triangle, where n >= 512 and the
 array is C-contiguous, and through ``a @ q`` elsewhere. This module is
-the one that binds numpy's OpenBLAS: that ``dpotrf``, that ``dsymv``, the
-``<verb>_num_threads`` entry points, which the sweep's workers set and
-the samplers read as their thread budget, and ``blas_thread_shutdown_``. A forked worker's
+the one that binds numpy's OpenBLAS, every entry point through one table,
+``_ENTRY_POINTS``, and one cached resolver, ``_openblas``: that
+``dpotrf``, that ``dsymv``, the ``<verb>_num_threads`` entry points,
+which the sweep's workers set and the samplers read as their thread
+budget, and ``blas_thread_shutdown_``. A forked worker's
 ``openblas_set_num_threads(1)`` first rebuilds the server threads that
 OpenBLAS's fork handler stopped, and they busy-wait, with no work, through
 OpenBLAS's thread timeout; ``pin_blas_threads`` stops them again. On two
@@ -147,15 +149,12 @@ def lanczos(m: SymmetricMatrix, start: np.ndarray, steps: int,
 
     Lanczos with full reorthogonalization (two classical Gram-Schmidt
     passes), for at most ``steps`` steps. It stops early when the space is
-    invariant, its Ritz values then exact, or, where rtol > 0, once the
-    largest Ritz value's residual is at most rtol |theta|. That test needs
-    an ``eigh`` of the tridiagonal, so it runs only every
-    ``_CHECK_EVERY``-th step; once one passes, the steps since the previous
-    test are tested again in order and the first that passes is returned.
-    That is the step, and the values, of a test at every step unless a
-    step passes and the end of its window fails again. With rtol = 0 only
-    the last step is decomposed. The products read only the upper triangle
-    of m at n >= ``_SYMV_MIN_N`` (``_dsymv``).
+    invariant, its Ritz values then exact. Where rtol > 0 it tests the
+    largest Ritz value at every ``_CHECK_EVERY``-th step, each test an
+    ``eigh`` of the tridiagonal, and returns the values of the first step
+    whose residual is at most rtol |theta|. With rtol = 0 only the last
+    step is decomposed. The products read only the upper triangle of m
+    (OpenBLAS ``dsymv``) at n >= ``_SYMV_MIN_N``.
 
     Raises DomainError, before any product, for steps < 1 and for a start
     that is not n values with a finite, non-zero norm.
@@ -171,17 +170,16 @@ def lanczos(m: SymmetricMatrix, start: np.ndarray, steps: int,
     q = np.empty((steps, n))
     q[0] = start / norm
     alpha, beta = np.zeros(steps), np.zeros(steps)
-    symv = _dsymv() if n >= _SYMV_MIN_N and a.flags.c_contiguous else None
-    if symv is not None:
+    symv = (_openblas("dsymv") if n >= _SYMV_MIN_N and a.flags.c_contiguous else ())[:1]
+    if symv:
         w = np.zeros(n)
         a_ptr, q_ptr, w_ptr = a.ctypes.data, q.ctypes.data, w.ctypes.data
-    tested = -1  # the last step whose Ritz values were tested
     for k in range(steps):
-        if symv is None:
-            w = a @ q[k]
+        if symv:
+            symv[0](_CBLAS_ROW_MAJOR, _CBLAS_UPPER, n, 1.0, a_ptr, n,
+                    q_ptr + k * q.strides[0], 1, 0.0, w_ptr, 1)
         else:
-            symv(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, n, 1.0, a_ptr, n,
-                 q_ptr + k * q.strides[0], 1, 0.0, w_ptr, 1)
+            w = a @ q[k]
         basis = q[:k + 1]
         h = basis @ w
         alpha[k] = h[k]
@@ -190,23 +188,12 @@ def lanczos(m: SymmetricMatrix, start: np.ndarray, steps: int,
         beta[k] = np.linalg.norm(w)
         last = k + 1 == steps or not beta[k] > 0.0
         if last or (rtol > 0.0 and (k + 1) % _CHECK_EVERY == 0):
-            theta, res = _ritz(alpha, beta, k)
+            t = np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+            theta, s = np.linalg.eigh(t)
+            res = beta[k] * np.abs(s[-1])
             if last or res[-1] <= rtol * abs(theta[-1]):
-                for j in range(tested + 1 if rtol > 0.0 else k, k):
-                    theta_j, res_j = _ritz(alpha, beta, j)
-                    if res_j[-1] <= rtol * abs(theta_j[-1]):
-                        return theta_j, res_j
                 return theta, res
-            tested = k
         q[k + 1] = w / beta[k]
-
-
-def _ritz(alpha: np.ndarray, beta: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Ritz values and residuals of ``lanczos`` after step k, from one
-    ``eigh`` of the (k+1) x (k+1) tridiagonal."""
-    t = np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
-    theta, s = np.linalg.eigh(t)
-    return theta, beta[k] * np.abs(s[-1])
 
 
 @functools.cache
@@ -227,44 +214,42 @@ def _openblas_libraries() -> tuple:
     return tuple(libs)
 
 
-def _openblas_symbols(libraries, names, argtypes, restype):
-    """Yield, typed, the first of ``names`` that each of the OpenBLAS
-    ``libraries`` exports; yield nothing where none is found."""
-    for lib in libraries:
-        fn = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
-        if fn is not None:
-            fn.argtypes = argtypes
-            fn.restype = restype
-            yield fn
+def _num_threads(verb: str) -> tuple:
+    return tuple(f"{prefix}openblas_{verb}_num_threads{suffix}"
+                 for prefix in ("", "scipy_") for suffix in ("", "64_"))
 
 
-def _openblas_entries(verb: str) -> tuple:
-    """The ``<verb>_num_threads`` entry point ("set" or "get"), or with
-    "shutdown" the ``blas_thread_shutdown_``, of each OpenBLAS mapped into
-    this process; empty where none is found."""
-    return _thread_entries(_openblas_libraries())[verb]
+_INT, _I64, _PTR, _DBL = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+#: Every OpenBLAS entry point ``eig`` calls: its spellings, tried in order,
+#: its ``argtypes`` and its ``restype``. numpy's wheels rename the thread
+#: counts (``scipy_openblas_set_num_threads64_``) but export
+#: ``blas_thread_shutdown_`` unprefixed. Only the ILP64 build's ``64_``
+#: LAPACKE and CBLAS symbols are bound: their integers are 64 bits, and
+#: the layout (and for dsymv the triangle) a C int.
+_ENTRY_POINTS = {
+    "get_num_threads": (_num_threads("get"), [], _INT),
+    "set_num_threads": (_num_threads("set"), [_INT], None),
+    "blas_thread_shutdown_": (("blas_thread_shutdown_",), [], _INT),
+    "dpotrf": (("scipy_LAPACKE_dpotrf64_", "LAPACKE_dpotrf64_"),
+               [_INT, ctypes.c_char, _I64, _PTR, _I64], _I64),
+    "dsymv": (("scipy_cblas_dsymv64_", "cblas_dsymv64_"),
+              [_INT, _INT, _I64, _DBL, _PTR, _I64, _PTR, _I64, _DBL, _PTR, _I64], None),
+}
 
 
 @functools.cache
-def _thread_entries(libraries: tuple) -> dict:
-    """``_openblas_entries`` of every verb, resolved in one lookup once per
-    process and set of libraries.
-
-    numpy's wheels rename the ``<verb>_num_threads`` symbols
-    (``scipy_openblas_set_num_threads64_``), so the plain and the prefixed
-    or suffixed spellings are all tried; they export
-    ``blas_thread_shutdown_`` unprefixed.
-    """
-    def names(verb):
-        return [f"{prefix}openblas_{verb}_num_threads{suffix}"
-                for prefix in ("", "scipy_") for suffix in ("", "64_")]
-
-    return {
-        "get": tuple(_openblas_symbols(libraries, names("get"), [], ctypes.c_int)),
-        "set": tuple(_openblas_symbols(libraries, names("set"), [ctypes.c_int], None)),
-        "shutdown": tuple(_openblas_symbols(
-            libraries, ("blas_thread_shutdown_",), [], ctypes.c_int)),
-    }
+def _openblas(name: str) -> tuple:
+    """The ``_ENTRY_POINTS`` entry ``name``, typed, of each OpenBLAS mapped
+    into this process that exports one of its spellings, resolved once per
+    process; empty where none does."""
+    spellings, argtypes, restype = _ENTRY_POINTS[name]
+    found = []
+    for lib in _openblas_libraries():
+        fn = next((getattr(lib, s) for s in spellings if hasattr(lib, s)), None)
+        if fn is not None:
+            fn.argtypes, fn.restype = argtypes, restype
+            found.append(fn)
+    return tuple(found)
 
 
 def pin_blas_threads() -> None:
@@ -280,9 +265,9 @@ def pin_blas_threads() -> None:
     is inside BLAS, as in a pool's initializer; where the symbol is absent,
     the server threads are left to time out.
     """
-    for set_threads in _openblas_entries("set"):
+    for set_threads in _openblas("set_num_threads"):
         set_threads(1)
-    for shutdown in _openblas_entries("shutdown"):
+    for shutdown in _openblas("blas_thread_shutdown_"):
         shutdown()
 
 
@@ -290,37 +275,12 @@ def blas_threads() -> int:
     """Threads the OpenBLAS in this process runs, read on every call (the
     most any of them reports); 1 where none is found. A pool worker pinned
     by ``pin_blas_threads`` reads 1."""
-    return max((get_threads() for get_threads in _openblas_entries("get")), default=1)
-
-
-@functools.cache
-def _dpotrf():
-    """LAPACKE ``dpotrf`` of numpy's bundled OpenBLAS, or None where it is
-    absent. Only the ILP64 build's ``64_`` symbol is bound: its integers
-    are 64 bits, and the layout argument a C int."""
-    return next(_openblas_symbols(
-        _openblas_libraries(), ("scipy_LAPACKE_dpotrf64_", "LAPACKE_dpotrf64_"),
-        [ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64],
-        ctypes.c_int64), None)
+    return max((get_threads() for get_threads in _openblas("get_num_threads")), default=1)
 
 
 _LAPACK_COL_MAJOR = 102
-
-
-@functools.cache
-def _dsymv():
-    """CBLAS ``dsymv`` of numpy's bundled OpenBLAS, or None where it is
-    absent; like ``_dpotrf``, only the ILP64 ``64_`` symbol is bound."""
-    return next(_openblas_symbols(
-        _openblas_libraries(), ("scipy_cblas_dsymv64_", "cblas_dsymv64_"),
-        [ctypes.c_int, ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p,
-         ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double,
-         ctypes.c_void_p, ctypes.c_int64],
-        None), None)
-
-
 _CBLAS_ROW_MAJOR, _CBLAS_UPPER = 101, 121
-#: Smallest n at which ``lanczos`` multiplies through ``_dsymv``. Per
+#: Smallest n at which ``lanczos`` multiplies through ``dsymv``. Per
 #: product, ``a @ q`` (dgemv) against dsymv on two OpenBLAS threads: 1.5
 #: against 2.1 us at n = 120, where the ctypes call costs more than it
 #: saves; 9.2 against 5.7 us at n = 300; 117 against 44 us at n = 1000.
@@ -341,15 +301,15 @@ def _factorizes(a: np.ndarray) -> bool:
     the diagonal. Where the symbol is absent, ``numpy.linalg.cholesky``
     factorizes a copy instead.
     """
-    potrf = _dpotrf()
-    if potrf is None:
+    potrf = _openblas("dpotrf")
+    if not potrf:
         try:
             np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             return False
         return True
     n = a.shape[0]
-    return potrf(_LAPACK_COL_MAJOR, b"L", n, a.ctypes.data, n) == 0
+    return potrf[0](_LAPACK_COL_MAJOR, b"L", n, a.ctypes.data, n) == 0
 
 
 _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
@@ -421,7 +381,7 @@ def largest_eigenvalue(m: SymmetricMatrix, overwrite: bool = False) -> Tuple[flo
     a, n = m.array, m.n
     diag = np.diagonal(a).copy()
     start = diag - diag.mean()
-    if _dpotrf() is not None and np.any(start):
+    if _openblas("dpotrf") and np.any(start):
         theta, res = lanczos(m, start, _LANCZOS_STEPS, _LANCZOS_RTOL)
         theta, r = float(theta[-1]), float(res[-1])
         if r <= _LANCZOS_RTOL * abs(theta):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import eig
 from .eig import SymmetricMatrix
 from .errors import (DomainError, InvalidAdjacency, InvalidMeasurements, InvalidProbability,
-                     NonSignVector, OddDimension)
+                     MissingLabels, NonSignVector, OddDimension)
 
 _MASK64 = (1 << 64) - 1
 _STREAM_TWEAK = 0xD2B74407B1CE6E93
@@ -167,7 +168,7 @@ class GraphSample:
     ``labels`` (when present) a length-n +-1 vector, checked here; the
     samplers' samples are valid by construction and built by ``_owning``.
     The model parameters that drew a sample are not stored: callers pass
-    them.
+    them. ``degree_gap`` is computed on first read, and kept.
     """
 
     adjacency: np.ndarray
@@ -192,6 +193,19 @@ class GraphSample:
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
+
+    @cached_property
+    def degree_gap(self) -> np.ndarray:
+        """deg_in - deg_out = labels * (A labels), read-only float64: the dual
+        diagonal of (A, labels), the diagonal of Gamma and the statistic the
+        SBM flip oracle reads. The product runs in float64 BLAS and is exact,
+        its sums of 0/1 times +-1 terms far below 2^53."""
+        if self.labels is None:
+            raise MissingLabels("sample has no planted labels")
+        labels = np.asarray(self.labels, dtype=np.float64)
+        gap = labels * (self.adjacency @ labels)
+        gap.setflags(write=False)
+        return gap
 
 
 @dataclass(frozen=True)

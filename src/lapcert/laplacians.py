@@ -17,7 +17,7 @@ import numpy as np
 
 from .eig import SymmetricMatrix
 from .ensembles import GraphSample
-from .errors import DomainError, MissingLabels
+from .errors import DomainError
 
 
 def _into_laplacian(x: np.ndarray) -> SymmetricMatrix:
@@ -73,21 +73,11 @@ def centered_laplacian(g: GraphSample, p: float) -> SymmetricMatrix:
     return _into_laplacian(x)
 
 
-def degree_gap(g: GraphSample) -> np.ndarray:
-    """deg_in - deg_out = labels * (A labels) (int64) of a labeled sample:
-    the dual diagonal of (A, labels), the diagonal of Gamma and the
-    statistic the SBM flip oracle reads."""
-    if g.labels is None:
-        raise MissingLabels("sample has no planted labels")
-    labels = np.asarray(g.labels, dtype=np.int64)
-    return labels * (g.adjacency @ labels)
-
-
 def centered_gap_diagonal(g: GraphSample, p: float, q: float) -> np.ndarray:
     """The diagonal of E[Gamma] - Gamma for an SBM(n, p, q) sample:
     E[Gamma]_ii = (n/2 - 1) p - (n/2) q, the balanced mean, less
     deg_in - deg_out. Labels that do not sum to 0 raise DomainError."""
-    stat = degree_gap(g)
+    stat = g.degree_gap
     if np.sum(g.labels) != 0:
         raise DomainError("labels must be balanced: as many +1 as -1")
     n = g.n

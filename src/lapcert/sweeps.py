@@ -201,8 +201,8 @@ def _bm_recovers(cfg: SweepConfig, sid: int, y: SymmetricMatrix,
     # dual matrix is that very D - Y, whose lambda_1 is then the null
     # eigenvalue on x (z2gauss: |lambda_1| ~ 1e-13, far inside the band):
     # report.dual.feasible is implied, and never computed here. (Under
-    # --tau 0 a rounding-level lambda_2 reads "above"; this then checks the
-    # signs alone.)
+    # --tau 0 the band keeps its floor n eps (1 + max |lambda|), which a
+    # rounding-level lambda_2 does not clear.)
     for lane in (_BM_LANE, _BM_RESTART_LANE):
         _, report = bm_solve(y, derive_stream(cfg.master_seed, lane | sid), k=cfg.rank_k)
         x = report.rounded_x
@@ -485,8 +485,13 @@ def _validate(cfg: SweepConfig) -> None:
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate every (cell, trial) in order, reduce each cell as its
-    trials arrive, and optionally write CSV."""
+    trials arrive, and optionally write CSV. An output directory that is
+    missing or not writable raises IoError before the first trial."""
     _validate(cfg)
+    if cfg.out_path is not None:
+        out_dir = os.path.dirname(os.path.abspath(cfg.out_path))
+        if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK | os.X_OK)):
+            raise IoError(f"cannot write {cfg.out_path}: {out_dir} is not a writable directory")
     cells = _expand_cells(cfg)
     tasks = ((cfg, ci, cell, t) for ci, cell in enumerate(cells) for t in range(cfg.trials))
     count = len(cells) * cfg.trials

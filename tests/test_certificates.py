@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -528,13 +529,25 @@ class TestRankOneSide:
                 == certify_rank_one(b, g.labels, tau).side)
 
 
+def _assert_sound(side, exact):
+    """A float side may read "boundary" for anything, but never "above"
+    where the exact side is not, nor "below" where it is "above"."""
+    assert side != "above" or exact == "above"
+    assert side != "below" or exact != "above"
+
+
 class TestExactReferee:
     """Float sides against ``exact_side``, near each threshold at n <= 30.
 
-    Only "boundary" may disagree at the default tau: its float side does not
-    yet separate lambda_2 = 0 from a small negative one (see ROADMAP item
-    4), so those disagreements are counted, not asserted on.
+    Every side is sound, at the default tau and at tau = 0. Only "boundary"
+    may disagree: its float side does not yet separate lambda_2 = 0 from a
+    small negative one (see ROADMAP item 4), so those disagreements are
+    counted, not asserted on. An er instance (Y = A, x = 1) certifies the
+    graph Laplacian, exactly "above" when the graph is connected and
+    "boundary" otherwise; its float sides are asserted equal to those.
     """
+
+    MODELS = ("z2er-eps0", "z2er", "sbm", "er")
 
     @staticmethod
     def z2er_instance(rng, eps):
@@ -550,31 +563,44 @@ class TestExactReferee:
         g = sample_sbm(n, min(1.0, (1.0 + 9.0 * rng.uniform()) * logn / n), logn / n, rng)
         return signed_adjacency(g), g.labels
 
+    @staticmethod
+    def er_instance(rng):
+        n = int(rng.uniform() * 21) + 10
+        g = sample_er(n, min(1.0, (0.5 + rng.uniform()) * math.log(n) / n), rng)
+        return sym(g.adjacency), np.ones(n)
+
     @classmethod
+    @functools.cache
     def instances(cls, model):
-        rng = derive_stream(81, ("z2er-eps0", "z2er", "sbm").index(model))
+        """150 seeded (y, x, exact side) of the model, computed once."""
+        rng = derive_stream(81, cls.MODELS.index(model))
+        cases = []
         for _ in range(150):
             if model == "sbm":
-                yield cls.sbm_instance(rng)
+                y, x = cls.sbm_instance(rng)
+            elif model == "er":
+                y, x = cls.er_instance(rng)
             else:
-                yield cls.z2er_instance(rng, 0.0 if model == "z2er-eps0" else 0.2)
+                y, x = cls.z2er_instance(rng, 0.0 if model == "z2er-eps0" else 0.2)
+            cases.append((y, x, exact_side(y, x)))
+        return tuple(cases)
 
-    @pytest.mark.parametrize("model", ["z2er-eps0", "z2er", "sbm"])
+    @pytest.mark.parametrize("model", MODELS)
     def test_default_tau_sides_are_sound(self, model):
         exact_sides, boundary_misses = set(), 0
-        for y, x in self.instances(model):
-            exact = exact_side(y, x)
+        for y, x, exact in self.instances(model):
             exact_sides.add(exact)
             for side in (certificates.rank_one_side(y, x), certify_rank_one(y, x).side):
-                assert side != "above" or exact == "above"
-                assert side != "below" or exact != "above"
+                _assert_sound(side, exact)
+                assert side == exact or model != "er"
                 boundary_misses += side == "boundary" != exact
         print(f"{model}: {boundary_misses} float 'boundary' sides not exactly boundary")
-        assert {"above", "boundary" if model == "z2er-eps0" else "below"} <= exact_sides
+        assert {"above", "below" if model in ("z2er", "sbm") else "boundary"} <= exact_sides
 
-    @pytest.mark.parametrize("model", ["z2er-eps0", "z2er", "sbm"])
+    @pytest.mark.parametrize("model", MODELS)
     def test_tau_zero_accepts_are_exact(self, monkeypatch, model):
-        # the float spectrum is not sound at tau = 0; the proved accept is
+        # at tau = 0 the band is n eps (1 + max |lambda|): every side is
+        # sound, and every accept the kernel proves is exactly "above"
         verdicts = []
         proves = certificates.proves_max_below
 
@@ -584,13 +610,37 @@ class TestExactReferee:
 
         monkeypatch.setattr(certificates, "proves_max_below", spy)
         accepted = 0
-        for y, x in self.instances(model):
+        for y, x, exact in self.instances(model):
             verdicts.clear()
             side = certificates.rank_one_side(y, x, 0.0)
+            for s in (side, certify_rank_one(y, x, 0.0).side):
+                _assert_sound(s, exact)
+                assert s == exact or model != "er"
             if any(verdicts):
-                assert side == "above" and exact_side(y, x) == "above"
+                assert side == "above" and exact == "above"
                 accepted += 1
         assert accepted
+
+    @pytest.mark.parametrize("tau", [TAU_POS, 0.0], ids=["default-tau", "tau-zero"])
+    @pytest.mark.parametrize("y, x, exact", [
+        # two triangles: the Laplacian of a disconnected graph
+        (np.kron(np.eye(2), np.ones((3, 3)) - np.eye(3)), np.ones(6), "boundary"),
+        # K4 whose edges at node 0 all disagree with x: C_00 = -3 alone < 0
+        (np.array([[0, -1, -1, -1], [-1, 0, 1, 1], [-1, 1, 0, 1], [-1, 1, 1, 0]]),
+         np.ones(4), "below"),
+        (np.array([[0, 1], [1, 0]]), np.ones(2), "above"),
+        (np.zeros((2, 2)), np.ones(2), "boundary"),
+        (np.array([[0, 1], [1, 0]]), np.array([1, -1]), "below"),
+    ], ids=["disconnected", "one-blocked-node", "two-nodes-agree", "two-nodes-apart",
+            "two-nodes-disagree"])
+    def test_hand_built_sides(self, y, x, exact, tau):
+        y = sym(y)
+        assert exact_side(y, x) == exact
+        for side in (certificates.rank_one_side(y, x, tau), certify_rank_one(y, x, tau).side):
+            _assert_sound(side, exact)
+            # a failed certificate's one negative eigenvalue leaves lambda_2
+            # at the null eigenvalue 0 on x (ROADMAP item 4)
+            assert side == (exact if exact != "below" else "boundary")
 
 
 class TestCertifySbm:

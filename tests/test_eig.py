@@ -34,6 +34,13 @@ def random_sym(rng, n, scale=1.0):
     return SymmetricMatrix(b + b.T)
 
 
+def without_openblas(monkeypatch, name):
+    """Make the entry point ``name`` resolve to no OpenBLAS function; the
+    resolver's cache is left as it was."""
+    resolve = eig._openblas
+    monkeypatch.setattr(eig, "_openblas", lambda entry: () if entry == name else resolve(entry))
+
+
 class TestSymmetricMatrix:
     def test_mirror_reads_bit_identical(self):
         rng = np.random.default_rng(0)
@@ -114,25 +121,29 @@ class TestLanczos:
             lanczos(sym(PATH3), start, 3)
 
     @pytest.mark.parametrize("n", [200, 1000])
-    @pytest.mark.parametrize("rtol", [1e-13, 0.0])
-    def test_strided_test_gives_the_bits_of_a_test_every_step(self, monkeypatch, n, rtol):
+    @pytest.mark.parametrize("rtol", [1e-13, 1e-8])
+    def test_stops_at_the_first_check_step_that_passes(self, n, rtol):
         rng = np.random.default_rng(n)
         m = random_sym(rng, n)
         start = rng.standard_normal(n)
-        theta, res = lanczos(m, start, 120, rtol)
-        monkeypatch.setattr(eig, "_CHECK_EVERY", 1)
-        every_theta, every_res = lanczos(m, start, 120, rtol)
-        assert theta.tobytes() == every_theta.tobytes()
-        assert res.tobytes() == every_res.tobytes()
+        theta, res = lanczos(m, start, 300, rtol)
+        k = len(theta)
+        assert k < 300 and k % eig._CHECK_EVERY == 0
+        assert res[-1] <= rtol * abs(theta[-1])
+        # the values are those of step k, and the check step before it fails
+        at_k, res_at_k = lanczos(m, start, k)
+        assert theta.tobytes() == at_k.tobytes() and res.tobytes() == res_at_k.tobytes()
+        before, res_before = lanczos(m, start, k - eig._CHECK_EVERY)
+        assert res_before[-1] > rtol * abs(before[-1])
 
     def test_dsymv_products_agree_with_matmul(self, monkeypatch):
-        if eig._dsymv() is None:
+        if not eig._openblas("dsymv"):
             pytest.skip("this numpy's OpenBLAS does not export cblas_dsymv64_")
         rng = np.random.default_rng(6)
         m = random_sym(rng, 1000)
         start = rng.standard_normal(1000)
         theta, _ = lanczos(m, start, 300, rtol=1e-13)
-        monkeypatch.setattr(eig, "_dsymv", lambda: None)
+        without_openblas(monkeypatch, "dsymv")
         plain, _ = lanczos(m, start, 300, rtol=1e-13)
         assert theta[-1] == pytest.approx(plain[-1], rel=1e-13)
 
@@ -144,10 +155,13 @@ class TestLanczos:
         start = rng.standard_normal(600)
         theta, _ = lanczos(m, start, 300, rtol=1e-13)
 
-        def no_dsymv():
-            raise AssertionError("dsymv bound for an F-ordered matrix")
+        resolve = eig._openblas
 
-        monkeypatch.setattr(eig, "_dsymv", no_dsymv)
+        def no_dsymv(name):
+            assert name != "dsymv", "dsymv bound for an F-ordered matrix"
+            return resolve(name)
+
+        monkeypatch.setattr(eig, "_openblas", no_dsymv)
         f_theta, _ = lanczos(f, start, 300, rtol=1e-13)
         assert f_theta[-1] == pytest.approx(theta[-1], rel=1e-13)
 
@@ -352,7 +366,7 @@ class TestIsPositiveDefinite:
         assert not is_positive_definite(sym(a))
 
     def test_factorizes_a_copy_with_dpotrf(self, monkeypatch):
-        if eig._dpotrf() is None:
+        if not eig._openblas("dpotrf"):
             pytest.skip("numpy's OpenBLAS exports no LAPACKE dpotrf here")
 
         def no_cholesky(a):
@@ -384,7 +398,7 @@ class TestIsPositiveDefinite:
 
     def test_agrees_with_smallest_eigenvalue_sign_without_dpotrf(self, monkeypatch):
         # numpy.linalg.cholesky answers where the LAPACKE symbol is absent
-        monkeypatch.setattr(eig, "_dpotrf", lambda: None)
+        without_openblas(monkeypatch, "dpotrf")
         self.test_agrees_with_smallest_eigenvalue_sign()
 
 
@@ -395,7 +409,7 @@ class TestProvesMaxBelow:
         # a factorization without the backward-error slack runs through about
         # half of these, whose lambda_min is 0 exactly
         if potrf == "absent":
-            monkeypatch.setattr(eig, "_dpotrf", lambda: None)
+            without_openblas(monkeypatch, "dpotrf")
         rng = np.random.default_rng(n)
         for _ in range(40):
             minus_l = sym(-dense_graph_laplacian(n, rng))
@@ -448,19 +462,22 @@ class TestBlasThreads:
             assert pool.apply(eig.blas_threads) == 1
 
     def test_one_where_no_openblas_is_found(self, monkeypatch):
-        monkeypatch.setattr(eig, "_openblas_libraries", lambda: ())
+        monkeypatch.setattr(eig, "_openblas", lambda name: ())
         assert eig.blas_threads() == 1
+        eig.pin_blas_threads()  # finds nothing to pin
 
     def test_second_call_resolves_no_symbol(self, monkeypatch):
         threads = eig.blas_threads()
-        getters, setters = eig._openblas_entries("get"), eig._openblas_entries("set")
+        for name in eig._ENTRY_POINTS:
+            eig._openblas(name)
+        getters, setters = eig._openblas("get_num_threads"), eig._openblas("set_num_threads")
         if not getters or len(getters) != len(setters):
             pytest.skip("no matching OpenBLAS get/set_num_threads symbols in this process")
 
-        def lookup(*args):
+        def load():
             raise AssertionError("OpenBLAS symbols resolved again")
 
-        monkeypatch.setattr(eig, "_openblas_symbols", lookup)
+        monkeypatch.setattr(eig, "_openblas_libraries", load)
         assert eig.blas_threads() == threads
         # the entry points are cached, the count they return is not
         before = [get() for get in getters]
@@ -475,7 +492,7 @@ class TestBlasThreads:
     def test_pinning_is_undone_by_restoring_the_count(self):
         # Pinning stops this process's OpenBLAS server threads; setting the
         # old count again starts them, and the threaded bits come back.
-        getters, setters = eig._openblas_entries("get"), eig._openblas_entries("set")
+        getters, setters = eig._openblas("get_num_threads"), eig._openblas("set_num_threads")
         if not getters or len(getters) != len(setters):
             pytest.skip("no matching OpenBLAS get/set_num_threads symbols in this process")
         a = np.add.outer(np.arange(600.0), np.arange(600.0)) % 7.0

@@ -1,4 +1,6 @@
 import hashlib
+from dataclasses import FrozenInstanceError
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -358,6 +360,33 @@ class TestDegreeSplit:
         assert flip_oracle_sbm(g) == stat.min()
         dev = centered_partition_gap(g, p, q)
         assert np.array_equal(np.diag(dev), (n / 2 - 1) * p - (n / 2) * q - stat)
+
+    def test_degree_gap_is_labels_times_a_labels(self):
+        g = sample_sbm(60, 0.4, 0.2, derive_stream(10, 0))
+        labels = g.labels.astype(np.int64)
+        gap = g.degree_gap
+        assert gap.dtype == np.float64 and not gap.flags.writeable
+        assert np.array_equal(gap, labels * (g.adjacency.astype(np.int64) @ labels))
+        assert g.degree_gap is gap
+        with pytest.raises(FrozenInstanceError):
+            g.degree_gap = gap
+        with pytest.raises(MissingLabels):
+            GraphSample(g.adjacency).degree_gap
+
+    @pytest.mark.parametrize("alpha", [2.0, 10.0])
+    def test_one_degree_gap_per_sbm_trial(self, monkeypatch, alpha):
+        # the sufficient condition's pre-check, its matrix and the flip
+        # oracle all read the sample's one degree gap
+        evaluations = []
+        compute = GraphSample.degree_gap.func
+        counted = cached_property(lambda g: evaluations.append(1) or compute(g))
+        counted.__set_name__(GraphSample, "degree_gap")
+        monkeypatch.setattr(GraphSample, "degree_gap", counted)
+        cfg = SweepConfig(experiment="sbm", n=[300], grids={"alpha": [alpha], "beta": [2.0]},
+                          trials=5, master_seed=42)
+        cell = sweeps.run_sweep(cfg).cells[0]
+        assert len(evaluations) == 5
+        assert cell["freq_sufficient"] > 0.0 or alpha == 2.0
 
 
 def _sha256(a) -> str:

@@ -17,8 +17,8 @@ def _from_package(node) -> bool:
 
 def test_no_module_imports_a_private_name_from_another():
     # a helper another module needs is public in its home module: neither
-    # imported by name (from .eig import _dpotrf) nor read as an attribute
-    # of what was imported from there (eig._dpotrf); a class's own _owning
+    # imported by name (from .eig import _openblas) nor read as an attribute
+    # of what was imported from there (eig._openblas); a class's own _owning
     # constructor is the one private name read across modules
     found = []
     for path in sorted(SRC.glob("*.py")):

@@ -436,7 +436,7 @@ class TestRunSweep:
         assert cells[0]["mean_ratio"] == cells[1]["mean_ratio"]
 
     def test_pool_workers_run_one_blas_thread(self, monkeypatch):
-        getters = list(eig._openblas_entries("get"))
+        getters = eig._openblas("get_num_threads")
         if not getters:
             pytest.skip("no OpenBLAS get_num_threads symbol in this process")
         before = [get() for get in getters]
@@ -445,7 +445,7 @@ class TestRunSweep:
         # a trial counts as "connected" when its worker has one BLAS thread.
         # At p = 1 no node is isolated, so every trial calls the oracle.
         def one_thread(g):
-            return all(get() == 1 for get in eig._openblas_entries("get"))
+            return all(get() == 1 for get in eig._openblas("get_num_threads"))
 
         monkeypatch.setattr(sweeps, "connectivity_unionfind", one_thread)
         cfg = SweepConfig(experiment="er", n=[8], grids={"p": [1.0]}, trials=8,
@@ -456,7 +456,7 @@ class TestRunSweep:
     def test_pool_workers_run_on_their_main_thread_alone(self, monkeypatch):
         if not os.path.isdir("/proc/self/task"):
             pytest.skip("no /proc/self/task in this process")
-        if not eig._openblas_entries("shutdown"):
+        if not eig._openblas("blas_thread_shutdown_"):
             pytest.skip("no OpenBLAS blas_thread_shutdown_ symbol in this process")
         a = np.add.outer(np.arange(200.0), np.arange(200.0))
 
@@ -787,6 +787,21 @@ def _fail_to_factorize(layout, uplo, n, data, lda):
     return 1
 
 
+def _replace_dpotrf(monkeypatch, potrf) -> list:
+    """Make eig resolve ``potrf`` (None: nothing) as OpenBLAS's dpotrf, and
+    return the list that each such lookup appends to."""
+    calls, resolve = [], eig._openblas
+
+    def lookup(name):
+        if name != "dpotrf":
+            return resolve(name)
+        calls.append(1)
+        return () if potrf is None else (potrf,)
+
+    monkeypatch.setattr(eig, "_openblas", lookup)
+    return calls
+
+
 _RATIO_RUNS = [
     ["ratio", "--ensemble", "wigner-neg-laplacian", "--n", "10,20,120", "--trials", "5"],
     ["ratio", "--ensemble", "centered-er", "--n", "20,120", "--rho", "2", "--trials", "5"],
@@ -804,20 +819,14 @@ class TestRatioProof:
     def test_csv_unchanged_without_the_proof(self, tmp_path, monkeypatch, potrf, argv):
         monkeypatch.chdir(tmp_path)
         assert cli_main([*argv, "--seed", "7", "--out", "proved.csv"]) == 0
-        calls = []
-
-        def lookup():
-            calls.append(1)
-            return potrf
-
-        monkeypatch.setattr(eig, "_dpotrf", lookup)
+        calls = _replace_dpotrf(monkeypatch, potrf)
         assert cli_main([*argv, "--seed", "7", "--out", "fallback.csv"]) == 0
         assert calls
         assert Path("proved.csv").read_bytes() == Path("fallback.csv").read_bytes()
 
     @pytest.mark.parametrize("potrf", [None, _fail_to_factorize], ids=["absent", "fails"])
     def test_fallback_is_eigvalsh_bits(self, monkeypatch, potrf):
-        monkeypatch.setattr(eig, "_dpotrf", lambda: potrf)
+        _replace_dpotrf(monkeypatch, potrf)
         cfg = SweepConfig(experiment="ratio", n=[150], grids={}, trials=1, master_seed=3,
                           ensemble="wigner-neg-laplacian")
         seen = []
@@ -863,13 +872,7 @@ class TestPositiveDefiniteFallback:
     def test_csv_unchanged(self, tmp_path, monkeypatch, argv, potrf):
         monkeypatch.chdir(tmp_path)
         assert cli_main([*argv, "--seed", "7", "--out", "dpotrf.csv"]) == 0
-        calls = []
-
-        def lookup():
-            calls.append(1)
-            return potrf
-
-        monkeypatch.setattr(eig, "_dpotrf", lookup)
+        calls = _replace_dpotrf(monkeypatch, potrf)
         assert cli_main([*argv, "--seed", "7", "--out", "fallback.csv"]) == 0
         assert calls
         assert Path("dpotrf.csv").read_bytes() == Path("fallback.csv").read_bytes()
@@ -994,6 +997,18 @@ class TestCli:
 
     def test_eig_missing_file_exits_two(self, capsys):
         assert cli_main(["eig", "/nonexistent/matrix.txt"]) == 2
+
+    def test_out_into_a_missing_directory_exits_two_before_any_trial(
+            self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(sweeps, "_eval_trial", lambda args: calls.append(args))
+        out = tmp_path / "missing" / "x.csv"
+        assert cli_main(["sweep", "--experiment", "er", "--n", "2000", "--rho", "1",
+                         "--trials", "60", "--out", str(out)]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
     def test_bad_matrix_file_exits_one(self, tmp_path):
         f = tmp_path / "m.txt"
