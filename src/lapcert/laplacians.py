@@ -2,7 +2,8 @@
 
 A Laplacian here is any symmetric matrix with vanishing row sums (not
 necessarily positive semidefinite): L_X = D_X - X where (D_X)_ii is the
-off-diagonal row sum of X.
+off-diagonal row sum of X. Every Laplacian built here comes from one
+in-place core, which each builder hands -X in a fresh array.
 
 The certificate matrices themselves are not built here: every
 certificate is ``certificates.certify_rank_one``'s D - Y for the model's
@@ -20,13 +21,16 @@ from .ensembles import GraphSample
 from .errors import DomainError
 
 
-def _into_laplacian(x: np.ndarray) -> SymmetricMatrix:
-    """Overwrite a fresh C-ordered symmetric x with L_X and hand it over."""
-    np.fill_diagonal(x, 0.0)
-    deg = x.sum(axis=1)
-    np.negative(x, out=x)
-    np.fill_diagonal(x, deg)
-    return SymmetricMatrix._owning(x)
+def _laplacian_in(a: np.ndarray) -> SymmetricMatrix:
+    """L_X built in a, a fresh C-ordered symmetric array that holds -X off
+    the diagonal, and handed over: -X is kept there, and the diagonal
+    becomes 0.0 minus the off-diagonal row sum of -X. Negation commutes
+    exactly with the row sum, so that is X's row sum bit for bit, and
+    ``0.0 -`` keeps +0.0 where it is zero."""
+    np.fill_diagonal(a, 0.0)
+    deg = a.sum(axis=1)
+    np.fill_diagonal(a, np.subtract(0.0, deg, out=deg))
+    return SymmetricMatrix._owning(a)
 
 
 def laplacian_of(x: SymmetricMatrix) -> SymmetricMatrix:
@@ -35,14 +39,12 @@ def laplacian_of(x: SymmetricMatrix) -> SymmetricMatrix:
     The diagonal of x never enters, so L is bit-identical for x and
     x + diag(d); row sums vanish up to accumulated rounding.
     """
-    return _into_laplacian(x.array.copy())
+    return _laplacian_in(np.negative(x.array, order="C"))
 
 
 def negated_laplacian(w: SymmetricMatrix, overwrite: bool = False) -> SymmetricMatrix:
     """L_{-W} = -L_W = laplacian_of(-W), bit for bit: w off the diagonal,
-    and on it 0.0 minus w's off-diagonal row sum. Negation commutes
-    exactly with the row sum; ``0.0 -`` keeps the +0.0 that laplacian_of
-    gives a row summing to zero, where plain negation would give -0.0.
+    and on it 0.0 minus w's off-diagonal row sum.
 
     With ``overwrite`` the caller hands w over and L is built in its buffer.
     """
@@ -51,26 +53,23 @@ def negated_laplacian(w: SymmetricMatrix, overwrite: bool = False) -> SymmetricM
         a.setflags(write=True)
     else:
         a = a.copy()
-    np.fill_diagonal(a, 0.0)
-    deg = a.sum(axis=1)
-    np.fill_diagonal(a, np.subtract(0.0, deg, out=deg))
-    return SymmetricMatrix._owning(a)
+    return _laplacian_in(a)
 
 
 def graph_laplacian(g: GraphSample) -> SymmetricMatrix:
     """Standard graph Laplacian D - A; positive semidefinite, L1 = 0."""
-    return _into_laplacian(g.adjacency.astype(np.float64))
+    return _laplacian_in(np.negative(g.adjacency, dtype=np.float64, order="C"))
 
 
 def centered_laplacian(g: GraphSample, p: float) -> SymmetricMatrix:
     """Deviation E[L_G] - L_G of an ER(n, p) graph Laplacian from its mean.
 
-    Row sums vanish; the diagonal entries are (n-1)p - deg(i).
+    Row sums vanish; the diagonal entries are (n-1)p - deg(i). The core
+    gets -(p - A), not A - p: the two differ in the sign of every zero,
+    p - A at a non-edge of p = 0 or an edge of p = 1.
     """
-    x = np.full((g.n, g.n), float(p))
-    np.fill_diagonal(x, 0.0)
-    x -= g.adjacency
-    return _into_laplacian(x)
+    a = np.subtract(p, g.adjacency, dtype=np.float64, order="C")
+    return _laplacian_in(np.negative(a, out=a))
 
 
 def centered_gap_diagonal(g: GraphSample, p: float, q: float) -> np.ndarray:

@@ -141,11 +141,15 @@ def _expand_cells(cfg: SweepConfig) -> list:
 def _resolve_cell(cfg: SweepConfig, cell: dict) -> dict:
     """Complete and check a cell's parameters in place, before any trial.
     Every experiment needs n >= 2: its scales are set by log n, and a
-    1 x 1 Laplacian is zero."""
+    1 x 1 Laplacian is zero. A predicted_margin column is filled from the
+    resolved cell by threshold_margin, which reads only its model's keys."""
     n = cell["n"]
     if n < 2:
         raise ConfigError(f"{cfg.experiment} experiment needs n >= 2, got n={n}")
-    _EXPERIMENTS[cfg.experiment].resolve(cfg, cell, math.log(n))
+    exp = _EXPERIMENTS[cfg.experiment]
+    exp.resolve(cfg, cell, math.log(n))
+    if "predicted_margin" in exp.columns:
+        cell["predicted_margin"] = threshold_margin(cfg.experiment, cell)
     return cell
 
 
@@ -156,11 +160,11 @@ def _resolve_p(cell: dict, logn: float) -> None:
     _check_resolved_probs(cell, ("p",))
 
 
-def _resolve_pq(cell: dict, logn: float, what: str) -> None:
+def _resolve_pq(cfg: SweepConfig, cell: dict, logn: float) -> None:
     """Set (p, q) = (alpha, beta) log(n) / n, or (alpha, beta) from (p, q)."""
     n = cell["n"]
     if n % 2:
-        raise ConfigError(f"{what} needs an even n, got n={n}")
+        raise ConfigError(f"{cfg.ensemble or cfg.experiment} needs an even n, got n={n}")
     if "alpha" in cell:
         cell["p"], cell["q"] = cell["alpha"] * logn / n, cell["beta"] * logn / n
     else:
@@ -242,12 +246,11 @@ def _resolve_er(cfg: SweepConfig, cell: dict, logn: float) -> None:
     _resolve_p(cell, logn)
     if "rho" not in cell:
         cell["rho"] = cell["p"] * cell["n"] / logn
-    cell["predicted_margin"] = threshold_margin(cfg.experiment, {"rho": cell["rho"]})
 
 
 def _eval_er(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
     g = sample_er(cell["n"], cell["p"], rng)
-    # n >= 2 (_resolve_er), so an isolated node answers "disconnected"
+    # n >= 2 (_resolve_cell), so an isolated node answers "disconnected"
     isolated = not g.adjacency.any(axis=1).all()
     return {"connected": not isolated and connectivity_unionfind(g), "isolated": isolated}
 
@@ -258,15 +261,12 @@ def _aggregate_er(cfg: SweepConfig, cell: dict, records: list) -> dict:
 
 
 def _resolve_z2gauss(cfg: SweepConfig, cell: dict, logn: float) -> None:
-    n = cell["n"]
-    star = sigma_star(n)
+    star = sigma_star(cell["n"])
     if "sigma" in cell:
         cell["sigma"] = float(cell["sigma"])
     else:
         cell["sigma"] = float(cell["sigma_factor"]) * star
     cell["sigma_star"] = star
-    cell["predicted_margin"] = threshold_margin(cfg.experiment,
-                                                {"n": n, "sigma": cell["sigma"]})
 
 
 def _eval_z2gauss(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
@@ -279,8 +279,6 @@ def _resolve_z2er(cfg: SweepConfig, cell: dict, logn: float) -> None:
     _resolve_p(cell, logn)
     if not 0.0 <= cell["eps"] < 0.5:
         raise ConfigError(f"eps={cell['eps']:.6g} outside [0, 1/2)")
-    cell["predicted_margin"] = threshold_margin(
-        cfg.experiment, {"n": cell["n"], "p": cell["p"], "eps": cell["eps"]})
 
 
 def _eval_z2er(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
@@ -288,12 +286,6 @@ def _eval_z2er(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
     inst = sample_z2sync_er(n, cell["p"], cell["eps"], np.ones(n), rng)
     rec = _certified(cfg, sid, rank_one_side(inst.y, inst.z, _tau(cfg)), inst.y, inst.z)
     return {**rec, "block": flip_oracle_z2(inst) < 0}
-
-
-def _resolve_sbm(cfg: SweepConfig, cell: dict, logn: float) -> None:
-    _resolve_pq(cell, logn, "sbm")
-    cell["predicted_margin"] = threshold_margin(
-        cfg.experiment, {"alpha": cell["alpha"], "beta": cell["beta"]})
 
 
 def _eval_sbm(cfg: SweepConfig, cell: dict, rng, sid: int) -> dict:
@@ -320,7 +312,7 @@ def _resolve_ratio(cfg: SweepConfig, cell: dict, logn: float) -> None:
     if cfg.ensemble == "centered-er":
         _resolve_p(cell, logn)
     elif cfg.ensemble == "centered-sbm":
-        _resolve_pq(cell, logn, "centered-sbm")
+        _resolve_pq(cfg, cell, logn)
     cell["ensemble"] = cfg.ensemble
 
 
@@ -398,7 +390,7 @@ _EXPERIMENTS = {
         ("n", "alpha", "beta", "p", "q", "trials", "predicted_margin", "freq_certified",
          "freq_boundary", "freq_oracle_block", "freq_sufficient", "sufficiency_violations",
          "bm_disagreements"),
-        _resolve_sbm, _eval_sbm, _aggregate_sbm),
+        _resolve_pq, _eval_sbm, _aggregate_sbm),
     "ratio": _Experiment(
         None, (),
         ("n", "ensemble", "trials", "n_degenerate", "mean_ratio", "median_ratio",
@@ -486,12 +478,16 @@ def _validate(cfg: SweepConfig) -> None:
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate every (cell, trial) in order, reduce each cell as its
     trials arrive, and optionally write CSV. An output directory that is
-    missing or not writable raises IoError before the first trial."""
+    missing or not writable, or a CSV or meta path that names a directory,
+    raises IoError before the first trial."""
     _validate(cfg)
     if cfg.out_path is not None:
         out_dir = os.path.dirname(os.path.abspath(cfg.out_path))
         if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK | os.X_OK)):
             raise IoError(f"cannot write {cfg.out_path}: {out_dir} is not a writable directory")
+        for target in (cfg.out_path, _meta_path(cfg.out_path)):
+            if os.path.isdir(target):
+                raise IoError(f"cannot write {target}: it is a directory")
     cells = _expand_cells(cfg)
     tasks = ((cfg, ci, cell, t) for ci, cell in enumerate(cells) for t in range(cfg.trials))
     count = len(cells) * cfg.trials
@@ -530,6 +526,13 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _meta_path(path) -> str:
+    """The meta JSON beside a CSV path: x.csv -> x.meta.json, else
+    path + .meta.json."""
+    path = str(path)
+    return (path[: -len(".csv")] if path.endswith(".csv") else path) + ".meta.json"
+
+
 def write_csv(result: SweepResult, path) -> None:
     """UTF-8 CSV (one row per cell, 9 significant digits) plus meta JSON.
 
@@ -542,7 +545,6 @@ def write_csv(result: SweepResult, path) -> None:
         lines.append(",".join(_format_value(row.get(col)) for col in cols))
     text = "\n".join(lines) + "\n"
     path = str(path)
-    meta_path = path[: -len(".csv")] + ".meta.json" if path.endswith(".csv") else path + ".meta.json"
     cfg = result.config
     meta = {
         "experiment": cfg.experiment,
@@ -559,7 +561,7 @@ def write_csv(result: SweepResult, path) -> None:
     }
     try:
         _write_atomic(path, text)
-        _write_atomic(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        _write_atomic(_meta_path(path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -537,7 +537,8 @@ def _assert_sound(side, exact):
 
 
 class TestExactReferee:
-    """Float sides against ``exact_side``, near each threshold at n <= 30.
+    """Float sides against ``exact_side``, near each threshold at n <= 30
+    (n <= 40 in the slow slice).
 
     Every side is sound, at the default tau and at tau = 0. Only "boundary"
     may disagree: its float side does not yet separate lambda_2 = 0 from a
@@ -550,38 +551,42 @@ class TestExactReferee:
     MODELS = ("z2er-eps0", "z2er", "sbm", "er")
 
     @staticmethod
-    def z2er_instance(rng, eps):
-        n = int(rng.uniform() * 21) + 10
+    def z2er_instance(rng, eps, n_max):
+        n = int(rng.uniform() * (n_max - 9)) + 10
         p = (0.5 + 2.0 * rng.uniform()) * math.log(n) / n / (1.0 - 2.0 * eps) ** 2
         inst = sample_z2sync_er(n, min(p, 1.0), eps, random_signs(rng, n), rng)
         return inst.y, inst.z
 
     @staticmethod
-    def sbm_instance(rng):
-        n = 2 * (int(rng.uniform() * 11) + 5)
+    def sbm_instance(rng, n_max):
+        n = 2 * (int(rng.uniform() * (n_max // 2 - 4)) + 5)
         logn = math.log(n)
         g = sample_sbm(n, min(1.0, (1.0 + 9.0 * rng.uniform()) * logn / n), logn / n, rng)
         return signed_adjacency(g), g.labels
 
     @staticmethod
-    def er_instance(rng):
-        n = int(rng.uniform() * 21) + 10
+    def er_instance(rng, n_max):
+        n = int(rng.uniform() * (n_max - 9)) + 10
         g = sample_er(n, min(1.0, (0.5 + rng.uniform()) * math.log(n) / n), rng)
         return sym(g.adjacency), np.ones(n)
 
     @classmethod
+    def instance(cls, model, rng, n_max):
+        """One seeded (y, x) of the model near its threshold, 10 <= n <= n_max."""
+        if model == "sbm":
+            return cls.sbm_instance(rng, n_max)
+        if model == "er":
+            return cls.er_instance(rng, n_max)
+        return cls.z2er_instance(rng, 0.0 if model == "z2er-eps0" else 0.2, n_max)
+
+    @classmethod
     @functools.cache
     def instances(cls, model):
-        """150 seeded (y, x, exact side) of the model, computed once."""
+        """150 seeded (y, x, exact side) of the model at n <= 30, computed once."""
         rng = derive_stream(81, cls.MODELS.index(model))
         cases = []
         for _ in range(150):
-            if model == "sbm":
-                y, x = cls.sbm_instance(rng)
-            elif model == "er":
-                y, x = cls.er_instance(rng)
-            else:
-                y, x = cls.z2er_instance(rng, 0.0 if model == "z2er-eps0" else 0.2)
+            y, x = cls.instance(model, rng, 30)
             cases.append((y, x, exact_side(y, x)))
         return tuple(cases)
 
@@ -620,6 +625,27 @@ class TestExactReferee:
                 assert side == "above" and exact == "above"
                 accepted += 1
         assert accepted
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("model", MODELS)
+    def test_sides_are_sound_on_a_thousand_instances(self, model):
+        # the full referee slice: 1,000 other seeded instances at n <= 40,
+        # every side of both float paths at the default tau and at tau = 0
+        rng = derive_stream(82, self.MODELS.index(model))
+        exact_sides, boundary_misses = set(), {TAU_POS: 0, 0.0: 0}
+        for _ in range(1000):
+            y, x = self.instance(model, rng, 40)
+            exact = exact_side(y, x)
+            exact_sides.add(exact)
+            for tau in boundary_misses:
+                for side in (certificates.rank_one_side(y, x, tau),
+                             certify_rank_one(y, x, tau).side):
+                    _assert_sound(side, exact)
+                    assert side == exact or model != "er"
+                    boundary_misses[tau] += side == "boundary" != exact
+        print(f"{model}: float 'boundary' sides not exactly boundary, "
+              f"{boundary_misses[TAU_POS]} at the default tau, {boundary_misses[0.0]} at tau = 0")
+        assert {"above", "below" if model in ("z2er", "sbm") else "boundary"} <= exact_sides
 
     @pytest.mark.parametrize("tau", [TAU_POS, 0.0], ids=["default-tau", "tau-zero"])
     @pytest.mark.parametrize("y, x, exact", [

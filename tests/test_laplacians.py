@@ -84,6 +84,25 @@ class TestLaplacianOf:
             assert np.max(np.abs(l.array @ np.ones(n))) <= tol
 
 
+class TestMemoryOrder:
+    """A builder sums rows of a C-ordered array, whatever the layout of its
+    input: numpy sums a Fortran-ordered row in another order, with other
+    bits."""
+
+    def test_laplacian_of(self):
+        w = sample_wigner(64, derive_stream(5, 9))
+        fortran = sym(np.asfortranarray(w.array))
+        assert fortran.array.flags.f_contiguous
+        assert laplacian_of(fortran).array.tobytes() == laplacian_of(w).array.tobytes()
+
+    def test_centered_laplacian(self):
+        g = sample_er(64, 0.3, derive_stream(4, 9))
+        fortran = GraphSample(np.asfortranarray(g.adjacency))
+        assert fortran.adjacency.flags.f_contiguous
+        assert centered_laplacian(fortran, 0.3).array.tobytes() == \
+            centered_laplacian(g, 0.3).array.tobytes()
+
+
 class TestNegatedLaplacian:
     """negated_laplacian(w) is laplacian_of(-w) bit for bit, signed zeros
     included, built in a copy or, handed over, in w's own buffer."""
@@ -431,6 +450,12 @@ class TestBuilderDigests:
          "5f950a5de4dbcc063a22ed7c069ec02e697018e358eb639adb53d5fd38453bc1"),
         (64, 0.1, 5, "8fd31f186311b68e6573fa3725a20afb04b8594eca7bb56c94841127df3fd9f5",
          "28b0e4f3622182ff8fc65966a87a9b54fce13c44247f563d7427b167b853b00d"),
+        # p = 0 and p = 1: every off-diagonal p - A is exactly 0, whose sign
+        # A - p would flip
+        (12, 0.0, 6, "0b9ac6d45f2e044c5f6e0c8ca21702af204d9eea9d5352f9f3d38935ad4ebdfa",
+         "0b9ac6d45f2e044c5f6e0c8ca21702af204d9eea9d5352f9f3d38935ad4ebdfa"),
+        (12, 1.0, 7, "cd9e1c54f4d0fa72ef3a81003ba165d6b88c2d8b8a874f51fcf48545decf63e8",
+         "0b9ac6d45f2e044c5f6e0c8ca21702af204d9eea9d5352f9f3d38935ad4ebdfa"),
     ])
     def test_graph_and_centered_laplacian(self, n, p, seed, graph, centered):
         g = sample_er(n, p, derive_stream(seed, 9))

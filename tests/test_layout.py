@@ -165,3 +165,18 @@ def test_one_proof_kernel_factorizes():
     assert list(_callers("_factorizes")) == [("eig", "proves_max_below")]
     assert sorted(set(_callers("_cholesky_slack"))) == [
         ("eig", "largest_eigenvalue"), ("eig", "proves_max_below")]
+
+
+def test_one_laplacian_core():
+    # every Laplacian the package builds is built in place by one core,
+    # which each builder hands -X in a fresh array
+    assert sorted(_callers("_laplacian_in")) == [
+        ("laplacians", "centered_laplacian"), ("laplacians", "graph_laplacian"),
+        ("laplacians", "laplacian_of"), ("laplacians", "negated_laplacian")]
+
+
+def test_one_margin_call_per_cell():
+    # every predicted_margin column is filled by _resolve_cell from the
+    # resolved cell, not by an experiment's own resolve step
+    assert [c for c in _callers("threshold_margin") if c[0] == "sweeps"] == [
+        ("sweeps", "_resolve_cell")]

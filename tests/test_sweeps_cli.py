@@ -1010,6 +1010,22 @@ class TestCli:
         assert err.startswith("io error: ") and err.count("\n") == 1
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("out, directory", [
+        ("x", "x"), ("x.csv", "x.meta.json"), ("x.dat", "x.dat.meta.json")])
+    def test_out_naming_a_directory_exits_two_before_any_trial(
+            self, tmp_path, monkeypatch, capsys, out, directory):
+        # --out itself, or the meta JSON written beside it, is a directory
+        calls = []
+        monkeypatch.setattr(sweeps, "_eval_trial", lambda args: calls.append(args))
+        (tmp_path / directory).mkdir()
+        assert cli_main(["sweep", "--experiment", "er", "--n", "20", "--rho", "1",
+                         "--trials", "3", "--out", str(tmp_path / out)]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err == f"io error: cannot write {tmp_path / directory}: it is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == [directory]
+        assert list((tmp_path / directory).iterdir()) == []
+
     def test_bad_matrix_file_exits_one(self, tmp_path):
         f = tmp_path / "m.txt"
         f.write_text("3\n1 2\n")
@@ -1176,6 +1192,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "needs n >= 2" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_sigma_factor_is_named_exits_one(self, monkeypatch, capsys, value):
+        def no_trials(args):
+            raise AssertionError("a trial ran before the cell was checked")
+
+        monkeypatch.setattr(sweeps, "_eval_trial", no_trials)
+        assert cli_main(["sweep", "--experiment", "z2gauss", "--n", "20",
+                         "--sigma-factor", value, "--trials", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == f"error: sigma_factor must be finite, got {value}"
 
     @pytest.mark.parametrize("argv, message", [
         (["--experiment", "sbm", "--n", "40", "--alpha", "10", "--beta", "1",
