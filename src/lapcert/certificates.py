@@ -112,9 +112,10 @@ def _certificate(y: SymmetricMatrix, x):
     """(x, D, D - Y): the one builder of the discrete certificate matrix."""
     d = dual_diagonal(y, x)  # checks x, once
     x = np.asarray(x, dtype=np.float64)
-    # diag(d) - Y, not -Y + diag(d): -Y would put -0.0 where Y is zero.
-    cert = np.diag(d)
-    cert -= y.array
+    # diag(d) - Y entry by entry: 0.0 - Y off the diagonal, not -Y, which
+    # would put -0.0 where Y is zero, and d - Y_ii on it.
+    cert = np.subtract(0.0, y.array, order="C")
+    np.fill_diagonal(cert, d - y.array.diagonal())
     return x, d, cert
 
 

@@ -113,6 +113,13 @@ def _parse_grid(text, name: str = "grid") -> list:
     return [_number(text, name)]
 
 
+def _check_seed(seed: int) -> None:
+    """Streams are keyed by the seed modulo 2^64: refuse one outside [0, 2^64)
+    rather than answer for another seed."""
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lapcert", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -254,6 +261,7 @@ def _check_flags(args: argparse.Namespace, table: dict, queries: list) -> None:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     rng = derive_stream(args.seed, 0)
     n = args.n
     if n < 1:
@@ -322,6 +330,7 @@ def _cmd_tail(args: argparse.Namespace) -> int:
     if not queries:
         raise ConfigError("tail needs --model and/or --m")
     _check_flags(args, _TAIL_FLAGS, queries)
+    _check_seed(args.seed)
     lines = []  # printed only once every value is computed
     if args.m is not None:
         if args.m > MAX_TAIL_M:

@@ -97,6 +97,7 @@ def centered_partition_gap(g: GraphSample, p: float, q: float) -> np.ndarray:
 
 def signed_adjacency(g: GraphSample) -> SymmetricMatrix:
     """B = 2A - (11^T - I): +1 for edges, -1 for non-edges, zero diagonal."""
-    b = 2.0 * g.adjacency - 1.0
+    b = np.multiply(g.adjacency, 2.0, dtype=np.float64)
+    b -= 1.0
     np.fill_diagonal(b, 0.0)
     return SymmetricMatrix._owning(b)

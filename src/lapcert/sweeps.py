@@ -9,6 +9,16 @@ is reduced from its next ``trials`` records as they arrive.
 Each experiment is one entry of ``_EXPERIMENTS``: the grid axes it needs
 and takes, its CSV columns, and its three steps, which resolve a cell's
 parameters, evaluate one trial and aggregate a cell's trials.
+
+Before its first trial, and before a pool forks, ``run_sweep`` frees one
+untouched 4 MiB block, which raises glibc's mmap threshold to 4 MiB and
+its heap-trim threshold to 8 MiB. Without it, the temporaries of one
+trial (each n x n float64 array is 720 KB at n=300) raise them only to
+720 KB and 1.44 MB, under their sum: the top of the heap goes back to the
+kernel after every trial and the next trial faults it in again. An sbm
+sweep of 40 trials at n=300 took 26,000-27,700 minor faults and 28-52 ms
+of system time that way, and takes under 20 faults with the block freed.
+No number in any result changes.
 """
 
 from __future__ import annotations
@@ -445,6 +455,8 @@ def _validate(cfg: SweepConfig) -> None:
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         if value < 1 and name != "master_seed":
             raise ConfigError(f"{name} must be >= 1")
+    if not 0 <= cfg.master_seed < 1 << 64:
+        raise ConfigError(f"seed must be in [0, 2^64), got {cfg.master_seed}")
     if cfg.tau is not None and not (math.isfinite(cfg.tau) and cfg.tau >= 0.0):
         raise ConfigError(f"tau must be a finite number >= 0, got {cfg.tau!r}")
     most_workers = max(MAX_WORKERS, os.cpu_count() or 1)
@@ -475,6 +487,20 @@ def _validate(cfg: SweepConfig) -> None:
         raise ConfigError(f"--{unread[0]} is not read by the {cfg.experiment} experiment")
 
 
+def _raise_mmap_threshold() -> None:
+    """Allocate and drop one untouched block of 4 MiB and a page.
+
+    glibc's mmap threshold is dynamic (mallopt(3), NOTES): freeing an
+    mmapped block raises it to that block's size, and the heap-trim
+    threshold to twice that. From then on every temporary under 4 MiB, an
+    array of 4 MiB included, comes from the heap, and a trial's freed
+    temporaries stay mapped for the next trial. glibc never lowers the
+    threshold, so this is idempotent and leaves a process that raised it
+    further as it was; on another C library it is a plain malloc and free.
+    """
+    np.empty((4 << 20) + (4 << 10), np.uint8)
+
+
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate every (cell, trial) in order, reduce each cell as its
     trials arrive, and optionally write CSV. An output directory that is
@@ -488,6 +514,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         for target in (cfg.out_path, _meta_path(cfg.out_path)):
             if os.path.isdir(target):
                 raise IoError(f"cannot write {target}: it is a directory")
+    _raise_mmap_threshold()
     cells = _expand_cells(cfg)
     tasks = ((cfg, ci, cell, t) for ci, cell in enumerate(cells) for t in range(cfg.trials))
     count = len(cells) * cfg.trials

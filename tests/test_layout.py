@@ -180,3 +180,9 @@ def test_one_margin_call_per_cell():
     # resolved cell, not by an experiment's own resolve step
     assert [c for c in _callers("threshold_margin") if c[0] == "sweeps"] == [
         ("sweeps", "_resolve_cell")]
+
+
+def test_one_mmap_threshold_prime():
+    # the heap is primed by a sweep, before its first trial; a call at a
+    # module's top level would run on import and show here as <module>
+    assert list(_callers("_raise_mmap_threshold")) == [("sweeps", "run_sweep")]

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -507,6 +508,27 @@ class TestRunSweep:
         # count; uncapped chunks of count // 16 had pulled 5,000 and 9,375
         assert sweeps.MAX_POOL_CHUNK <= first.value.args[0] <= 3_000
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the dynamic mmap threshold is glibc's")
+    def test_a_repeated_sweep_keeps_its_temporaries_mapped(self):
+        # A fresh interpreter: here another test may have raised the
+        # threshold already. The second sweep's 720 KB temporaries come
+        # from the heap the first one left mapped; when each trial handed
+        # them back to the kernel, this sweep took about 2,700 faults.
+        code = (
+            "import resource\n"
+            "from lapcert import SweepConfig, run_sweep\n"
+            "cfg = SweepConfig(experiment='sbm', n=[300], grids={'alpha': [10.0],"
+            " 'beta': [1.0]}, trials=4, master_seed=42)\n"
+            "run_sweep(cfg)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_sweep(cfg)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert int(proc.stdout) < 200
+
 
 def _first_chunk_then_stall(args) -> dict:
     """A pool worker's stand-in for ``sweeps._eval_trial``: a record at once
@@ -912,6 +934,15 @@ class TestGridParsing:
         with pytest.raises(ConfigError, match="more than"):
             _parse_grid("0:1:1e-6")
 
+#: One run of each subcommand that reads --seed.
+_SEED_RUNS = [
+    ["sweep", "--experiment", "z2gauss", "--n", "40", "--sigma-factor", "1", "--trials", "6"],
+    ["ratio", "--ensemble", "wigner-neg-laplacian", "--n", "20", "--trials", "2"],
+    ["certify", "--model", "z2gauss", "--n", "40", "--sigma", "1"],
+    ["tail", "--m", "20", "--p", "0.5", "--q", "0.3", "--delta", "2", "--mc-trials", "50"],
+]
+
+
 class TestCli:
     def test_tail_sbm_margin(self, capsys):
         assert cli_main(["tail", "--model", "sbm", "--alpha", "9", "--beta", "1"]) == 0
@@ -1289,6 +1320,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and f"--{axis} is not an axis" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    @pytest.mark.parametrize("argv", _SEED_RUNS, ids=["sweep", "ratio", "certify", "tail"])
+    def test_seed_outside_64_bits_exits_one_before_any_work(self, monkeypatch, capsys,
+                                                            argv, seed):
+        # streams are keyed by the seed modulo 2^64: -1 would answer for
+        # 2^64 - 1 and 2^64 for 0
+        calls = []
+        monkeypatch.setattr(sweeps, "_eval_trial", lambda args: calls.append(args))
+        monkeypatch.setattr(cli, "derive_stream", lambda *args: calls.append(args))
+        assert cli_main([*argv, "--seed", str(seed)]) == 1
+        assert calls == []
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: seed must be in [0, 2^64), got {seed}\n" in err
+
+    def test_seed_outside_64_bits_in_a_config_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "er", "n": 4, "p": 1, "seed": -1}))
+        out = tmp_path / "out.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "seed must be in [0, 2^64), got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    @pytest.mark.parametrize("argv", _SEED_RUNS, ids=["sweep", "ratio", "certify", "tail"])
+    def test_seed_at_either_end_of_64_bits_runs(self, capsys, argv, seed):
+        assert cli_main([*argv, "--seed", str(seed)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_non_integer_n_flag_exits_one(self, capsys):
         code = cli_main(["sweep", "--experiment", "er", "--n", "20.5", "--p", "1"])
