@@ -26,7 +26,6 @@ from .eig import (
     SymmetricMatrix,
     eigenvalue_k,
     eigenvalues_selected,
-    lanczos,
     largest_eigenvalue,
     proves_max_below,
     spectral_norm,
@@ -57,8 +56,6 @@ SIDE_BELOW = "below"
 SIDE_BOUNDARY = "boundary"
 
 _EPS = float(np.finfo(np.float64).eps)
-#: Lanczos steps of the Ritz bound that rank_one_side reads before its accept.
-_RITZ_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -148,56 +145,37 @@ def certify_rank_one(
 
 def rank_one_side(y: SymmetricMatrix, x, tau: float = TAU_POS) -> str:
     """``certify_rank_one(y, x, tau).side``, without a spectrum of C = D - Y
-    where a factorization or a smaller spectrum settles it.
+    where one of two interlacing bounds, each true of every symmetric C,
+    proves it.
 
-    Where tau is finite and >= 0 and C x = 0 holds exactly in floating
-    point, take t = 2 (tau + n eps)(1 + ||C||_inf): at least twice the
-    dead band max(tau, n eps)(1 + ||C||), and at least that band plus the
-    rounding of eigvalsh. On the blocked nodes K = {i : C_ii < 0}, Cauchy
-    interlacing gives lambda_2(C) <= lambda_2(C[K, K]), so if that is
-    below -t the side is "below". Without blocked nodes, C + ((t + 1)/n) x x^T has the
-    eigenvalue t + 1 on x and the rest of C's spectrum off it, so where
-    ``proves_max_below`` proves that its negation has lambda_max < -t,
-    lambda_2(C) > t and the side is "above". That proof covers the
-    rounding of the factorization, so it holds for every tau >= 0. (A
-    blocked node makes C indefinite, and its negative eigenvalue lies off
-    x, so no such proof exists.) The factorization is skipped where a Ritz
-    value of C off x is already <= t, which shows lambda_2(C) <= t: it
-    would fail, as it does on most trials near the threshold. Every other
-    case is decided by ``certify_rank_one``'s spectrum.
+    Where tau is finite and >= 0, t = 2 (tau + n eps)(1 + ||C||_inf) is at
+    least twice the dead band max(tau, n eps)(1 + ||C||), so at least the
+    band plus eigvalsh's rounding: lambda_2(C) < -t reads "below" and
+    lambda_2(C) > t reads "above". The reject: on the blocked nodes
+    K = {i : C_ii < 0}, Cauchy interlacing gives lambda_2(C) <=
+    lambda_2(C[K, K]), so if that is below -t the side is "below". The
+    accept, tried when no node is blocked: rank-one Weyl interlacing gives
+    lambda_2(C) >= lambda_1(C + c x x^T) for every c >= 0, so where
+    ``proves_max_below`` proves lambda_max(-(C + ((t + 1)/n) x x^T)) < -t,
+    under the factorization's rounding and so for every tau >= 0, the side
+    is "above". Every other case reads ``certify_rank_one``'s spectrum.
     """
     x, d, cert = _certificate(y, x)
     n = y.n
-    if n >= 2 and math.isfinite(tau) and tau >= 0.0 and not np.any(cert @ x):
+    if n >= 2 and math.isfinite(tau) and tau >= 0.0:
         t = 2.0 * (tau + n * _EPS) * (1.0 + float(np.linalg.norm(cert, np.inf)))
         blocked = np.flatnonzero(np.diagonal(cert) < 0.0)
         if len(blocked) >= 2:
             sub = SymmetricMatrix._owning(cert[np.ix_(blocked, blocked)])
             if eigenvalue_k(sub, 2) < -t:
                 return SIDE_BELOW
-        elif not len(blocked) and _weak_node_ritz(cert, x) > t:
+        elif not len(blocked):
             # -(C + ((t + 1)/n) x x^T), built fresh and handed over
             lifted = np.outer(x, x * (-(t + 1.0) / n))
             lifted -= cert
             if proves_max_below(SymmetricMatrix._owning(lifted), -t, overwrite=True):
                 return SIDE_ABOVE
     return _report(x, d, cert, tau).side
-
-
-def _weak_node_ritz(cert: np.ndarray, x: np.ndarray) -> float:
-    """Smallest Ritz value of C on the complement of x, from _RITZ_STEPS
-    Lanczos steps started at the node with the smallest C_ii.
-
-    It is the Rayleigh quotient of some w orthogonal to x, and with C x = 0
-    every v = a x + b w has v^T C v = b^2 w^T C w, so Courant-Fischer on
-    span(x, w) gives lambda_2(C) <= max(0, that value). Rounding here can
-    only cost a skipped or a failed factorization, never change a side.
-    """
-    n = len(x)
-    i = int(np.argmin(np.diagonal(cert)))
-    q = x * (-x[i] / n)
-    q[i] += 1.0  # e_i less its component along x
-    return float(lanczos(SymmetricMatrix._owning(cert), q, _RITZ_STEPS)[0][0])
 
 
 def certify_z2sync(inst: SyncInstance, tau: float = TAU_POS) -> CertificateReport:

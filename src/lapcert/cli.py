@@ -182,7 +182,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     """File values under CLI ones; keys are kebab-case long flag names.
 
     A null file value counts as absent, like a flag not given; a key that
-    names no flag of the subcommand is an error."""
+    names no flag of the subcommand, or names --config, is an error."""
     flags = {key.replace("_", "-"): value for key, value in vars(args).items()
              if key != "command"}
     merged = {}
@@ -197,6 +197,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"bad JSON in {path}: {exc}") from exc
         if not isinstance(merged, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
+        if "config" in merged:
+            raise ConfigError(f"{path}: key 'config' is not read inside a config file")
         unknown = sorted(set(merged) - set(flags))
         if unknown:
             raise ConfigError(f"{path}: unknown key {unknown[0]!r}, not a flag of {args.command}")
@@ -222,7 +224,7 @@ def _sweep_config(opts: dict, experiment: Optional[str] = None) -> SweepConfig:
         ensemble=opts.get("ensemble"),
         rank_k=_integer(opts["rank-k"], "rank-k") if "rank-k" in opts else None,
         tau=_number(opts["tau"], "tau") if "tau" in opts else None,
-        cross_check=bool(opts.get("cross-check")),
+        cross_check=opts.get("cross-check", False),
         workers=_integer(opts.get("workers", 1), "workers"),
     )
 

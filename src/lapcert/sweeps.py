@@ -440,6 +440,17 @@ def _check_grids(grids: dict, needs: tuple, takes: tuple, what: str) -> None:
 
 
 def _validate(cfg: SweepConfig) -> None:
+    # types first: a list is unhashable in the lookups below, and the
+    # string "false" would read as true
+    for name, value, types, what in (
+            ("experiment", cfg.experiment, str, "a string"),
+            ("ensemble", cfg.ensemble, (type(None), str), "a string"),
+            ("out", cfg.out_path, (type(None), str, os.PathLike), "a path"),
+            ("cross-check", cfg.cross_check, bool, "true or false")):
+        if not isinstance(value, types):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if cfg.out_path == "":
+        raise ConfigError("out must be a path, got ''")
     if cfg.experiment not in _EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
     for name, values in (("n", cfg.n), *cfg.grids.items()):

@@ -29,6 +29,7 @@ from lapcert import (
     sample_z2sync_er,
     sample_z2sync_gaussian,
     sbm_sufficient_condition,
+    sigma_star,
     signed_adjacency,
     spectral_diag_ratio,
 )
@@ -363,7 +364,8 @@ class TestHandBuiltSamples:
 
 class TestRankOneSide:
     """rank_one_side decides certify_rank_one's side; a Cholesky factorization
-    or the blocked nodes' spectrum settles the clear cases."""
+    or the blocked nodes' spectrum settles the clear cases, whether or not
+    C x = 0 holds in floating point."""
 
     @staticmethod
     def spy_eigvalsh(monkeypatch, limit=None):
@@ -381,6 +383,19 @@ class TestRankOneSide:
         return sizes
 
     @staticmethod
+    def spy_factorizes(monkeypatch):
+        """Record (input copy, verdict) of every Cholesky factorization."""
+        seen = []
+        factorizes = eig._factorizes
+
+        def spy(a):
+            seen.append((a.copy(), factorizes(a)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(eig, "_factorizes", spy)
+        return seen
+
+    @staticmethod
     def sbm_instance(rng):
         n = 2 * (int(rng.uniform() * 141) + 10)  # 20..300
         alpha = 2.0 + 8.0 * rng.uniform()
@@ -396,10 +411,23 @@ class TestRankOneSide:
         inst = sample_z2sync_er(n, p, eps, random_signs(rng, n), rng)
         return inst.y, inst.z
 
-    @pytest.mark.parametrize("model, seed", [("sbm", 71), ("z2er", 72)])
+    @classmethod
+    def float_instance(cls, rng):
+        """A z2gauss instance at sigma-factor 0.5..1.5, or an sbm signed
+        adjacency with a positive diagonal: C x != 0 in floating point."""
+        if rng.uniform() < 0.5:
+            n = int(rng.uniform() * 131) + 20  # 20..150
+            sigma = (0.5 + rng.uniform()) * sigma_star(n)
+            inst = sample_z2sync_gaussian(n, sigma, random_signs(rng, n), rng)
+            return inst.y, inst.z
+        y, x = cls.sbm_instance(rng)
+        return sym(y.array + np.diag(0.1 + rng.uniform(y.n))), x
+
+    @pytest.mark.parametrize("model, seed", [("sbm", 71), ("z2er", 72), ("float", 77)])
     def test_matches_spectrum_side(self, model, seed):
         rng = derive_stream(seed, 0)
-        instance = self.sbm_instance if model == "sbm" else self.z2er_instance
+        instance = {"sbm": self.sbm_instance, "z2er": self.z2er_instance,
+                    "float": self.float_instance}[model]
         sides = []
         for _ in range(300):
             y, x = instance(rng)
@@ -425,52 +453,40 @@ class TestRankOneSide:
         b, x = signed_adjacency(g), g.labels.astype(np.float64)
         cert = np.diag(dual_diagonal(b, x)) - b.array
         assert np.diagonal(cert).min() >= 0.0  # no blocked node
-        seen = []
-        factorizes = eig._factorizes
-
-        def spy(a):
-            seen.append(a.copy())
-            return factorizes(a)
-
-        monkeypatch.setattr(eig, "_factorizes", spy)
+        seen = self.spy_factorizes(monkeypatch)
         assert certificates.rank_one_side(b, x, 0.0) == "above"
         assert certify_rank_one(b, x, 0.0).side == "above"
         t = 2.0 * n * float(np.finfo(np.float64).eps) * (1.0 + np.linalg.norm(cert, np.inf))
         lifted = cert + np.outer(x, x) * ((t + 1.0) / n)
         delta = eig._cholesky_slack(n, float(np.trace(lifted)) - n * t)
         assert delta > 10.0 * t
-        shift = np.diagonal(lifted) - np.diagonal(seen[0])
+        shift = np.diagonal(lifted) - np.diagonal(seen[0][0])
         assert shift == pytest.approx(np.full(n, t + delta), rel=1e-3)
         off = ~np.eye(n, dtype=bool)
-        assert np.array_equal(seen[0][off], lifted[off])
-
-    @staticmethod
-    def no_factorization(monkeypatch):
-        def factorizes(a):
-            raise AssertionError("factorized")
-
-        monkeypatch.setattr(eig, "_factorizes", factorizes)
+        assert np.array_equal(seen[0][0][off], lifted[off])
 
     def test_empty_graph_boundary(self, monkeypatch):
-        # C = 11^T: its Ritz value 0 skips the accept
+        # C = 11^T, lambda_2 = 0: the accept fails and the full spectrum decides
         g = sample_sbm(20, 0.0, 0.0, derive_stream(0, 0))
         sizes = self.spy_eigvalsh(monkeypatch)
-        self.no_factorization(monkeypatch)
+        seen = self.spy_factorizes(monkeypatch)
         assert certificates.rank_one_side(signed_adjacency(g), g.labels) == "boundary"
-        assert sizes[-1] == 20  # decided by the full spectrum
+        assert [verdict for _, verdict in seen] == [False]
+        assert sizes == [20]
 
     @pytest.mark.parametrize("seed, side", [(3, "boundary"), (4, "below")])
-    def test_near_threshold_skips_failing_accept(self, monkeypatch, seed, side):
-        # alpha = 5 at n = 300, no blocked node and lambda_2 <= t: the Ritz
-        # bound shows the factorization would fail
+    def test_near_threshold_failed_accept_falls_back(self, monkeypatch, seed, side):
+        # alpha = 5 at n = 300, no blocked node and lambda_2 <= t: the one
+        # factorization fails and the side is the spectrum's
         n = 300
         logn = math.log(n)
         g = sample_sbm(n, 5.0 * logn / n, logn / n, derive_stream(9090, seed))
         b = signed_adjacency(g)
         rep = certify_rank_one(b, g.labels)
         assert rep.side == side and np.all(rep.d_diag > 0.0)
-        self.no_factorization(monkeypatch)
+        seen = self.spy_factorizes(monkeypatch)
         assert certificates.rank_one_side(b, g.labels) == side
+        assert [verdict for _, verdict in seen] == [False]
 
     def test_single_bad_node_falls_back(self, monkeypatch):
         # two 6-cliques, and node 0 wired to the other community instead of its own
@@ -496,14 +512,18 @@ class TestRankOneSide:
         assert certify_rank_one(sym(y), x).side == side
         assert certificates.rank_one_side(sym(y), x) == side
 
-    def test_nonzero_diagonal_falls_back(self, monkeypatch):
-        rng = derive_stream(74, 0)
-        y, x = self.sbm_instance(rng)
-        y = sym(y.array + np.diag(0.1 + rng.uniform(y.n)))
-        assert certify_rank_one(y, x).residual_null > 0.0  # C x != 0
-        sizes = self.spy_eigvalsh(monkeypatch)
-        assert certificates.rank_one_side(y, x) == certify_rank_one(y, x).side
-        assert sizes[0] == y.n
+    def test_nonzero_diagonal_takes_no_full_spectrum(self, monkeypatch):
+        # both proofs hold for every symmetric C: a clear instance with
+        # C x != 0 in floating point is decided without C's spectrum
+        n = 200
+        logn = math.log(n)
+        g = sample_sbm(n, 12.0 * logn / n, logn / n, derive_stream(74, 0))
+        b = signed_adjacency(g)
+        y = sym(b.array + np.diag(0.1 + derive_stream(74, 1).uniform(n)))
+        rep = certify_rank_one(y, g.labels)
+        assert rep.residual_null > 0.0 and rep.side == "above"
+        self.spy_eigvalsh(monkeypatch, limit=n)
+        assert certificates.rank_one_side(y, g.labels) == "above"
 
     @pytest.mark.parametrize("alpha, side", [(12.0, "above"), (1.5, "below")])
     def test_clear_sides_take_no_full_spectrum(self, monkeypatch, alpha, side):

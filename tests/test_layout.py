@@ -186,3 +186,22 @@ def test_one_mmap_threshold_prime():
     # the heap is primed by a sweep, before its first trial; a call at a
     # module's top level would run on import and show here as <module>
     assert list(_callers("_raise_mmap_threshold")) == [("sweeps", "run_sweep")]
+
+
+def test_every_imported_name_is_used():
+    # a name a module imports and never reads is a leftover of deleted code
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

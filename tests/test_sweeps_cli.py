@@ -885,6 +885,28 @@ _ACCEPT_RUNS = [
 ]
 
 
+@pytest.mark.parametrize("cfg, fallbacks", [
+    (SweepConfig(experiment="sbm", n=[300], grids={"alpha": [2.0, 10.0], "beta": [1.0]},
+                 trials=20, master_seed=42), 0),
+    (SweepConfig(experiment="z2er", n=[120], grids={"p": [0.4], "eps": [0.1, 0.3]},
+                 trials=120, master_seed=42, cross_check=True), 80),
+], ids=["sbm-n300", "z2er-xcheck"])
+def test_spectrum_fallbacks_on_the_bench_grids(monkeypatch, cfg, fallbacks):
+    # the trials of the bench's certificate grids that rank_one_side leaves
+    # to the n x n spectrum: 0 of 40 and 80 of 240
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    res = run_sweep(cfg)
+    assert sum(row["trials"] for row in res.cells) == 2 * cfg.trials
+    assert sizes.count(cfg.n[0]) == fallbacks
+
+
 class TestPositiveDefiniteFallback:
     """rank_one_side's accept and the SBM sufficient condition factorize a
     copy with dpotrf; numpy's Cholesky, where dpotrf is absent, gives the
@@ -1144,6 +1166,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("sweep", "experiment", ["er"], "experiment must be a string"),
+        ("ratio", "ensemble", ["wigner-neg-laplacian"], "ensemble must be a string"),
+        ("sweep", "out", 5, "out must be a path"),
+        ("sweep", "out", "", "out must be a path"),
+        ("sweep", "cross-check", "false", "cross-check must be true or false"),
+        ("sweep", "config", "other.json", "key 'config' is not read"),
+    ], ids=["experiment-list", "ensemble-list", "out-number", "out-empty",
+            "cross-check-string", "config-in-config"])
+    def test_config_value_of_a_wrong_type_exits_one(self, tmp_path, monkeypatch, capsys,
+                                                    command, key, value, message):
+        # neither a traceback nor a silent substitute, and no file written
+        def no_trials(args):
+            raise AssertionError("a trial ran before the config was checked")
+
+        monkeypatch.setattr(sweeps, "_eval_trial", no_trials)
+        monkeypatch.chdir(tmp_path)
+        opts = {"n": 20, "trials": 2, "out": "out.csv"}
+        opts.update({"ensemble": "wigner-neg-laplacian"} if command == "ratio" else
+                    {"experiment": "z2er", "p": 0.5, "eps": 0.1})
+        opts[key] = value
+        Path("cfg.json").write_text(json.dumps(opts))
+        assert cli_main([command, "--config", "cfg.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("over", [
+        {"experiment": ["z2er"]}, {"ensemble": ["wigner-neg-laplacian"]},
+        {"out_path": 5}, {"cross_check": "false"}, {"cross_check": 1},
+    ], ids=["experiment-list", "ensemble-list", "out-number", "cross-check-string",
+            "cross-check-int"])
+    def test_python_api_refuses_a_wrong_type(self, over):
+        cfg = SweepConfig(experiment="z2er", n=[20], grids={"p": [0.5], "eps": [0.1]},
+                          trials=1, master_seed=1)
+        with pytest.raises(ConfigError, match="must be"):
+            run_sweep(dataclasses.replace(cfg, **over))
 
     @pytest.mark.parametrize("argv, axis", [
         (["sweep", "--experiment", "er", "--n", "4", "--p", "1", "--sigma", "3"],
