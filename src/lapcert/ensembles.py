@@ -454,7 +454,9 @@ def sample_z2sync_er(
     npairs = n * (n - 1) // 2
     k = _bernoulli_indices(rng, p, npairs)
     # the flips are a second pass over all pairs, read at the G-edges
-    flipped = np.isin(k, _bernoulli_indices(rng, eps, npairs))
+    flips = np.zeros(npairs, dtype=bool)
+    flips[_bernoulli_indices(rng, eps, npairs)] = True
+    flipped = flips[k]
     i, j = _edge_pairs(n, k)
     signs = z[i] * z[j] * (1.0 - 2.0 * flipped)
     y = np.zeros((n, n))

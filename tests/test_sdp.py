@@ -54,9 +54,9 @@ class TestBmSolve:
         step0s = []
         bb = sdp._bb_step
 
-        def bb_step(s, d, step0):
+        def bb_step(s, d, step0, long):
             step0s.append(step0)
-            return bb(s, d, step0)
+            return bb(s, d, step0, long)
 
         monkeypatch.setattr(sdp, "_bb_step", bb_step)
         for seed in range(4):
@@ -98,9 +98,9 @@ class TestBmSolve:
         curvatures = []
         bb = sdp._bb_step
 
-        def bb_step(s, d, step0):
+        def bb_step(s, d, step0, long):
             curvatures.append(float(np.vdot(s, d)))
-            return bb(s, d, step0)
+            return bb(s, d, step0, long)
 
         monkeypatch.setattr(sdp, "_bb_step", bb_step)
         for name, (y, seed) in cases.items():
@@ -115,6 +115,47 @@ class TestBmSolve:
             assert min(curvatures) < 0.0, name
             if name == "indefinite":
                 assert max(curvatures) >= 0.0
+
+    def test_steps_alternate_long_and_short(self, monkeypatch):
+        # from the second iteration on, the step is the long quotient
+        # s^T s / -s^T d on even calls and the short -s^T d / d^T d on odd
+        # ones wherever the objective curves down along s, and step0 where
+        # it does not
+        calls = []
+        bb = sdp._bb_step
+
+        def bb_step(s, d, step0, long):
+            step = bb(s, d, step0, long)
+            calls.append((float(np.vdot(s, s)), float(np.vdot(s, d)),
+                          float(np.vdot(d, d)), step0, long, step))
+            return step
+
+        monkeypatch.setattr(sdp, "_bb_step", bb_step)
+        rng = derive_stream(18, 0)
+        z = random_signs(rng, 120)
+        u = derive_stream(2, 0).normal((30, 2))
+        cases = {
+            "z2er": (sample_z2sync_er(120, 0.4, 0.3, z, rng).y, 18),
+            "indefinite": (sym(np.outer(u[:, 0], u[:, 0]) - 5.0 * np.outer(u[:, 1], u[:, 1])), 2),
+        }
+        for name, (y, seed) in cases.items():
+            calls.clear()
+            _, rep = bm_solve(y, derive_stream(seed, 1))
+            assert rep.converged and len(calls) == rep.iterations - 1 > 10, name
+            assert [c[4] for c in calls] == [i % 2 == 0 for i in range(len(calls))], name
+            for ss, sd, dd, step0, long, step in calls:
+                if sd < 0.0:
+                    assert step == (ss / -sd if long else -sd / dd), name
+                    # Cauchy-Schwarz: the short quotient is never the longer
+                    assert -sd / dd <= ss / -sd, name
+                else:
+                    assert step == step0, name
+            curving = [c[4] for c in calls if c[1] < 0.0]
+            assert True in curving and False in curving, name
+            if name == "z2er":
+                assert all(c[1] < 0.0 for c in calls)
+            else:
+                assert any(c[1] >= 0.0 for c in calls)
 
     def test_rank_k_validation(self):
         with pytest.raises(ValueError):
@@ -140,35 +181,44 @@ class TestBmSolve:
 
     def test_near_threshold_convergence(self):
         # lambda2(D - Y) = 0.215 on this tight instance; the fixed step
-        # 0.5/||Y|| took 962 iterations on it
+        # 0.5/||Y|| took 962 iterations on it, the long Barzilai-Borwein
+        # step alone 152 and the alternating steps 110
         rng = derive_stream(18, 0)
         z = np.where(rng.uniform(120) < 0.5, 1.0, -1.0)
         inst = sample_z2sync_er(120, 0.4, 0.3, z, rng)
         assert certify_z2sync(inst).tight
         _, rep = bm_solve(inst.y, derive_stream(18, 1))
-        assert rep.converged and rep.iterations <= 250
+        assert rep.converged and rep.iterations <= 150
         assert np.array_equal(rep.rounded_x, z) or np.array_equal(rep.rounded_x, -z)
         assert rep.dual.feasible
 
     def test_iteration_budget_on_the_cross_check_grid(self, monkeypatch):
         # the z2er cross-check benchmark grid at seed 42: 157 solves, which
         # took 17,162 iterations with the fixed step 0.5/||Y||, 5,361 with
-        # Barzilai-Borwein steps and 5,464 with ||Y|| replaced by its
-        # row-sum bound
+        # Barzilai-Borwein steps, 5,464 with ||Y|| replaced by its row-sum
+        # bound and 4,848 with the long and short steps alternating. Their
+        # candidate evaluations went 7,800 -> 5,677 with the alternation.
         reports = []
+        evaluations = [0]
+        objective = sdp._objective
 
         def solve(y, rng, k=None):
             r, rep = bm_solve(y, rng, k=k)
             reports.append(rep)
             return r, rep
 
+        def counted(y, r, yr):
+            evaluations[0] += 1
+            return objective(y, r, yr)
+
         monkeypatch.setattr(sweeps, "bm_solve", solve)
-        cfg = SweepConfig(experiment="z2er", n=[120], grids={"p": [0.4], "eps": [0.1, 0.3]},
-                          trials=120, master_seed=42, cross_check=True)
-        cells = run_sweep(cfg).cells
+        monkeypatch.setattr(sdp, "_objective", counted)
+        cells = run_sweep(_cross_check_grid()).cells
         assert [cell["bm_disagreements"] for cell in cells] == [0, 0]
         assert len(reports) == 157
-        assert sum(rep.iterations for rep in reports) <= 8000
+        assert sum(rep.iterations for rep in reports) <= 5000
+        # one evaluation per solve is the starting point, not a candidate
+        assert evaluations[0] - len(reports) <= 6000
 
 
 def _cross_check_grid(seed=42):
@@ -249,6 +299,39 @@ class TestCrossCheck:
         wrong = rep.rounded_x.copy()
         wrong[0] = -wrong[0]
         assert not recovers(_cross_check_grid(), 0, y, wrong)
+
+    @pytest.mark.slow
+    def test_robust_over_seeds(self, monkeypatch):
+        # bm_disagreements must read 0 at any seed: the z2er bench grid at
+        # seeds 3200-3211 and the sbm and z2gauss cross-check grids at seeds
+        # 0-4. Every tight trial is solved once (the restart lane is never
+        # taken), and every objective trace is nondecreasing.
+        solves = []
+
+        def solve(y, rng, k=None):
+            r, rep = bm_solve(y, rng, k=k)
+            solves.append((y, rep))
+            return r, rep
+
+        monkeypatch.setattr(sweeps, "bm_solve", solve)
+        grids = [_cross_check_grid(seed) for seed in range(3200, 3212)]
+        for seed in range(5):
+            grids.append(SweepConfig(experiment="sbm", n=[80], trials=20, master_seed=seed,
+                                     grids={"alpha": [3.0, 5.0, 9.0], "beta": [1.0]},
+                                     cross_check=True))
+            grids.append(SweepConfig(experiment="z2gauss", n=[100], trials=20, master_seed=seed,
+                                     grids={"sigma_factor": [0.5, 0.8, 1.0]},
+                                     cross_check=True))
+        tight = 0
+        for cfg in grids:
+            for cell in run_sweep(cfg).cells:
+                assert cell["bm_disagreements"] == 0, cfg
+                tight += round(cell["freq_certified"] * cfg.trials)
+        assert len(solves) == tight > 2000
+        for y, rep in solves:
+            assert rep.converged
+            slack = 1e-12 * y.n * y.max_abs()
+            assert np.all(np.diff(rep.objective_trace) >= -slack)
 
 
 class TestRoundRankOne:
