@@ -48,7 +48,7 @@ from .laplacians import (
 #: Positivity dead band, relative to 1 + ||certificate matrix||. Strict
 #: inequalities in exact arithmetic need a tolerance in floating point;
 #: instances inside the band are classified "boundary". A tau below n eps
-#: is raised to it (``CertificateReport``).
+#: is raised to it (``_report``).
 TAU_POS = 1e-9
 
 SIDE_ABOVE = "above"
@@ -67,13 +67,12 @@ class CertificateReport:
     when lambda2 > band. The floor n eps covers eigvalsh's rounding of a
     zero lambda_2, so a float "above" or "below" holds also at tau = 0; it
     is below the default tau for every n < 4.5e6. ``feasible`` (lambda1 >=
-    -band) makes D the dual that certifies x x^T optimal, unique or not.
+    -band) makes D the dual that certifies x x^T optimal, unique or not;
+    D itself is ``dual_diagonal(y, x)``.
     """
 
-    d_diag: np.ndarray
     lambda1: float
     lambda2: float
-    residual_null: float
     band: float
 
     @property
@@ -106,30 +105,29 @@ def dual_diagonal(y: SymmetricMatrix, x) -> np.ndarray:
 
 
 def _certificate(y: SymmetricMatrix, x):
-    """(x, D, D - Y): the one builder of the discrete certificate matrix."""
+    """(x, D - Y): the one builder of the discrete certificate matrix."""
     d = dual_diagonal(y, x)  # checks x, once
     x = np.asarray(x, dtype=np.float64)
     # diag(d) - Y entry by entry: 0.0 - Y off the diagonal, not -Y, which
     # would put -0.0 where Y is zero, and d - Y_ii on it.
     cert = np.subtract(0.0, y.array, order="C")
     np.fill_diagonal(cert, d - y.array.diagonal())
-    return x, d, cert
+    return x, cert
 
 
-def _report(x: np.ndarray, d: np.ndarray, cert: np.ndarray,
+def _extremes(cert: np.ndarray) -> tuple[float, float, float]:
+    """(lambda_1, lambda_2, lambda_n) of D - Y, from one decomposition."""
+    n = cert.shape[0]
+    lam = [cert[0, 0]] * 3 if n == 1 else \
+        eigenvalues_selected(SymmetricMatrix._owning(cert), (1, 2, n))
+    return tuple(float(v) for v in lam)
+
+
+def _report(lam1: float, lam2: float, lamn: float, n: int,
             tau: float) -> CertificateReport:
-    sm = SymmetricMatrix._owning(cert)
-    # (lambda_1, lambda_2, lambda_n) from one decomposition
-    lam = [cert[0, 0]] * 3 if sm.n == 1 else eigenvalues_selected(sm, (1, 2, sm.n))
-    lam1, lam2, lamn = (float(v) for v in lam)
-    band = max(tau, sm.n * _EPS) * (1.0 + max(abs(lam1), abs(lamn)))
-    return CertificateReport(
-        d_diag=d,
-        lambda1=lam1,
-        lambda2=lam2,
-        residual_null=float(np.linalg.norm(cert @ x)),
-        band=band,
-    )
+    """The one builder of a report, and the one home of its dead band."""
+    band = max(tau, n * _EPS) * (1.0 + max(abs(lam1), abs(lamn)))
+    return CertificateReport(lambda1=lam1, lambda2=lam2, band=band)
 
 
 def certify_rank_one(
@@ -137,10 +135,10 @@ def certify_rank_one(
 ) -> CertificateReport:
     """Certify x x^T as the unique SDP optimum for coefficient matrix Y.
 
-    Builds D - Y with the constructed dual diagonal and reports lambda_1,
-    lambda_2 and the null-direction residual ||(D - Y)x||.
+    Builds D - Y with the constructed dual diagonal and reports its
+    lambda_1 and lambda_2 against the dead band.
     """
-    return _report(*_certificate(y, x), tau)
+    return _report(*_extremes(_certificate(y, x)[1]), y.n, tau)
 
 
 def rank_one_side(y: SymmetricMatrix, x, tau: float = TAU_POS) -> str:
@@ -148,7 +146,7 @@ def rank_one_side(y: SymmetricMatrix, x, tau: float = TAU_POS) -> str:
     where one of two interlacing bounds, each true of every symmetric C,
     proves it.
 
-    Where tau is finite and >= 0, t = 2 (tau + n eps)(1 + ||C||_inf) is at
+    Where 0 <= tau < 1, t = 2 (tau + n eps)(1 + ||C||_inf) is at
     least twice the dead band max(tau, n eps)(1 + ||C||), so at least the
     band plus eigvalsh's rounding: lambda_2(C) < -t reads "below" and
     lambda_2(C) > t reads "above". The reject: on the blocked nodes
@@ -158,11 +156,14 @@ def rank_one_side(y: SymmetricMatrix, x, tau: float = TAU_POS) -> str:
     lambda_2(C) >= lambda_1(C + c x x^T) for every c >= 0, so where
     ``proves_max_below`` proves lambda_max(-(C + ((t + 1)/n) x x^T)) < -t,
     under the factorization's rounding and so for every tau >= 0, the side
-    is "above". Every other case reads ``certify_rank_one``'s spectrum.
+    is "above". Every other case reads ``certify_rank_one``'s spectrum; at
+    tau >= 1 that is every case, since the band max(tau, n eps)(1 + max
+    |lambda|) then exceeds |lambda_2| and the side is "boundary" (and t, for
+    a tau near the float maximum, would overflow).
     """
-    x, d, cert = _certificate(y, x)
+    x, cert = _certificate(y, x)
     n = y.n
-    if n >= 2 and math.isfinite(tau) and tau >= 0.0:
+    if n >= 2 and 0.0 <= tau < 1.0:
         t = 2.0 * (tau + n * _EPS) * (1.0 + float(np.linalg.norm(cert, np.inf)))
         blocked = np.flatnonzero(np.diagonal(cert) < 0.0)
         if len(blocked) >= 2:
@@ -175,7 +176,7 @@ def rank_one_side(y: SymmetricMatrix, x, tau: float = TAU_POS) -> str:
             lifted -= cert
             if proves_max_below(SymmetricMatrix._owning(lifted), -t, overwrite=True):
                 return SIDE_ABOVE
-    return _report(x, d, cert, tau).side
+    return _report(*_extremes(cert), n, tau).side
 
 
 def certify_z2sync(inst: SyncInstance, tau: float = TAU_POS) -> CertificateReport:
@@ -194,19 +195,11 @@ def certify_z2sync(inst: SyncInstance, tau: float = TAU_POS) -> CertificateRepor
     """
     if inst.is_discrete or inst.sigma == 0.0:
         return certify_rank_one(inst.y, inst.z, tau)
-    z, d, cert = _certificate(inst.y, inst.z)
-    residual = float(np.linalg.norm(cert @ z))
+    z, cert = _certificate(inst.y, inst.z)
     cert += np.outer(z, z)
     lam = eigenvalues_selected(SymmetricMatrix._owning(cert), (1, inst.n))
     lam2, lamn = float(lam[0]), float(lam[1])
-    lam1 = min(0.0, lam2)
-    return CertificateReport(
-        d_diag=d,
-        lambda1=lam1,
-        lambda2=lam2,
-        residual_null=residual,
-        band=max(tau, inst.n * _EPS) * (1.0 + max(abs(lam1), lamn)),
-    )
+    return _report(min(0.0, lam2), lam2, lamn, inst.n, tau)
 
 
 def certify_sbm(g: GraphSample, tau: float = TAU_POS) -> CertificateReport:

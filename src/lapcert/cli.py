@@ -323,7 +323,11 @@ def _cmd_eig(args: argparse.Namespace) -> int:
     for lam in spec.eigenvalues:
         print(format(float(lam), ".12g"))
     if args.vectors:
-        print(f"residual {spec.residual:.3g}", file=sys.stderr)
+        # the largest column residual ||M v - lambda v||_2
+        vals, vecs = spec.eigenvalues, spec.eigenvectors
+        res = m.array @ vecs - vecs * vals[np.newaxis, :]
+        residual = float(np.max(np.sqrt(np.sum(res * res, axis=0))))
+        print(f"residual {residual:.3g}", file=sys.stderr)
     return EXIT_OK
 
 

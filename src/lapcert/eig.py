@@ -88,14 +88,12 @@ class SymmetricMatrix:
 class Spectrum:
     """Full eigendecomposition, eigenvalues ascending.
 
-    ``eigenvectors`` column j pairs with ``eigenvalues[j]``. ``residual`` is
-    the largest column residual ||M v - lambda v||_2, reported only when
-    eigenvectors were computed.
+    ``eigenvectors`` column j pairs with ``eigenvalues[j]``, computed only
+    when asked for.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray] = None
-    residual: Optional[float] = None
 
 
 def _lapack(routine, m: SymmetricMatrix):
@@ -116,10 +114,7 @@ def eigendecompose(m: SymmetricMatrix, want_vectors: bool = False) -> Spectrum:
     """
     if not want_vectors:
         return Spectrum(_lapack(np.linalg.eigvalsh, m))
-    vals, vecs = _lapack(np.linalg.eigh, m)
-    res = m.array @ vecs - vecs * vals[np.newaxis, :]
-    residual = float(np.max(np.sqrt(np.sum(res * res, axis=0))))
-    return Spectrum(vals, vecs, residual)
+    return Spectrum(*_lapack(np.linalg.eigh, m))
 
 
 def eigenvalue_k(m: SymmetricMatrix, k: int) -> float:

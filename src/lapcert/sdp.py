@@ -4,10 +4,10 @@ Independent cross-check of the certificate verdicts: ascend the factorized
 objective trace(Y R R^T) over unit-norm rows of R (projected gradient with
 row-normalization retraction; a Barzilai-Borwein trial step, long and short
 in turn, then Armijo backtracking) and round the top eigenvector of R R^T to
-signs. The rank-one dual that verifies optimality of the rounded point is
-computed on first read of ``SolveReport.dual``. The step and the stopping
-scale come from the largest absolute row sum of Y, an upper bound on ||Y||
-that needs no eigensolve.
+signs. The solver reads no certificate: a caller certifies the rounded point
+x with ``certify_rank_one(y, x)``, whose ``feasible`` makes x x^T optimal.
+The step and the stopping scale come from the largest absolute row sum of Y,
+an upper bound on ||Y|| that needs no eigensolve.
 
 A fixed step contracts near the optimum by about 1 - step * lambda2(D - Y)
 per iteration, and lambda2(D - Y) is the certificate gap that closes at the
@@ -23,12 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .certificates import CertificateReport, certify_rank_one
 from .eig import SymmetricMatrix, eigendecompose
 from .ensembles import RngStream
 
@@ -42,21 +40,15 @@ GRAD_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SolveReport:
-    """``dual`` is the rank-one certificate at the rounded point: with
-    D_ii = sum_j Y_ij x_i x_j, trace(D) = x^T Y x identically, so
-    ``dual.feasible`` makes x x^T optimal and ``dual.tight`` unique. It is
-    computed from the stored ``y`` on first read, and kept."""
+    """The rounded signs, and the ascent's record. ``certify_rank_one(y,
+    rounded_x)`` certifies the rounded point: with D_ii = sum_j Y_ij x_i x_j,
+    trace(D) = x^T Y x identically, so its ``feasible`` makes x x^T optimal
+    and its ``tight`` unique."""
 
     rounded_x: np.ndarray
-    rounded_objective: float
     iterations: int
     converged: bool
-    y: SymmetricMatrix = field(repr=False)
     objective_trace: list = field(default_factory=list, repr=False)
-
-    @cached_property
-    def dual(self) -> CertificateReport:
-        return certify_rank_one(self.y, self.rounded_x)
 
 
 def default_rank(n: int) -> int:
@@ -164,13 +156,10 @@ def bm_solve(
         if not accepted:
             # Step underflow: no ascent direction at float resolution.
             break
-    x = round_rank_one(r)
     return r, SolveReport(
-        rounded_x=x,
-        rounded_objective=float(x @ (a @ x)),
+        rounded_x=round_rank_one(r),
         iterations=iters,
         converged=converged,
-        y=y,
         objective_trace=trace,
     )
 

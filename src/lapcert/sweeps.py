@@ -214,9 +214,9 @@ def _bm_recovers(cfg: SweepConfig, sid: int, y: SymmetricMatrix,
     # lambda_2 of D - Y clears the band. At x = +-truth the rounded point's
     # dual matrix is that very D - Y, whose lambda_1 is then the null
     # eigenvalue on x (z2gauss: |lambda_1| ~ 1e-13, far inside the band):
-    # report.dual.feasible is implied, and never computed here. (Under
-    # --tau 0 the band keeps its floor n eps (1 + max |lambda|), which a
-    # rounding-level lambda_2 does not clear.)
+    # certify_rank_one(y, report.rounded_x).feasible is implied, and never
+    # computed here. (Under --tau 0 the band keeps its floor n eps (1 + max
+    # |lambda|), which a rounding-level lambda_2 does not clear.)
     for lane in (_BM_LANE, _BM_RESTART_LANE):
         _, report = bm_solve(y, derive_stream(cfg.master_seed, lane | sid), k=cfg.rank_k)
         x = report.rounded_x
@@ -487,15 +487,19 @@ def _validate(cfg: SweepConfig) -> None:
         needs, what = _RATIO_ENSEMBLES[cfg.ensemble], f"{cfg.ensemble} ensemble"
     _check_grids(cfg.grids, needs, exp.takes, what)
     # --ensemble names the ratio ensemble; --tau, --rank-k and --cross-check
-    # steer certificate trials, whose experiments count bm_disagreements.
-    unread = [flag for flag, given, column in (
-        ("ensemble", cfg.ensemble is not None, "ensemble"),
-        ("tau", cfg.tau is not None, "bm_disagreements"),
-        ("rank-k", cfg.rank_k is not None, "bm_disagreements"),
-        ("cross-check", cfg.cross_check, "bm_disagreements"),
-    ) if given and column not in exp.columns]
+    # steer certificate trials, whose experiments count bm_disagreements,
+    # and --rank-k only the cross-check's solver.
+    by = f"by the {cfg.experiment} experiment"
+    certifies = "bm_disagreements" in exp.columns
+    unread = [f"--{flag} is not read {where}" for flag, given, read, where in (
+        ("ensemble", cfg.ensemble is not None, "ensemble" in exp.columns, by),
+        ("tau", cfg.tau is not None, certifies, by),
+        ("rank-k", cfg.rank_k is not None, certifies, by),
+        ("cross-check", cfg.cross_check, certifies, by),
+        ("rank-k", cfg.rank_k is not None, cfg.cross_check, "without --cross-check"),
+    ) if given and not read]
     if unread:
-        raise ConfigError(f"--{unread[0]} is not read by the {cfg.experiment} experiment")
+        raise ConfigError(unread[0])
 
 
 def _raise_mmap_threshold() -> None:

@@ -110,15 +110,13 @@ def z2sync_er_graphs(n, p, eps, rng):
 
 
 def z2sync_gaussian_report(y, z, sigma, tau):
-    """(lambda1, lambda2, band, residual_null, d_diag) of the Gaussian
-    synchronization certificate for y = z z^T + sigma W, read off the
-    Laplacian of the conjugated noise.
+    """(lambda1, lambda2, band) of the Gaussian synchronization certificate
+    for y = z z^T + sigma W, read off the Laplacian of the conjugated noise.
 
     With W' = diag(z) W diag(z) off the diagonal, D - Y conjugated by
     diag(z) is n I - 1 1^T - sigma L(-W'), so lambda2 = n - sigma mu_n for
     the extremes mu_1 <= mu_n of L(-W'), exact while the certificate holds;
-    the band is tau (1 + max(|min(0, lambda2)|, n - sigma mu_1)). The dual
-    diagonal and the null residual ||(D - Y) z|| are those of D - Y.
+    the band is tau (1 + max(|min(0, lambda2)|, n - sigma mu_1)).
     """
     y = np.asarray(y, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -130,9 +128,15 @@ def z2sync_gaussian_report(y, z, sigma, tau):
     lam2 = n - sigma * mu[-1]
     lam1 = min(0.0, lam2)
     band = tau * (1.0 + max(abs(lam1), max(0.0, n - sigma * mu[0])))
-    d = z * (y @ z)
-    residual = float(np.linalg.norm((np.diag(d) - y) @ z))
-    return lam1, lam2, band, residual, d
+    return lam1, lam2, band
+
+
+def null_residual(y, x):
+    """||(D - Y) x|| for the dual diagonal D_ii = sum_j Y_ij x_i x_j, which
+    vanishes in exact arithmetic."""
+    y = np.asarray(y, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    return float(np.linalg.norm((np.diag(x * (y @ x)) - y) @ x))
 
 
 def _integer_definiteness(a):

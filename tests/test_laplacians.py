@@ -5,7 +5,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from _oracles import partition_gap_certificate, sync_certificate
+from _oracles import null_residual, partition_gap_certificate, sync_certificate
 from lapcert import (
     SweepConfig,
     SymmetricMatrix,
@@ -16,6 +16,7 @@ from lapcert import (
     certify_sbm,
     certify_z2sync,
     derive_stream,
+    dual_diagonal,
     eigendecompose,
     flip_oracle_sbm,
     flip_oracle_z2,
@@ -46,11 +47,12 @@ def graph_from_edges(n, edges):
     return GraphSample(a)
 
 
-def assert_certificate_is(rep, ref):
-    """``rep`` was computed on exactly the matrix ``ref``: the same dual
-    diagonal and the same lambda_1 and lambda_2, bit for bit."""
+def assert_certificate_is(rep, ref, y, x):
+    """``rep`` of (y, x) was computed on exactly the matrix ``ref``: the
+    dual diagonal of (y, x) is ref's, and lambda_1 and lambda_2 are ref's,
+    bit for bit."""
     lam = np.linalg.eigvalsh(ref)
-    assert np.array_equal(rep.d_diag, np.diag(ref))
+    assert np.array_equal(dual_diagonal(y, x), np.diag(ref))
     assert rep.lambda1 == lam[0] and rep.lambda2 == lam[1]
 
 
@@ -195,21 +197,23 @@ class TestSyncLaplacian:
         ref = sync_certificate(g_edges, h_edges)
         lg = graph_laplacian(GraphSample(g_edges))
         assert np.array_equal(ref, lg.array)
-        assert_certificate_is(certify_z2sync(inst), ref)
+        assert_certificate_is(certify_z2sync(inst), ref, inst.y, inst.z)
 
     def test_h_equals_g_negates(self):
         # every edge corrupted
         g = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
         ref = sync_certificate(g.adjacency, g.adjacency)
         assert np.array_equal(ref, -graph_laplacian(g).array)
-        assert_certificate_is(certify_z2sync(self._hand_instance(g, g)), ref)
+        inst = self._hand_instance(g, g)
+        assert_certificate_is(certify_z2sync(inst), ref, inst.y, inst.z)
 
     def test_triangle_one_corrupted(self):
         tri = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
         h = graph_from_edges(3, [(0, 1)])
-        rep = certify_z2sync(self._hand_instance(tri, h))
-        assert rep.d_diag.tolist() == [0.0, 0.0, 2.0]
-        assert_certificate_is(rep, sync_certificate(tri.adjacency, h.adjacency))
+        inst = self._hand_instance(tri, h)
+        assert dual_diagonal(inst.y, inst.z).tolist() == [0.0, 0.0, 2.0]
+        assert_certificate_is(certify_z2sync(inst), sync_certificate(tri.adjacency, h.adjacency),
+                              inst.y, inst.z)
 
     def test_consistency_with_laplacian_of(self):
         for seed in range(40):
@@ -220,13 +224,14 @@ class TestSyncLaplacian:
                 sym(g_edges.astype(float) - 2.0 * h_edges.astype(float))
             ).array
             assert np.array_equal(ref, via)
-            assert_certificate_is(certify_z2sync(inst), ref)
+            assert_certificate_is(certify_z2sync(inst), ref, inst.y, inst.z)
             # random planted signs conjugate the matrix: same dual diagonal,
             # same spectrum up to rounding
             rng = derive_stream(seed, 1)
             z = np.where(rng.uniform(25) < 0.5, 1.0, -1.0)
-            rep = certify_z2sync(sample_z2sync_er(25, 0.4, 0.25, z, derive_stream(seed, 0)))
-            assert np.array_equal(rep.d_diag, np.diag(ref))
+            inst = sample_z2sync_er(25, 0.4, 0.25, z, derive_stream(seed, 0))
+            rep = certify_z2sync(inst)
+            assert np.array_equal(dual_diagonal(inst.y, inst.z), np.diag(ref))
             lam = np.linalg.eigvalsh(ref)
             assert rep.lambda1 == pytest.approx(lam[0], abs=1e-9)
             assert rep.lambda2 == pytest.approx(lam[1], abs=1e-9)
@@ -250,21 +255,21 @@ class TestPartitionGap:
         ref = partition_gap_certificate(g.adjacency, g.labels)
         vals = eigendecompose(sym(ref)).eigenvalues
         assert np.max(np.abs(vals - [0.0, 4.0, 4.0, 4.0])) < 1e-12
-        assert_certificate_is(certify_sbm(g), ref)
+        assert_certificate_is(certify_sbm(g), ref, signed_adjacency(g), g.labels)
 
     def test_empty_graph(self):
         g = GraphSample(np.zeros((4, 4), dtype=np.uint8),
                         labels=np.array([1, 1, -1, -1], dtype=np.int8))
         ref = partition_gap_certificate(g.adjacency, g.labels)
         assert np.all(ref == 1.0)  # Gamma = 0
-        assert_certificate_is(certify_sbm(g), ref)
+        assert_certificate_is(certify_sbm(g), ref, signed_adjacency(g), g.labels)
 
     def test_complete_bipartite(self):
         g = sample_sbm(4, 0.0, 1.0, derive_stream(0, 0))
         ref = partition_gap_certificate(g.adjacency, g.labels)
         assert np.all(np.diag(ref) == -3.0)  # deg_in - deg_out = -2
         assert ref[0, 2] == -1.0 and ref[0, 1] == 1.0
-        assert_certificate_is(certify_sbm(g), ref)
+        assert_certificate_is(certify_sbm(g), ref, signed_adjacency(g), g.labels)
 
     def test_conjugated_row_sums_vanish(self):
         for seed in range(60):
@@ -273,9 +278,8 @@ class TestPartitionGap:
             lab = g.labels.astype(float)
             conj = lab[:, None] * ref * lab[None, :]
             assert np.max(np.abs(conj @ np.ones(30))) < 1e-9
-            rep = certify_sbm(g)
-            assert rep.residual_null == 0.0
-            assert_certificate_is(rep, ref)
+            assert null_residual(signed_adjacency(g).array, lab) == 0.0
+            assert_certificate_is(certify_sbm(g), ref, signed_adjacency(g), g.labels)
 
     def test_certificate_identity(self):
         # 2 Gamma + J == D_[diag(g) B diag(g)] - B entrywise
@@ -286,8 +290,8 @@ class TestPartitionGap:
             conj = lab[:, None] * b.array * lab[None, :]
             ref = partition_gap_certificate(g.adjacency, g.labels)
             assert np.array_equal(ref, np.diag(conj.sum(axis=1)) - b.array)
-            assert_certificate_is(certify_sbm(g), ref)
-            assert_certificate_is(certify_rank_one(b, lab), ref)
+            assert_certificate_is(certify_sbm(g), ref, b, g.labels)
+            assert_certificate_is(certify_rank_one(b, lab), ref, b, lab)
 
     def test_missing_labels(self):
         g = graph_from_edges(4, [(0, 1)])

@@ -175,6 +175,30 @@ def test_one_laplacian_core():
         ("laplacians", "laplacian_of"), ("laplacians", "negated_laplacian")]
 
 
+def test_one_report_builder():
+    # every CertificateReport is built by _report, the one home of the
+    # dead band, from the lambdas its caller computed
+    assert list(_callers("CertificateReport")) == [("certificates", "_report")]
+
+
+def test_the_solver_imports_no_certificate():
+    # sdp cross-checks the certificates independently: a caller that wants
+    # the dual certifies the rounded point, and sdp reads only eig and
+    # ensembles of the package
+    tree = ast.parse((SRC / "sdp.py").read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if _from_package(node):
+            if node.module in (None, "lapcert"):
+                modules.update(alias.name for alias in node.names)
+            else:
+                modules.add(node.module.rpartition(".")[2])
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name.rpartition(".")[2] for alias in node.names
+                           if alias.name.startswith("lapcert"))
+    assert modules == {"eig", "ensembles"}
+
+
 def test_one_margin_call_per_cell():
     # every predicted_margin column is filled by _resolve_cell from the
     # resolved cell, not by an experiment's own resolve step

@@ -10,6 +10,7 @@ from lapcert import (
     certify_sbm,
     certify_z2sync,
     derive_stream,
+    dual_diagonal,
     round_rank_one,
     sample_sbm,
     sample_z2sync_er,
@@ -175,8 +176,9 @@ class TestBmSolve:
         y_conj = sym(s[:, None] * y.array * s[None, :])
         _, rep1 = bm_solve(y, derive_stream(30, 1))
         _, rep2 = bm_solve(y_conj, derive_stream(30, 1))
-        assert rep1.rounded_objective == pytest.approx(
-            rep2.rounded_objective, abs=1e-8 * n * y.max_abs()
+        x1, x2 = rep1.rounded_x, rep2.rounded_x
+        assert x1 @ (y.array @ x1) == pytest.approx(
+            x2 @ (y_conj.array @ x2), abs=1e-8 * n * y.max_abs()
         )
 
     def test_near_threshold_convergence(self):
@@ -190,7 +192,7 @@ class TestBmSolve:
         _, rep = bm_solve(inst.y, derive_stream(18, 1))
         assert rep.converged and rep.iterations <= 150
         assert np.array_equal(rep.rounded_x, z) or np.array_equal(rep.rounded_x, -z)
-        assert rep.dual.feasible
+        assert certify_rank_one(inst.y, rep.rounded_x).feasible
 
     def test_iteration_budget_on_the_cross_check_grid(self, monkeypatch):
         # the z2er cross-check benchmark grid at seed 42: 157 solves, which
@@ -228,8 +230,8 @@ def _cross_check_grid(seed=42):
 
 class TestCrossCheck:
     def test_the_sweep_path_does_no_dual_work(self, monkeypatch):
-        # a sweep reads only the rounded signs: the dual is never computed,
-        # and the one eigen call of a solve is round_rank_one's k x k one
+        # a sweep reads only the rounded signs: the one eigen call of a
+        # solve is round_rank_one's k x k one
         plain = run_sweep(dataclasses.replace(_cross_check_grid(), cross_check=False)).cells
         calls, solving = [], []
         lapack = eig._lapack
@@ -246,12 +248,8 @@ class TestCrossCheck:
             finally:
                 solving.pop()
 
-        def no_dual(y, x, tau=None):
-            raise AssertionError("the cross-check computed a dual")
-
         monkeypatch.setattr(eig, "_lapack", counted)
         monkeypatch.setattr(sweeps, "bm_solve", solve)
-        monkeypatch.setattr(sdp, "certify_rank_one", no_dual)
         cells = run_sweep(_cross_check_grid()).cells
         assert [cell.pop("bm_disagreements") for cell in cells] == [0, 0]
         assert cells == plain
@@ -260,8 +258,8 @@ class TestCrossCheck:
 
     def test_the_dropped_dual_check_could_never_fire(self, monkeypatch):
         # every solve the cross-check accepts, on z2er, sbm and z2gauss
-        # grids, has a feasible dual, and that dual is certify_rank_one's
-        # report at the rounded point
+        # grids, has a feasible dual: certify_rank_one's report at the
+        # rounded point
         accepted, reports = [], []
         recovers = sweeps._bm_recovers
 
@@ -290,10 +288,7 @@ class TestCrossCheck:
                 tight += round(cell["freq_certified"] * trials)
         assert len(accepted) == tight > 100
         for y, rep in accepted:
-            assert rep.dual.feasible
-            ref = certify_rank_one(y, rep.rounded_x)
-            for f in dataclasses.fields(ref):
-                assert np.array_equal(getattr(rep.dual, f.name), getattr(ref, f.name)), f.name
+            assert certify_rank_one(y, rep.rounded_x).feasible
         # and nothing but the planted signs is accepted: one sign off is refused
         y, rep = accepted[0]
         wrong = rep.rounded_x.copy()
@@ -364,10 +359,10 @@ class TestRoundRankOne:
 
 
 def verify_optimal(y, x):
-    """The dual check bm_solve stores for a rounded point x, with the
-    duality gap trace(D) - x^T Y x, which vanishes by construction."""
+    """The dual check of a rounded point x, with the duality gap
+    trace(D) - x^T Y x, which vanishes by construction."""
     rep = certify_rank_one(y, x)
-    return rep, float(np.sum(rep.d_diag) - x @ (y.array @ x))
+    return rep, float(np.sum(dual_diagonal(y, x)) - x @ (y.array @ x))
 
 
 class TestVerifyOptimal:
@@ -394,14 +389,6 @@ class TestVerifyOptimal:
         with pytest.raises(NonSignVector):
             verify_optimal(sym(np.eye(2)), np.array([2.0, 1.0]))
 
-    def test_is_the_report_bm_solve_stores(self):
-        z = random_signs(derive_stream(2, 3), 9)
-        y = sym(np.outer(z, z))
-        _, rep = bm_solve(y, derive_stream(2, 4), k=2)
-        chk, _ = verify_optimal(y, rep.rounded_x)
-        assert (rep.dual.lambda1, rep.dual.lambda2, rep.dual.band) == (
-            chk.lambda1, chk.lambda2, chk.band)
-
 
 class TestAgreementWithCertificates:
     def test_tight_instances_recovered(self):
@@ -422,7 +409,7 @@ class TestAgreementWithCertificates:
             assert np.array_equal(solve.rounded_x, truth) or np.array_equal(
                 solve.rounded_x, -truth
             )
-            assert solve.dual.feasible
+            assert certify_rank_one(y, solve.rounded_x).feasible
             n_checked += 1
 
     def test_tight_sync_instances_recovered(self):
@@ -440,5 +427,5 @@ class TestAgreementWithCertificates:
             assert np.array_equal(solve.rounded_x, inst.z) or np.array_equal(
                 solve.rounded_x, -inst.z
             )
-            assert solve.dual.feasible
+            assert certify_rank_one(inst.y, solve.rounded_x).feasible
             n_checked += 1

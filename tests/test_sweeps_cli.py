@@ -313,6 +313,17 @@ class TestRunSweep:
         # a rank above the smaller n is only redundant there
         assert len(run_sweep(dataclasses.replace(cfg, rank_k=21)).cells) == 2
 
+    def test_rank_k_without_cross_check_is_refused(self, monkeypatch):
+        # the rank steers only the cross-check's solver
+        def no_trials(args):
+            raise AssertionError("a trial ran before the config was checked")
+
+        monkeypatch.setattr(sweeps, "_eval_trial", no_trials)
+        cfg = SweepConfig(experiment="z2er", n=[20], grids={"p": [0.5], "eps": [0.1]},
+                          trials=1, master_seed=1, rank_k=3)
+        with pytest.raises(ConfigError, match="--rank-k is not read without --cross-check"):
+            run_sweep(cfg)
+
     @pytest.mark.parametrize("name, over, by_cli", _RULE_CASES)
     def test_grid_rule_refuses_before_any_trial(self, tmp_path, monkeypatch, capsys,
                                                 name, over, by_cli):
@@ -1035,6 +1046,16 @@ class TestCli:
         vals = [float(v) for v in capsys.readouterr().out.split()]
         assert np.allclose(vals, [0.0, 1.0, 3.0], atol=1e-10)
 
+    def test_eig_vectors_prints_the_residual(self, tmp_path, capsys):
+        # the largest column residual ||M v - lambda v||_2, on stderr
+        f = tmp_path / "m.txt"
+        f.write_text("3\n1 -1 0\n-1 2 -1\n0 -1 1\n")
+        assert cli_main(["eig", "--vectors", str(f)]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.split()) == 3
+        word, value = err.split()
+        assert word == "residual" and 0.0 <= float(value) <= 1e-14
+
     def test_eig_asymmetric_warns(self, tmp_path, capsys):
         f = tmp_path / "m.txt"
         f.write_text("2\n0 1\n0.5 0\n")
@@ -1226,6 +1247,8 @@ class TestCli:
          "eps"),
         (["certify", "--model", "z2er", "--n", "20", "--p", "0.5", "--eps", "0.1",
           "--q", "0.2"], "q"),
+        (["sweep", "--experiment", "z2er", "--n", "20", "--p", "0.5", "--eps", "0.1",
+          "--rank-k", "3"], "rank-k"),
     ])
     def test_axis_the_experiment_does_not_read_exits_one(self, tmp_path, monkeypatch,
                                                           capsys, argv, axis):
@@ -1437,6 +1460,21 @@ class TestCli:
         row = out.read_text().splitlines()[1].split(",")
         header = out.read_text().splitlines()[0].split(",")
         assert dict(zip(header, row))["freq_connected"] == "1"
+
+    def test_huge_sigma_sweep_warns_of_nothing(self, tmp_path):
+        # at sigma = 1e200 the noise overflows any norm of D - Y, which no
+        # report computes: the run exits 0 and writes nothing to stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "lapcert", "sweep", "--experiment", "z2gauss",
+             "--n", "20", "--sigma", "1e200", "--trials", "3",
+             "--out", str(tmp_path / "out.csv")],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+                 "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_module_invocation(self, tmp_path):
         # python -m lapcert works against the src layout
