@@ -487,19 +487,17 @@ def _validate(cfg: SweepConfig) -> None:
         needs, what = _RATIO_ENSEMBLES[cfg.ensemble], f"{cfg.ensemble} ensemble"
     _check_grids(cfg.grids, needs, exp.takes, what)
     # --ensemble names the ratio ensemble; --tau, --rank-k and --cross-check
-    # steer certificate trials, whose experiments count bm_disagreements,
-    # and --rank-k only the cross-check's solver.
-    by = f"by the {cfg.experiment} experiment"
-    certifies = "bm_disagreements" in exp.columns
-    unread = [f"--{flag} is not read {where}" for flag, given, read, where in (
-        ("ensemble", cfg.ensemble is not None, "ensemble" in exp.columns, by),
-        ("tau", cfg.tau is not None, certifies, by),
-        ("rank-k", cfg.rank_k is not None, certifies, by),
-        ("cross-check", cfg.cross_check, certifies, by),
-        ("rank-k", cfg.rank_k is not None, cfg.cross_check, "without --cross-check"),
-    ) if given and not read]
+    # steer certificate trials, whose experiments count bm_disagreements.
+    unread = [flag for flag, given, column in (
+        ("ensemble", cfg.ensemble is not None, "ensemble"),
+        ("tau", cfg.tau is not None, "bm_disagreements"),
+        ("rank-k", cfg.rank_k is not None, "bm_disagreements"),
+        ("cross-check", cfg.cross_check, "bm_disagreements"),
+    ) if given and column not in exp.columns]
     if unread:
-        raise ConfigError(unread[0])
+        raise ConfigError(f"--{unread[0]} is not read by the {cfg.experiment} experiment")
+    if cfg.rank_k is not None and not cfg.cross_check:
+        raise ConfigError("--rank-k is not read without --cross-check")
 
 
 def _raise_mmap_threshold() -> None:

@@ -8,9 +8,13 @@ not the package's D - Y construction they are compared against. The
 Gaussian synchronization reference does call the eigensolver, but on a
 different matrix: the Laplacian of the conjugated noise. ``exact_side`` uses no floating point
 at all: exact integer elimination on the discrete certificate matrix.
+``null_residual`` is no oracle: it measures the package's own dual
+diagonal against the identity (D - Y) x = 0 that D is built to meet.
 """
 
 import numpy as np
+
+from lapcert import dual_diagonal
 
 
 def charpoly_bisect_eigs(a, samples=4001, iters=100):
@@ -132,11 +136,11 @@ def z2sync_gaussian_report(y, z, sigma, tau):
 
 
 def null_residual(y, x):
-    """||(D - Y) x|| for the dual diagonal D_ii = sum_j Y_ij x_i x_j, which
-    vanishes in exact arithmetic."""
-    y = np.asarray(y, dtype=np.float64)
+    """||(D - Y) x|| for the package's dual diagonal D = dual_diagonal(y, x),
+    which vanishes in exact arithmetic."""
+    d = dual_diagonal(y, x)
     x = np.asarray(x, dtype=np.float64)
-    return float(np.linalg.norm((np.diag(x * (y @ x)) - y) @ x))
+    return float(np.linalg.norm((np.diag(d) - y.array) @ x))
 
 
 def _integer_definiteness(a):

@@ -211,7 +211,7 @@ def test_07_certificate_algebra():
         y = SymmetricMatrix(b + b.T)
         x = np.where(rng.uniform(n) < 0.5, 1.0, -1.0)
         rep = certify_rank_one(y, x)
-        if null_residual(y.array, x) > 1e-10 * n * max(y.max_abs(), 1e-300):
+        if null_residual(y, x) > 1e-10 * n * max(y.max_abs(), 1e-300):
             residual_viol += 1
         for c in (1e-3, 9.0):
             if certify_rank_one(SymmetricMatrix(c * y.array), x).tight != rep.tight:

@@ -108,7 +108,7 @@ class TestCertifyRankOne:
             b = rng.normal((n, n))
             y = sym(b + b.T)
             x = random_signs(rng, n)
-            assert null_residual(y.array, x) <= 1e-10 * n * max(y.max_abs(), 1e-30)
+            assert null_residual(y, x) <= 1e-10 * n * max(y.max_abs(), 1e-30)
 
     def test_scaling_verdict_invariance(self):
         rng = derive_stream(101, 0)
@@ -516,7 +516,7 @@ class TestRankOneSide:
         g = sample_sbm(n, 12.0 * logn / n, logn / n, derive_stream(74, 0))
         b = signed_adjacency(g)
         y = sym(b.array + np.diag(0.1 + derive_stream(74, 1).uniform(n)))
-        assert null_residual(y.array, g.labels) > 0.0
+        assert null_residual(y, g.labels) > 0.0
         assert certify_rank_one(y, g.labels).side == "above"
         self.spy_eigvalsh(monkeypatch, limit=n)
         assert certificates.rank_one_side(y, g.labels) == "above"

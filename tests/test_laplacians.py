@@ -278,7 +278,7 @@ class TestPartitionGap:
             lab = g.labels.astype(float)
             conj = lab[:, None] * ref * lab[None, :]
             assert np.max(np.abs(conj @ np.ones(30))) < 1e-9
-            assert null_residual(signed_adjacency(g).array, lab) == 0.0
+            assert null_residual(signed_adjacency(g), lab) == 0.0
             assert_certificate_is(certify_sbm(g), ref, signed_adjacency(g), g.labels)
 
     def test_certificate_identity(self):
